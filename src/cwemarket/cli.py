@@ -336,3 +336,7 @@ def run_cli(argv) -> int:
 
 def main() -> int:
     return run_cli(sys.argv[1:])
+
+
+if __name__ == "__main__":
+    sys.exit(main())

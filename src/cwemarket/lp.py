@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, SolverInvariantError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -48,7 +48,8 @@ class _Dictionary:
 
     def pivot(self, row: int, col: int) -> None:
         piv = self.coef[row][col]
-        assert piv != 0
+        if piv == 0:
+            raise SolverInvariantError("pivot on a zero coefficient")
         enter = self.nonbasis[col]
         leave = self.basis[row]
         # solve row for the entering variable
@@ -159,19 +160,26 @@ def solve_lp(
         worst = min(range(m), key=lambda i: (const[i], basis[i]))
         d.pivot(worst, n)
         status = d.run()
-        assert status == OPTIMAL  # phase-1 objective is bounded above by 0
+        if status != OPTIMAL:  # phase-1 objective is bounded above by 0
+            raise SolverInvariantError(f"phase one ended {status}")
         if d.z0 != 0:
             return LpSolution(status=INFEASIBLE, x=None, value=None)
         if aux in d.basis:
             row = d.basis.index(aux)
             # degenerate: value must be 0; pivot it out on any usable column
-            assert d.const[row] == 0
+            if d.const[row] != 0:
+                raise SolverInvariantError(
+                    "auxiliary variable left basic at a nonzero value"
+                )
             col = None
             for j, var in enumerate(d.nonbasis):
                 if d.coef[row][j] != 0:
                     col = j
                     break
-            assert col is not None
+            if col is None:
+                raise SolverInvariantError(
+                    "no column to pivot the auxiliary variable out on"
+                )
             d.pivot(row, col)
         keep = [j for j, var in enumerate(d.nonbasis) if var != aux]
         d.nonbasis = [d.nonbasis[j] for j in keep]

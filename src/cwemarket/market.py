@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .scalars import common_granularity
-from .valuations import Item, ItemSet, Valuation
+from .valuations import Item, ItemSet, Valuation, subset_sums
 
 BundleId = int
 BundleSet = FrozenSet[BundleId]
@@ -190,12 +191,6 @@ class Outcome:
                 raise InputError("a bundle is assigned to two agents")
             held |= bundles
 
-    def holder_of(self, bid: BundleId) -> Optional[str]:
-        for name, bundles in self.assignment.items():
-            if bid in bundles:
-                return name
-        return None
-
     def assigned_items(self, name: str) -> ItemSet:
         return self.catalog.union_items(self.assignment.get(name, frozenset()))
 
@@ -235,7 +230,9 @@ def demand_correspondence(
     Returns (max utility, members).  Available bundles are the catalog
     minus `excluded`; the empty set is always a candidate, so the max
     is at least 0.  Members come back in a canonical order (by size,
-    then sorted ids).
+    then sorted ids).  All 2^k subsets of the k available bundles are
+    compared exactly, as integers over one common denominator of the
+    agent's bundle-value table and the prices.
     """
     if len(catalog.entries) > max_bundles:
         raise ResourceLimitError(
@@ -243,31 +240,22 @@ def demand_correspondence(
             f"capped at {max_bundles}"
         )
     avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    k = len(avail)
-    val = auction.valuation(agent)
-    n_masks = 1 << k
-    unions: List[ItemSet] = [frozenset()] * n_masks
-    psums: List[Fraction] = [Fraction(0)] * n_masks
-    utils: List[Fraction] = [Fraction(0)] * n_masks
-    best = Fraction(0)
-    for mask in range(1, n_masks):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        unions[mask] = unions[rest] | avail[i][1]
-        psums[mask] = psums[rest] + prices[avail[i][0]]
-        u = val.value(unions[mask]) - psums[mask]
-        utils[mask] = u
-        if u > best:
-            best = u
-    members: List[BundleSet] = []
-    for mask in range(n_masks):
-        if utils[mask] == best:
-            members.append(
-                frozenset(avail[i][0] for i in range(k) if mask >> i & 1)
-            )
+    values, den = auction.valuation(agent).bundle_values([items for _, items in avail])
+    # prices may be Fractions or ints; both carry numerator/denominator
+    avail_prices = [prices[bid] for bid, _ in avail]
+    scale = lcm(den, *[p.denominator for p in avail_prices])
+    psums = subset_sums([p.numerator * (scale // p.denominator) for p in avail_prices])
+    factor = scale // den
+    utils = [v * factor - p for v, p in zip(values, psums)]
+    best = max(utils)
+    ids = [bid for bid, _ in avail]
+    members = [
+        frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
+        for mask, u in enumerate(utils)
+        if u == best
+    ]
     members.sort(key=lambda s: (len(s), sorted(s)))
-    return best, members
+    return Fraction(best, scale), members
 
 
 def tie_break_key(

@@ -116,7 +116,8 @@ class PolySolver:
         while self.pool:
             self.trace.iterations += 1
             a = self._pop_lowest()
-            assert a not in self.assignment
+            if a in self.assignment:
+                raise SolverInvariantError(f"pooled agent {a!r} already holds bundles")
             best, members = self._demand(a)
             if best <= 0:
                 self.rejected.add(a)
@@ -205,7 +206,10 @@ class PolySolver:
             excluded = frozenset().union(*(self.assignment[j] for j in active))
             for i in active:
                 own = self.assignment[i]
-                assert len(own) == 1
+                if len(own) != 1:
+                    raise SolverInvariantError(
+                        f"{i!r} holds {len(own)} bundles in a price push, not one"
+                    )
                 best, mem = self._demand(i, excluded=excluded)
                 switches[i] = select_demanded(mem, i, self.assignment)
                 margin = self._utility(i, own) - best

@@ -128,7 +128,8 @@ class SimpleSolver:
         while self.pool:
             self.trace.iterations += 1
             a = self._pop_lowest()
-            assert a not in self.assignment
+            if a in self.assignment:
+                raise SolverInvariantError(f"pooled agent {a!r} already holds bundles")
             best, members = self._demand(a)
             if best <= 0:
                 self.rejected.add(a)

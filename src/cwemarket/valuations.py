@@ -10,14 +10,20 @@ explicit finite item universe.  Supported classes:
   xos            max over additive clauses
 
 `validate()` checks the class constraints and returns the first defect
-found (None when the valuation is well formed).
+found (None when the valuation is well formed).  `bundle_values()`
+tabulates the value of every union of a few disjoint bundles as exact
+integers over one common denominator; the structured classes build that
+table with integer recurrences instead of one `value()` call per union.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Tuple
+from math import lcm
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .errors import InputError
 
@@ -40,6 +46,44 @@ def subsets_of(items: ItemSet) -> Iterator[ItemSet]:
     for k in range(len(order) + 1):
         for combo in combinations(order, k):
             yield frozenset(combo)
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of `values` over their least common denominator."""
+    # unpack a list, not a generator: a generator's argument tuple is
+    # built by resizing, and the odd-sized tuples it leaves on the
+    # interpreter's free lists raised peak memory measurably
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def subset_unions(bundles: Sequence[ItemSet]) -> List[ItemSet]:
+    """Union of `bundles[i]` over the set bits i of every mask below 2^k.
+
+    The table doubles once per bundle: entry mask + 2^i is entry mask
+    joined with bundles[i].
+    """
+    unions: List[ItemSet] = [frozenset()]
+    for b in bundles:
+        unions += [u | b for u in unions]
+    return unions
+
+
+def subset_sums(weights: Sequence[int]) -> List[int]:
+    """Sum of `weights[i]` over the set bits i of every mask, built the
+    same way as `subset_unions`."""
+    table = [0]
+    for w in weights:
+        table += [t + w for t in table]
+    return table
+
+
+def subset_maxima(weights: Sequence[int]) -> List[int]:
+    """Max of 0 and `weights[i]` over the set bits i of every mask."""
+    table = [0]
+    for w in weights:
+        table += [t if t > w else w for t in table]
+    return table
 
 
 @dataclass(frozen=True)
@@ -71,6 +115,27 @@ class Valuation:
 
     def _value(self, s: ItemSet) -> Fraction:
         raise NotImplementedError
+
+    def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> Tuple[List[int], int]:
+        """Value of every union of the given disjoint bundles.
+
+        Returns (ints, den): entry `mask` of `ints` over `den` is the
+        value of the union of the bundles whose bit is set in `mask`
+        (bit i stands for bundles[i]), so the table has 2^k entries.
+        """
+        sets = [frozenset(b) for b in bundles]
+        union = frozenset().union(*sets)
+        unknown = union - self.items
+        if unknown:
+            raise InputError(
+                f"unknown item identifiers {sorted(unknown)!r} for this valuation"
+            )
+        if sum(map(len, sets)) != len(union):
+            raise InputError("bundles overlap")
+        return self._bundle_values(sets)
+
+    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
+        return over_common_denominator([self.value(u) for u in subset_unions(bundles)])
 
     def parameter_values(self) -> Iterator[Fraction]:
         """All scalar parameters, for granularity computation."""
@@ -186,6 +251,10 @@ class AdditiveValuation(Valuation):
     def _value(self, s: ItemSet) -> Fraction:
         return sum((self.weights.get(i, Fraction(0)) for i in s), Fraction(0))
 
+    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
+        ints, den = over_common_denominator([self._value(b) for b in bundles])
+        return subset_sums(ints), den
+
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.weights.values())
 
@@ -210,6 +279,10 @@ class UnitDemandValuation(Valuation):
                 best = w
         return best
 
+    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
+        ints, den = over_common_denominator([self._value(b) for b in bundles])
+        return subset_maxima(ints), den
+
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.weights.values())
 
@@ -229,6 +302,22 @@ class SingleMindedValuation(Valuation):
 
     def _value(self, s: ItemSet) -> Fraction:
         return self.weight if self.desired <= s else Fraction(0)
+
+    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
+        # disjoint bundles cover the desired set exactly when every bundle
+        # meeting it is taken and together those bundles hold all of it
+        need = 0
+        reached: ItemSet = frozenset()
+        for i, b in enumerate(bundles):
+            if b & self.desired:
+                need |= 1 << i
+                reached |= b
+        n_masks = 1 << len(bundles)
+        if not self.desired <= reached:
+            return [0] * n_masks, 1
+        w = self.weight.numerator
+        table = [w if mask & need == need else 0 for mask in range(n_masks)]
+        return table, self.weight.denominator
 
     def parameter_values(self) -> Iterator[Fraction]:
         yield self.weight
@@ -272,6 +361,20 @@ class XosValuation(Valuation):
             if total > best:
                 best = total
         return best
+
+    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
+        k = len(bundles)
+        per_clause = [
+            sum((clause.get(i, Fraction(0)) for i in b), Fraction(0))
+            for clause in self.clauses
+            for b in bundles
+        ]
+        ints, den = over_common_denominator(per_clause)
+        best = [0] * (1 << k)
+        for c in range(len(self.clauses)):
+            sums = subset_sums(ints[c * k:(c + 1) * k])
+            best = [t if t > u else u for t, u in zip(best, sums)]
+        return best, den
 
     def parameter_values(self) -> Iterator[Fraction]:
         for clause in self.clauses:

@@ -14,11 +14,11 @@ import itertools
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceLimitError
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from .errors import InputError, ResourceLimitError, SolverInvariantError
+from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
 from .market import Auction, BundleId, BundleSet, Catalog, Outcome
 from .partitions import set_partitions
-from .valuations import ItemSet
+from .valuations import ItemSet, subset_unions
 
 BRUTE_MAX_ITEMS = 8
 BRUTE_MAX_AGENTS = 6
@@ -31,6 +31,11 @@ SEARCH_MAX_AGENTS = 5
 def _cap(value: int, bound: int, what: str) -> None:
     if value > bound:
         raise ResourceLimitError(f"{what} = {value} exceeds oracle cap {bound}")
+
+
+def _require_optimal(sol: LpSolution, what: str) -> None:
+    if sol.status != OPTIMAL:
+        raise SolverInvariantError(f"{what} LP ended {sol.status}, not optimal")
 
 
 def singleton_catalog(auction: Auction) -> Catalog:
@@ -52,10 +57,7 @@ def _best_partition(
     k = len(units)
     n = len(auction.agents)
     full = (1 << k) - 1
-    unions: List[ItemSet] = [frozenset()] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        unions[mask] = unions[mask ^ low] | units[low.bit_length() - 1]
+    unions = subset_unions(units)
     # best[i][mask]: welfare achievable by agents i.. with units `mask` free
     best = [[Fraction(0)] * (1 << k) for _ in range(n + 1)]
     pick = [[0] * (1 << k) for _ in range(n)]
@@ -119,7 +121,8 @@ def brute_force_optimal(
             (auction.valuation(a).value(s) for a, s in allocation.items()),
             Fraction(0),
         )
-        assert total == welfare, "absorbing leftovers changed the optimum"
+        if total != welfare:
+            raise SolverInvariantError("absorbing leftovers changed the optimum")
     return welfare, allocation
 
 
@@ -157,11 +160,7 @@ def config_lp_fractional_opt(
     n = len(auction.agents)
     _cap(k, max_bundles, "bundle count")
     _cap(n, max_agents, "agent count")
-    unions: List[ItemSet] = [frozenset()] * (1 << k)
-    units = [items for _, items in catalog.entries]
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        unions[mask] = unions[mask ^ low] | units[low.bit_length() - 1]
+    unions = subset_unions([items for _, items in catalog.entries])
     cols: List[Tuple[int, int]] = []  # (agent index, bundle mask)
     c: List[Fraction] = []
     for i, agent in enumerate(auction.agents):
@@ -177,7 +176,7 @@ def config_lp_fractional_opt(
         rows.append([Fraction(1 if mask >> j & 1 else 0) for _, mask in cols])
         b.append(Fraction(1))
     sol = solve_lp(c, rows, b)
-    assert sol.status == OPTIMAL, sol.status
+    _require_optimal(sol, "configuration")
     return sol.value
 
 
@@ -207,10 +206,7 @@ def _stability_rows(
             if bid in held:
                 raise InputError("a bundle is assigned twice")
             held.add(bid)
-    unions: List[ItemSet] = [frozenset()] * (1 << k)
-    for mask in range(1, 1 << k):
-        low = mask & -mask
-        unions[mask] = unions[mask ^ low] | table[ids[low.bit_length() - 1]]
+    unions = subset_unions([table[bid] for bid in ids])
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
     for agent in auction.agents:
@@ -249,7 +245,7 @@ def supporting_prices(
     sol = solve_lp([Fraction(0)] * k, rows, rhs)
     if sol.status == INFEASIBLE:
         return None
-    assert sol.status == OPTIMAL
+    _require_optimal(sol, "supporting-price")
     return {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
 
 
@@ -284,7 +280,7 @@ def max_supported_revenue(
         return None
     # assigned prices are capped by the owners' values, so no ray
     # can improve the objective
-    assert sol.status == OPTIMAL, sol.status
+    _require_optimal(sol, "revenue")
     return sol.value
 
 
@@ -303,7 +299,7 @@ def revenue_maximizing_prices(
     sol = solve_lp(c, rows, rhs)
     if sol.status == INFEASIBLE:
         return None
-    assert sol.status == OPTIMAL, sol.status
+    _require_optimal(sol, "revenue")
     prices = {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
     return sol.value, prices
 
@@ -464,5 +460,6 @@ def max_cwe_revenue(
         if best is None or rev > best_rev:
             best_rev = rev
             best = Outcome(catalog=catalog, prices=prices, assignment=assignment)
-    assert best is not None
+    if best is None:
+        raise SolverInvariantError("no stable candidate, not even selling nothing")
     return best_rev, best

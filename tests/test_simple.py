@@ -7,6 +7,7 @@ from cwemarket import (
     Agent,
     Auction,
     InputError,
+    SolverDeadlockError,
     brute_force_optimal,
     generate,
     is_cwe,
@@ -182,3 +183,18 @@ def test_rejection_only_at_nonpositive_utility():
     assert rejected == ["A"]
     # at final prices the rejected agent cannot gain
     assert out.prices[0] >= F(1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SolverDeadlockError,
+    reason="known fault: every demanded set of some agent is held and each "
+    "conflict is an exact tie, so the epsilon auction stops; the poly "
+    "solver handles the same instance",
+)
+def test_deadlock_on_random_explicit_42200455():
+    auction, _ = generate("random_explicit", m=4, n=5, seed=42200455)
+    _, allocation = brute_force_optimal(auction)
+    seed = {a: s for a, s in allocation.items() if s}
+    outcome, _ = run_simple(auction, seed, auction.granularity() / 2)
+    assert is_cwe(auction, outcome)

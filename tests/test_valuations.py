@@ -120,3 +120,19 @@ def test_parameter_values_feed_granularity():
     assert set(v.parameter_values()) == {F(1, 2), F(1, 3)}
     x = XosValuation(["1"], [{"1": F(1, 4)}, {"1": F(1, 8)}])
     assert sorted(x.parameter_values()) == [F(1, 8), F(1, 4)]
+
+
+def test_bundle_values_table_is_indexed_by_mask():
+    v = XosValuation(["1", "2", "3"], [{"1": F(1, 2), "2": F(1, 3)}, {"3": F(1)}])
+    ints, den = v.bundle_values([["1"], ["2", "3"]])
+    assert den == 6
+    assert ints == [0, 3, 6, 6]  # {}, {1}, {2,3}, {1,2,3}
+    assert v.bundle_values([]) == ([0], 1)
+
+
+def test_bundle_values_rejects_overlap_and_unknown_items():
+    v = AdditiveValuation(["1", "2"], {"1": F(1)})
+    with pytest.raises(InputError, match="overlap"):
+        v.bundle_values([["1"], ["1", "2"]])
+    with pytest.raises(InputError, match="unknown item"):
+        v.bundle_values([["1"], ["9"]])
