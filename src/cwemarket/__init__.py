@@ -40,6 +40,7 @@ from .market import (
     initial_market,
     is_cwe,
     merge_bundles,
+    revenue_of,
     social_welfare,
     utility,
     validate_initial_allocation,
@@ -48,7 +49,6 @@ from .revenue import (
     LadderLevel,
     RevenueResult,
     maximize_revenue,
-    revenue_of,
     shift_prices,
 )
 from .scalars import Scalar, common_granularity, format_scalar, parse_scalar
@@ -71,7 +71,6 @@ from .verifier import (
     max_cwe_welfare,
     max_stable_singleton_items_sold,
     max_stable_singleton_welfare,
-    max_supported_revenue,
     revenue_maximizing_prices,
     singleton_catalog,
     stable_singleton_outcomes,
@@ -127,7 +126,6 @@ __all__ = [
     "max_cwe_welfare",
     "max_stable_singleton_items_sold",
     "max_stable_singleton_welfare",
-    "max_supported_revenue",
     "maximize_revenue",
     "merge_bundles",
     "parse_scalar",

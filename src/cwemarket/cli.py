@@ -21,11 +21,12 @@ from .instances import generate, instance_names
 from .market import (
     Auction,
     InitialAllocation,
+    allocation_welfare,
     find_violation,
     is_cwe,
     social_welfare,
 )
-from .revenue import maximize_revenue, revenue_of
+from .revenue import maximize_revenue
 from .scalars import format_scalar, parse_scalar
 from .serialize import (
     dumps,
@@ -155,9 +156,7 @@ def _write(path: Optional[str], text: str) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     auction, file_alloc = load_instance(args.input)
     allocation = _pick_seed(auction, file_alloc, args.initial)
-    seed_welfare = sum(
-        (auction.valuation(n).value(s) for n, s in allocation.items()), Fraction(0)
-    )
+    seed_welfare = allocation_welfare(auction, allocation)
     if args.alg == "simple":
         if args.epsilon is None:
             raise InputError("--alg simple requires --epsilon")
@@ -203,7 +202,6 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
             verified,
             result.trace.iterations,
             result.trace.demand_queries,
-            revenue=revenue_of(auction, result.base),
         )
     )
     report["half_welfare_bound"] = format_scalar(result.seed_welfare / 2)

@@ -357,7 +357,24 @@ def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
     return total
 
 
+def revenue_of(auction: Auction, outcome: Outcome) -> Fraction:
+    """Total price paid over assigned bundles."""
+    total = Fraction(0)
+    for name in auction.agent_names:
+        for bid in outcome.assignment.get(name, frozenset()):
+            total += outcome.prices[bid]
+    return total
+
+
 InitialAllocation = Mapping[str, ItemSet]
+
+
+def allocation_welfare(auction: Auction, allocation: InitialAllocation) -> Fraction:
+    """Total value of an item allocation, such as a seed allocation."""
+    return sum(
+        (auction.valuation(name).value(items) for name, items in allocation.items()),
+        Fraction(0),
+    )
 
 
 def validate_initial_allocation(auction: Auction, allocation: InitialAllocation) -> Dict[str, ItemSet]:
@@ -386,17 +403,16 @@ def validate_initial_allocation(auction: Auction, allocation: InitialAllocation)
 
 def initial_market(
     auction: Auction, allocation: InitialAllocation
-) -> Tuple[Catalog, PriceMap, Dict[str, str]]:
+) -> Tuple[Catalog, PriceMap]:
     """Seed catalog from an initial allocation.
 
     Each nonempty allocated set becomes one bundle, in agent order,
     priced at half the owner's value for it.  Unallocated items are
-    withheld.  Returns (catalog, prices, bundle id -> seeding agent).
+    withheld.  Returns (catalog, prices).
     """
     norm = validate_initial_allocation(auction, allocation)
     entries: List[Tuple[BundleId, ItemSet]] = []
     prices: PriceMap = {}
-    seeded_by: Dict[str, str] = {}
     next_id = 0
     covered: FrozenSet[str] = frozenset()
     for name in auction.agent_names:
@@ -405,8 +421,7 @@ def initial_market(
             continue
         entries.append((next_id, items))
         prices[next_id] = auction.valuation(name).value(items) / 2
-        seeded_by[str(next_id)] = name
         covered |= items
         next_id += 1
     catalog = Catalog(entries=tuple(entries), withheld=auction.item_set - covered)
-    return catalog, prices, seeded_by
+    return catalog, prices

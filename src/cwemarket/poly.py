@@ -1,21 +1,32 @@
-"""The query-efficient ascending bundle auction.
+"""The ascending bundle auction: one core, two conflict policies.
 
-Same skeleton as the simple solver, with two changes that bound the
-work by a polynomial number of demand queries.  After every main-loop
-iteration, prices of all held bundles are pushed up to the exact
-breakpoints at which their holders would switch away (raise_prices),
-recording for each holder the set it would switch to.  And when a
-pooled agent demands a singleton bundle someone currently holds, the
-bundle changes hands immediately and the displaced holder is given its
-recorded switch-to set, recursively; each displacement moves strictly
-earlier in the breakpoint removal order, so a chain visits an agent at
-most once.
+`AscendingAuction` is the auction both solvers run.  Start from a seed
+allocation: each nonempty seed set becomes a bundle priced at half its
+owner's value.  Agents wait in a pool and are served lowest index
+first.  A served agent either leaves empty-handed (no set gives
+positive utility), takes its demanded set by merging the bundles in it
+(price adds up, displaced owners re-enter the pool), or claims a
+singleton bundle.  The final outcome is checked to be a stable bundle
+pricing with social welfare at least half the seed allocation's.
+
+The solvers differ only in how a claim on a singleton someone else
+holds is settled.  The simple solver (simple module) raises its price
+in epsilon steps until one side gives up, which may take exponentially
+many steps.  `PolySolver`, the query-efficient variant, bounds the work
+by a polynomial number of demand queries with two changes.  After every
+main-loop iteration, prices of all held bundles are pushed up to the
+exact breakpoints at which their holders would switch away
+(raise_prices), recording for each holder the set it would switch to.
+And the contested bundle changes hands immediately: the displaced
+holder is given its recorded switch-to set, recursively; each
+displacement moves strictly earlier in the breakpoint removal order, so
+a chain visits an agent at most once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import SolverInvariantError
 from .market import (
@@ -25,6 +36,7 @@ from .market import (
     Catalog,
     InitialAllocation,
     Outcome,
+    allocation_welfare,
     demand_correspondence,
     initial_market,
     is_cwe,
@@ -50,6 +62,106 @@ from .trace import (
 INFINITE_RANK = float("inf")
 
 
+class AscendingAuction:
+    """State, main loop and final checks shared by both solvers.
+
+    A subclass settles a claim on a singleton someone else holds in
+    `_contest`; it may also filter demand sets in `_choose` and act at
+    the end of every iteration in `_end_iteration`.
+    """
+
+    def __init__(self, auction: Auction, allocation: InitialAllocation):
+        self.auction = auction
+        self.seed = validate_initial_allocation(auction, allocation)
+        self.catalog, self.prices = initial_market(auction, allocation)
+        self.assignment: Dict[str, BundleSet] = {}
+        self.pool: List[str] = list(auction.agent_names)
+        self.trace = Trace()
+        for name in self.pool:
+            self.trace.add(PoolAdd(name))
+
+    def _demand(
+        self, agent: str, excluded: BundleSet = frozenset()
+    ) -> Tuple[Fraction, List[BundleSet]]:
+        self.trace.demand_queries += 1
+        return demand_correspondence(
+            self.auction, agent, self.catalog, self.prices, excluded
+        )
+
+    def run(self) -> Outcome:
+        while self.pool:
+            self.trace.iterations += 1
+            a = min(self.pool, key=self.auction.agent_index)
+            self.pool.remove(a)
+            self.trace.add(PoolRemove(a))
+            if a in self.assignment:
+                raise SolverInvariantError(f"pooled agent {a!r} already holds bundles")
+            best, members = self._demand(a)
+            self._take(a, self._choose(a, members) if best > 0 else frozenset())
+            self._end_iteration()
+        return self._finish()
+
+    def _choose(self, agent: str, members: List[BundleSet]) -> BundleSet:
+        return select_demanded(members, agent, self.assignment)
+
+    def _take(self, a: str, chosen: BundleSet) -> None:
+        """Give `a` the set `chosen`.  The empty set means `a` walks
+        away; several bundles are merged into one, their owners going
+        back to the pool; a singleton someone else holds is contested.
+        """
+        if not chosen:
+            self.trace.add(Reject(a))
+            return
+        if len(chosen) > 1:
+            for b in self.auction.agent_names:
+                if self.assignment.get(b, frozenset()) & chosen:
+                    self._repool(b)
+            sources = tuple(sorted(chosen))
+            price = sum((self.prices.pop(bid) for bid in sources), Fraction(0))
+            self.catalog, new_id = merge_bundles(self.catalog, chosen)
+            self.prices[new_id] = price
+            self.trace.add(Merge(sources=sources, new_id=new_id))
+            chosen = frozenset({new_id})
+        owner = next(
+            (b for b, held in self.assignment.items() if held == chosen and b != a),
+            None,
+        )
+        self.assignment[a] = chosen
+        self.trace.add(Assign(a, chosen))
+        if owner is not None:
+            self._contest(chosen, a, owner)
+
+    def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
+        """Settle `a`'s claim on the singleton `bundles`, which both `a`
+        and `owner` hold when this is called."""
+        raise NotImplementedError
+
+    def _repool(self, agent: str) -> None:
+        self.trace.add(Unassign(agent))
+        del self.assignment[agent]
+        self.pool.append(agent)
+        self.trace.add(PoolAdd(agent))
+
+    def _end_iteration(self) -> None:
+        self.trace.add(IterationEnd(self.trace.iterations))
+
+    def _finish(self) -> Outcome:
+        outcome = Outcome(
+            catalog=self.catalog,
+            prices=dict(self.prices),
+            assignment=dict(self.assignment),
+        )
+        if not is_cwe(self.auction, outcome):
+            raise SolverInvariantError("final outcome is not stable")
+        sw = social_welfare(self.auction, outcome)
+        seed_sw = allocation_welfare(self.auction, self.seed)
+        if 2 * sw < seed_sw:
+            raise SolverInvariantError(
+                f"welfare {sw} fell below half the seed welfare {seed_sw}"
+            )
+        return outcome
+
+
 @dataclass(frozen=True)
 class RaiseReport:
     """Snapshot handed to the raise hook after each price push."""
@@ -65,120 +177,44 @@ class RaiseReport:
 RaiseHook = Callable[[RaiseReport], None]
 
 
-class PolySolver:
+class PolySolver(AscendingAuction):
     def __init__(
         self,
         auction: Auction,
         allocation: InitialAllocation,
         on_raise: Optional[RaiseHook] = None,
     ):
-        self.auction = auction
-        self.seed = validate_initial_allocation(auction, allocation)
-        catalog, prices, _ = initial_market(auction, allocation)
-        self.catalog: Catalog = catalog
-        self.prices: Dict[BundleId, Fraction] = prices
-        self.assignment: Dict[str, BundleSet] = {}
-        self.pool: List[str] = list(auction.agent_names)
-        self.rejected: Set[str] = set()
+        super().__init__(auction, allocation)
         self.fallback: Dict[str, BundleSet] = {}
         self.rank: Dict[str, int] = {}
+        self.chain = 0  # displacements in the current iteration
         self.on_raise = on_raise
-        self.trace = Trace()
-        for name in self.pool:
-            self.trace.add(PoolAdd(name))
-
-    # -- helpers ------------------------------------------------------
-
-    def _demand(
-        self, agent: str, excluded: BundleSet = frozenset()
-    ) -> Tuple[Fraction, List[BundleSet]]:
-        self.trace.demand_queries += 1
-        return demand_correspondence(
-            self.auction, agent, self.catalog, self.prices, excluded
-        )
-
-    def _utility(self, agent: str, bundles: BundleSet) -> Fraction:
-        return utility(self.auction, agent, bundles, self.catalog, self.prices)
-
-    def _pop_lowest(self) -> str:
-        name = min(self.pool, key=self.auction.agent_index)
-        self.pool.remove(name)
-        self.trace.add(PoolRemove(name))
-        return name
 
     def _rank_of(self, agent: str):
         return self.rank.get(agent, INFINITE_RANK)
 
-    # -- the procedure ------------------------------------------------
-
-    def run(self) -> Outcome:
-        n = len(self.auction.agents)
-        while self.pool:
-            self.trace.iterations += 1
-            a = self._pop_lowest()
-            if a in self.assignment:
-                raise SolverInvariantError(f"pooled agent {a!r} already holds bundles")
-            best, members = self._demand(a)
-            if best <= 0:
-                self.rejected.add(a)
-                self.trace.add(Reject(a))
-            else:
-                chosen = select_demanded(members, a, self.assignment)
-                self._allocate(a, chosen, depth=0)
-            self.raise_prices()
-            self.trace.add(IterationEnd(self.trace.iterations))
-            if self.trace.iterations > n * n:
-                raise SolverInvariantError(
-                    f"main loop exceeded {n * n} iterations"
-                )
-        return self._finish()
-
-    def _allocate(self, a: str, chosen: BundleSet, depth: int) -> None:
-        n = len(self.auction.agents)
-        if depth > n:
-            raise SolverInvariantError("displacement chain longer than n")
-        if not chosen:
-            # the recorded switch-to set was empty: nothing at current
-            # prices beats walking away
-            self.rejected.add(a)
-            self.trace.add(Reject(a))
-            return
-        if len(chosen) > 1:
-            owners = [
-                b
-                for b in self.auction.agent_names
-                if self.assignment.get(b) and self.assignment[b] & chosen
-            ]
-            for b in owners:
-                self.trace.add(Unassign(b))
-                del self.assignment[b]
-                self.pool.append(b)
-                self.trace.add(PoolAdd(b))
-            price = sum(
-                (self.prices.pop(bid) for bid in sorted(chosen)), Fraction(0)
+    def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
+        if not self._rank_of(owner) < self._rank_of(a):
+            raise SolverInvariantError(
+                f"displacement of {owner!r} by {a!r} does not move "
+                f"earlier in the removal order"
             )
-            self.catalog, new_id = merge_bundles(self.catalog, chosen)
-            self.prices[new_id] = price
-            self.trace.add(Merge(sources=tuple(sorted(chosen)), new_id=new_id))
-            self.assignment[a] = frozenset({new_id})
-            self.trace.add(Assign(a, frozenset({new_id})))
-            return
-        owner: Optional[str] = None
-        for b, held in self.assignment.items():
-            if held == chosen and b != a:
-                owner = b
-                break
-        self.assignment[a] = chosen
-        self.trace.add(Assign(a, chosen))
-        if owner is not None:
-            if not self._rank_of(owner) < self._rank_of(a):
-                raise SolverInvariantError(
-                    f"displacement of {owner!r} by {a!r} does not move "
-                    f"earlier in the removal order"
-                )
-            self.trace.add(Unassign(owner))
-            del self.assignment[owner]
-            self._allocate(owner, self.fallback.get(owner, frozenset()), depth + 1)
+        self.trace.add(Unassign(owner))
+        del self.assignment[owner]
+        self.chain += 1
+        if self.chain > len(self.auction.agents):
+            raise SolverInvariantError("displacement chain longer than n")
+        # an empty switch-to set: nothing at current prices beats
+        # walking away
+        self._take(owner, self.fallback.get(owner, frozenset()))
+
+    def _end_iteration(self) -> None:
+        self.raise_prices()
+        super()._end_iteration()
+        self.chain = 0
+        n = len(self.auction.agents)
+        if self.trace.iterations > n * n:
+            raise SolverInvariantError(f"main loop exceeded {n * n} iterations")
 
     def raise_prices(self) -> None:
         """Push every held bundle's price to its holder's exact
@@ -212,7 +248,9 @@ class PolySolver:
                     )
                 best, mem = self._demand(i, excluded=excluded)
                 switches[i] = select_demanded(mem, i, self.assignment)
-                margin = self._utility(i, own) - best
+                margin = (
+                    utility(self.auction, i, own, self.catalog, self.prices) - best
+                )
                 if margin < 0:
                     raise SolverInvariantError(
                         f"held bundle of {i!r} is no longer demanded "
@@ -253,23 +291,7 @@ class PolySolver:
                 f"{self.trace.demand_queries} demand queries exceed the "
                 f"{limit} budget"
             )
-        outcome = Outcome(
-            catalog=self.catalog,
-            prices=dict(self.prices),
-            assignment=dict(self.assignment),
-        )
-        if not is_cwe(self.auction, outcome):
-            raise SolverInvariantError("final outcome is not stable")
-        sw = social_welfare(self.auction, outcome)
-        seed_sw = sum(
-            (self.auction.valuation(n).value(s) for n, s in self.seed.items()),
-            Fraction(0),
-        )
-        if 2 * sw < seed_sw:
-            raise SolverInvariantError(
-                f"welfare {sw} fell below half the seed welfare {seed_sw}"
-            )
-        return outcome
+        return super()._finish()
 
 
 def run_poly(

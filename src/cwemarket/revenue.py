@@ -22,20 +22,13 @@ from .market import (
     Auction,
     InitialAllocation,
     Outcome,
+    allocation_welfare,
     find_violation,
+    revenue_of,
     social_welfare,
 )
 from .poly import RaiseHook, run_poly
 from .trace import Trace
-
-
-def revenue_of(auction: Auction, outcome: Outcome) -> Fraction:
-    """Total price paid over assigned bundles."""
-    total = Fraction(0)
-    for name in auction.agent_names:
-        for bid in outcome.assignment.get(name, frozenset()):
-            total += outcome.prices[bid]
-    return total
 
 
 def shift_prices(
@@ -129,10 +122,7 @@ def maximize_revenue(
     checked against sw0 / (8 * ell) and against the seed allocation's
     welfare over 16 * ell, with ell the number of doubling steps.
     """
-    seed_welfare = sum(
-        (auction.valuation(name).value(items) for name, items in allocation.items()),
-        Fraction(0),
-    )
+    seed_welfare = allocation_welfare(auction, allocation)
     base, trace = run_poly(auction, allocation, on_raise=on_raise)
     survivors0 = _survivors(auction, base)
     k = len(survivors0)

@@ -17,6 +17,7 @@ from .market import (
     Catalog,
     InitialAllocation,
     Outcome,
+    revenue_of,
     social_welfare,
     validate_initial_allocation,
 )
@@ -207,16 +208,10 @@ def outcome_to_json(
     cwe: Optional[bool],
     iterations: int,
     demand_queries: int,
-    revenue: Optional[Fraction] = None,
 ) -> Dict[str, Any]:
     """The outcome report: positional catalog, parallel prices, and the
     assignment as positions into the catalog list."""
     position = {bid: k for k, (bid, _) in enumerate(outcome.catalog.entries)}
-    if revenue is None:
-        revenue = Fraction(0)
-        for name in auction.agent_names:
-            for bid in outcome.assignment.get(name, frozenset()):
-                revenue += outcome.prices[bid]
     return {
         "catalog": [sorted(items) for _, items in outcome.catalog.entries],
         "prices": [
@@ -231,7 +226,7 @@ def outcome_to_json(
         },
         "withheld": sorted(outcome.catalog.withheld),
         "sw": format_scalar(social_welfare(auction, outcome)),
-        "revenue": format_scalar(revenue),
+        "revenue": format_scalar(revenue_of(auction, outcome)),
         "cwe": cwe,
         "iterations": iterations,
         "demand_queries": demand_queries,

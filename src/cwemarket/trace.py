@@ -117,7 +117,7 @@ def replay(
         poly = any(isinstance(ev, FallbackRecord) for ev in trace.events)
     n = len(auction.agents)
 
-    catalog, start_prices, _ = initial_market(auction, allocation)
+    catalog, start_prices = initial_market(auction, allocation)
     table: Dict[BundleId, FrozenSet[str]] = {
         bid: items for bid, items in catalog.entries
     }

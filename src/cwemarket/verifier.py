@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError, SolverInvariantError
 from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
-from .market import Auction, BundleId, BundleSet, Catalog, Outcome
+from .market import Auction, BundleId, BundleSet, Catalog, Outcome, allocation_welfare
 from .partitions import set_partitions
 from .valuations import ItemSet, subset_unions
 
@@ -63,13 +63,14 @@ def _best_partition(
     pick = [[0] * (1 << k) for _ in range(n)]
     for i in range(n - 1, -1, -1):
         val = auction.agents[i].valuation
+        values = [val.value(items) for items in unions]
         for mask in range(full + 1):
             b = best[i + 1][mask]
             choice = 0
             sub = mask
             while True:
                 if sub:
-                    cand = val.value(unions[sub]) + best[i + 1][mask ^ sub]
+                    cand = values[sub] + best[i + 1][mask ^ sub]
                     if cand > b:
                         b = cand
                         choice = sub
@@ -117,11 +118,7 @@ def brute_force_optimal(
     if leftover and auction.agents:
         first = auction.agents[0].name
         allocation[first] = allocation.get(first, frozenset()) | leftover
-        total = sum(
-            (auction.valuation(a).value(s) for a, s in allocation.items()),
-            Fraction(0),
-        )
-        if total != welfare:
+        if allocation_welfare(auction, allocation) != welfare:
             raise SolverInvariantError("absorbing leftovers changed the optimum")
     return welfare, allocation
 
@@ -258,38 +255,15 @@ def supporting_prices_exist(
     return supporting_prices(auction, catalog, assignment, max_bundles) is not None
 
 
-def max_supported_revenue(
-    auction: Auction,
-    catalog: Catalog,
-    assignment: Dict[str, BundleSet],
-    max_bundles: int = LP_MAX_BUNDLES,
-) -> Optional[Fraction]:
-    """Highest total price of assigned bundles over all stabilizing
-    price maps, or None when the assignment cannot be stabilized."""
-    _cap(len(catalog.entries), max_bundles, "bundle count")
-    rows, rhs = _stability_rows(auction, catalog, assignment)
-    assigned: set = set()
-    for bundles in assignment.values():
-        assigned |= bundles
-    c = [
-        Fraction(1 if bid in assigned else 0)
-        for bid, _ in catalog.entries
-    ]
-    sol = solve_lp(c, rows, rhs)
-    if sol.status == INFEASIBLE:
-        return None
-    # assigned prices are capped by the owners' values, so no ray
-    # can improve the objective
-    _require_optimal(sol, "revenue")
-    return sol.value
-
-
 def revenue_maximizing_prices(
     auction: Auction,
     catalog: Catalog,
     assignment: Dict[str, BundleSet],
     max_bundles: int = LP_MAX_BUNDLES,
 ) -> Optional[Tuple[Fraction, Dict[BundleId, Fraction]]]:
+    """Highest total price of assigned bundles over all stabilizing
+    price maps, with a price map reaching it, or None when the
+    assignment cannot be stabilized."""
     _cap(len(catalog.entries), max_bundles, "bundle count")
     rows, rhs = _stability_rows(auction, catalog, assignment)
     assigned: set = set()
@@ -299,6 +273,8 @@ def revenue_maximizing_prices(
     sol = solve_lp(c, rows, rhs)
     if sol.status == INFEASIBLE:
         return None
+    # assigned prices are capped by the owners' values, so no ray
+    # can improve the objective
     _require_optimal(sol, "revenue")
     prices = {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
     return sol.value, prices
@@ -340,10 +316,7 @@ def max_stable_singleton_welfare(
 ) -> Fraction:
     best = Fraction(0)
     for allocation, _ in stable_singleton_outcomes(auction, max_items):
-        sw = sum(
-            (auction.valuation(a).value(s) for a, s in allocation.items()),
-            Fraction(0),
-        )
+        sw = allocation_welfare(auction, allocation)
         if sw > best:
             best = sw
     return best

@@ -153,13 +153,12 @@ def seeded_auction():
 
 def test_initial_market_seeds_half_price_and_withholds_rest():
     auction = seeded_auction()
-    catalog, prices, seeded_by = initial_market(
+    catalog, prices = initial_market(
         auction, {"p": frozenset({"x"}), "q": frozenset({"y"})}
     )
     assert catalog.entries == ((0, frozenset({"x"})), (1, frozenset({"y"})))
     assert catalog.withheld == frozenset({"z"})
     assert prices == {0: F(2), 1: F(1)}
-    assert seeded_by == {"0": "p", "1": "q"}
 
 
 def test_validate_initial_allocation_errors():
@@ -212,7 +211,7 @@ def test_find_violation_and_is_cwe():
 
 def test_social_welfare_sums_assigned_values():
     auction = seeded_auction()
-    catalog, prices, _ = initial_market(
+    catalog, prices = initial_market(
         auction, {"p": frozenset({"x"}), "q": frozenset({"y", "z"})}
     )
     out = Outcome(catalog, prices, {"p": frozenset({0}), "q": frozenset({1})})

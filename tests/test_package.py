@@ -1,17 +1,22 @@
-"""Package-level checks: the command-line entry points and the rule
-that library checks raise errors instead of using `assert`, which
-`python -O` strips."""
+"""Package-level checks: the command-line entry points, the rule that
+library checks raise errors instead of using `assert`, which `python -O`
+strips, and the names the benchmark's tracer wraps."""
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import cwemarket
 
 PACKAGE = Path(cwemarket.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 @pytest.mark.parametrize("module", ["cwemarket", "cwemarket.cli"])
@@ -36,3 +41,28 @@ def test_library_has_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert on lines {lines}; raise an error instead"
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    """`bench/tracing.py` wraps functions where each module looks them
+    up; a module that stops importing one breaks `--trace 1`."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = {module for module, _, _ in tracing.SPANS} | {"valuations"}
+    program = SimpleNamespace(
+        **{name: importlib.import_module(f"cwemarket.{name}") for name in names}
+    )
+    before = program.simple.demand_correspondence
+    tracer = tracing.Tracer()
+    tracer.install(program)
+    try:
+        auction, seed = cwemarket.generate("gap3")
+        tracer.run_op(
+            "op", lambda: program.simple.run_simple(auction, seed, Fraction(1, 20))
+        )
+    finally:
+        tracer.uninstall()
+    assert program.simple.demand_correspondence is before
+    assert tracer.counts["simple.demand_queries"] > 0
+    assert tracer.counts["market.subsets_enumerated"] > 0

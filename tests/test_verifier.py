@@ -8,6 +8,7 @@ from cwemarket import (
     Auction,
     Catalog,
     ResourceLimitError,
+    Valuation,
     brute_force_optimal,
     generate,
     is_cwe,
@@ -20,7 +21,7 @@ from cwemarket.verifier import (
     config_lp_fractional_opt,
     max_stable_singleton_items_sold,
     max_stable_singleton_welfare,
-    max_supported_revenue,
+    revenue_maximizing_prices,
     singleton_catalog,
     stable_singleton_outcomes,
     supporting_prices,
@@ -59,6 +60,22 @@ def test_brute_optimum_awards_every_item():
     assert sw == F(5)
     # the worthless leftover lands with the first agent
     assert alloc["A"] == frozenset({"x", "y"})
+
+
+def test_brute_optimum_reads_each_subset_value_once(monkeypatch):
+    auction, _ = generate("random_explicit", m=5, n=5, seed=3)
+    calls = []
+    value = Valuation.value
+    monkeypatch.setattr(
+        Valuation, "value", lambda v, bundle: calls.append(1) or value(v, bundle)
+    )
+    sw, alloc = brute_force_optimal(auction)
+    assert len(calls) <= len(auction.agents) * 2 ** len(auction.items)
+    assert sw == F(261, 64)
+    # the first-found maximum, scanning agents in order
+    assert alloc == {
+        "r1": {"3"}, "r2": {"4"}, "r3": {"5"}, "r4": {"1"}, "r5": {"2"}
+    }
 
 
 def test_brute_over_catalog_moves_whole_bundles(gap3):
@@ -101,9 +118,10 @@ def test_selling_nothing_is_stably_priceable(gap3):
 
 def test_max_supported_revenue_caps_at_value(gap3):
     cat = Catalog(entries=((0, gap3.item_set),))
-    rev = max_supported_revenue(gap3, cat, {"a1": frozenset({0})})
-    assert rev == F(21, 10)
-    assert max_supported_revenue(gap3, cat, {}) == F(0)
+    rev, prices = revenue_maximizing_prices(gap3, cat, {"a1": frozenset({0})})
+    assert rev == F(21, 10) == prices[0]
+    rev, _ = revenue_maximizing_prices(gap3, cat, {})
+    assert rev == F(0)
 
 
 def test_best_stable_bundled_welfare(gap3):
