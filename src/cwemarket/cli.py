@@ -1,7 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 bad input, 3 resource cap exceeded, 4 a
-verification failed (the output is not stable or a guarantee broke).
+Exit codes: 0 success, 4 when the independent check of a report fails;
+an error exits with its type's `exit_code` (errors module): 2 bad
+input, 3 resource cap exceeded, 4 a verification or a solver invariant
+failed.
 """
 from __future__ import annotations
 
@@ -10,17 +12,12 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
-from .errors import (
-    InputError,
-    MarketError,
-    ResourceLimitError,
-    SolverInvariantError,
-    VerificationError,
-)
+from .errors import InputError, MarketError
 from .instances import generate, instance_names
 from .market import (
     Auction,
     InitialAllocation,
+    Outcome,
     allocation_welfare,
     find_violation,
     is_cwe,
@@ -40,6 +37,7 @@ from .serialize import (
 )
 from .simple import run_simple
 from .poly import run_poly
+from .trace import Trace
 from .verifier import (
     brute_force_optimal,
     config_lp_fractional_opt,
@@ -153,10 +151,39 @@ def _write(path: Optional[str], text: str) -> None:
         raise InputError(f"cannot write {path!r}: {exc}") from None
 
 
+def _report(
+    args: argparse.Namespace,
+    auction: Auction,
+    algorithm: str,
+    outcome: Outcome,
+    trace: Trace,
+    verified: Optional[bool],
+    welfare: Fraction,
+    seed_welfare: Fraction,
+    **extra: Any,
+) -> int:
+    """Write the outcome report, and the trace under --trace-out.  Exit
+    4 when the independent check found the outcome unstable or its
+    `welfare` below half the seed welfare."""
+    report: Dict[str, Any] = {"algorithm": algorithm}
+    report.update(
+        outcome_to_json(
+            auction, outcome, verified, trace.iterations, trace.demand_queries
+        )
+    )
+    report["half_welfare_bound"] = format_scalar(seed_welfare / 2)
+    report.update(extra)
+    if args.trace_out:
+        _write(args.trace_out, dumps(trace_to_json(trace)))
+    sys.stdout.write(dumps(report))
+    if verified is False or verified and 2 * welfare < seed_welfare:
+        return 4
+    return 0
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     auction, file_alloc = load_instance(args.input)
     allocation = _pick_seed(auction, file_alloc, args.initial)
-    seed_welfare = allocation_welfare(auction, allocation)
     if args.alg == "simple":
         if args.epsilon is None:
             raise InputError("--alg simple requires --epsilon")
@@ -165,24 +192,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.epsilon is not None:
             raise InputError("--epsilon only applies to --alg simple")
         outcome, trace = run_poly(auction, allocation)
-    verified: Optional[bool] = None
-    if not args.no_verify:
-        verified = is_cwe(auction, outcome)
-    report: Dict[str, Any] = {"algorithm": args.alg}
-    report.update(
-        outcome_to_json(
-            auction, outcome, verified, trace.iterations, trace.demand_queries
-        )
+    verified = None if args.no_verify else is_cwe(auction, outcome)
+    return _report(
+        args,
+        auction,
+        args.alg,
+        outcome,
+        trace,
+        verified,
+        social_welfare(auction, outcome),
+        allocation_welfare(auction, allocation),
     )
-    report["half_welfare_bound"] = format_scalar(seed_welfare / 2)
-    if args.trace_out:
-        _write(args.trace_out, dumps(trace_to_json(trace)))
-    sys.stdout.write(dumps(report))
-    if verified is False:
-        return 4
-    if verified is not None and 2 * social_welfare(auction, outcome) < seed_welfare:
-        return 4
-    return 0
 
 
 def _cmd_revenue(args: argparse.Namespace) -> int:
@@ -191,38 +211,34 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
     result = maximize_revenue(auction, allocation)
     verified: Optional[bool] = None
     if not args.no_verify:
-        verified = is_cwe(auction, result.base)
-        for level in result.levels:
-            verified = verified and is_cwe(auction, level.outcome)
-    report: Dict[str, Any] = {"algorithm": "poly"}
-    report.update(
-        outcome_to_json(
-            auction,
-            result.base,
-            verified,
-            result.trace.iterations,
-            result.trace.demand_queries,
-        )
+        # level 0 is the base outcome
+        verified = all(is_cwe(auction, level.outcome) for level in result.levels)
+    return _report(
+        args,
+        auction,
+        "poly",
+        result.base,
+        result.trace,
+        verified,
+        result.sw0,
+        result.seed_welfare,
+        **ladder_to_json(result.levels, result.t_star),
+        max_revenue=format_scalar(result.max_revenue),
     )
-    report["half_welfare_bound"] = format_scalar(result.seed_welfare / 2)
-    report.update(ladder_to_json(result.levels, result.t_star))
-    report["max_revenue"] = format_scalar(result.max_revenue)
-    if args.trace_out:
-        _write(args.trace_out, dumps(trace_to_json(result.trace)))
-    sys.stdout.write(dumps(report))
-    if verified is False:
-        return 4
-    return 0
+
+
+def _load_solution(auction: Auction, path: str) -> Outcome:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            solution = loads(fh.read())
+    except OSError as exc:
+        raise InputError(f"cannot read solution file: {exc}") from None
+    return outcome_from_json(auction, solution)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     auction, _ = load_instance(args.input)
-    try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            solution = loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read solution file: {exc}") from None
-    outcome = outcome_from_json(auction, solution)
+    outcome = _load_solution(auction, args.solution)
     violation = find_violation(auction, outcome)
     if violation is None:
         sys.stdout.write(dumps({"cwe": True}))
@@ -276,12 +292,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     if args.solution is None:
         raise InputError("oracle support requires --solution")
-    try:
-        with open(args.solution, "r", encoding="utf-8") as fh:
-            solution = loads(fh.read())
-    except OSError as exc:
-        raise InputError(f"cannot read solution file: {exc}") from None
-    outcome = outcome_from_json(auction, solution)
+    outcome = _load_solution(auction, args.solution)
     prices = supporting_prices(auction, outcome.catalog, outcome.assignment)
     if prices is None:
         sys.stdout.write(dumps({"supported": False}))
@@ -316,18 +327,9 @@ def run_cli(argv) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (VerificationError, SolverInvariantError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except MarketError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     finally:
         sys.stdout.flush()
 

@@ -1,28 +1,39 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so solver and oracle code
-should raise the most specific type that applies.
+Each type carries the process exit code the CLI returns for it, so
+solver and oracle code should raise the most specific type that
+applies.
 """
 
 
 class MarketError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class InputError(MarketError):
     """Malformed or out-of-contract input (bad file, bad parameter)."""
+
+    exit_code = 2
 
 
 class ResourceLimitError(MarketError):
     """An exhaustive routine was asked to exceed its configured cap."""
 
+    exit_code = 3
+
 
 class VerificationError(MarketError):
     """A requested verification did not hold."""
 
+    exit_code = 4
+
 
 class SolverInvariantError(MarketError):
     """Internal solver invariant broke; indicates a bug, not bad input."""
+
+    exit_code = 4
 
 
 class SolverDeadlockError(SolverInvariantError):

@@ -83,11 +83,6 @@ class Auction:
                 yield from agent.valuation.parameter_values()
         return common_granularity(walk())
 
-    def total_value_bound(self) -> Fraction:
-        return sum(
-            (a.valuation.value(self.item_set) for a in self.agents), Fraction(0)
-        )
-
 
 @dataclass(frozen=True)
 class Catalog:
@@ -114,6 +109,18 @@ class Catalog:
             seen_items |= items
         if seen_items & self.withheld:
             raise InputError("withheld items overlap a catalog bundle")
+
+    @classmethod
+    def selling(
+        cls, universe: ItemSet, entries: Iterable[Tuple[BundleId, ItemSet]]
+    ) -> "Catalog":
+        """The catalog of `entries`, withholding every item of `universe`
+        that no bundle holds."""
+        entries = tuple(entries)
+        sold = frozenset().union(*[items for _, items in entries])
+        if not sold <= universe:
+            raise InputError("catalog mentions items outside the auction")
+        return cls(entries=entries, withheld=universe - sold)
 
     @property
     def ids(self) -> Tuple[BundleId, ...]:
@@ -223,7 +230,6 @@ def demand_correspondence(
     catalog: Catalog,
     prices: Mapping[BundleId, Fraction],
     excluded: BundleSet = frozenset(),
-    max_bundles: int = DEMAND_BUNDLE_CAP,
 ) -> Tuple[Fraction, List[BundleSet]]:
     """All utility-maximizing bundle sets over the available catalog.
 
@@ -232,12 +238,13 @@ def demand_correspondence(
     is at least 0.  Members come back in a canonical order (by size,
     then sorted ids).  All 2^k subsets of the k available bundles are
     compared exactly, as integers over one common denominator of the
-    agent's bundle-value table and the prices.
+    agent's bundle-value table and the prices.  Catalogs over
+    DEMAND_BUNDLE_CAP bundles raise ResourceLimitError.
     """
-    if len(catalog.entries) > max_bundles:
+    if len(catalog.entries) > DEMAND_BUNDLE_CAP:
         raise ResourceLimitError(
             f"catalog has {len(catalog.entries)} bundles; demand enumeration "
-            f"capped at {max_bundles}"
+            f"capped at {DEMAND_BUNDLE_CAP}"
         )
     avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
     values, den = auction.valuation(agent).bundle_values([items for _, items in avail])
@@ -292,12 +299,9 @@ def chosen_demand(
     prices: Mapping[BundleId, Fraction],
     excluded: BundleSet = frozenset(),
     others: Optional[Mapping[str, BundleSet]] = None,
-    max_bundles: int = DEMAND_BUNDLE_CAP,
 ) -> BundleSet:
     """One deterministic element of the demand correspondence."""
-    _, members = demand_correspondence(
-        auction, agent, catalog, prices, excluded, max_bundles
-    )
+    _, members = demand_correspondence(auction, agent, catalog, prices, excluded)
     return select_demanded(members, agent, others)
 
 
@@ -314,11 +318,7 @@ class CweViolation:
         return self.best_utility - self.held_utility
 
 
-def find_violation(
-    auction: Auction,
-    outcome: Outcome,
-    max_bundles: int = DEMAND_BUNDLE_CAP,
-) -> Optional[CweViolation]:
+def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]:
     """First agent (in auction order) whose held set is not demanded.
 
     The outcome is a bundle-pricing equilibrium exactly when this
@@ -330,8 +330,7 @@ def find_violation(
         held = outcome.assignment.get(agent.name, frozenset())
         cur = utility(auction, agent.name, held, outcome.catalog, outcome.prices)
         best, members = demand_correspondence(
-            auction, agent.name, outcome.catalog, outcome.prices,
-            max_bundles=max_bundles,
+            auction, agent.name, outcome.catalog, outcome.prices
         )
         if cur < best:
             better = select_demanded(members, agent.name, outcome.assignment)
@@ -345,8 +344,8 @@ def find_violation(
     return None
 
 
-def is_cwe(auction: Auction, outcome: Outcome, max_bundles: int = DEMAND_BUNDLE_CAP) -> bool:
-    return find_violation(auction, outcome, max_bundles) is None
+def is_cwe(auction: Auction, outcome: Outcome) -> bool:
+    return find_violation(auction, outcome) is None
 
 
 def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
@@ -414,14 +413,11 @@ def initial_market(
     entries: List[Tuple[BundleId, ItemSet]] = []
     prices: PriceMap = {}
     next_id = 0
-    covered: FrozenSet[str] = frozenset()
     for name in auction.agent_names:
         items = norm.get(name)
         if not items:
             continue
         entries.append((next_id, items))
         prices[next_id] = auction.valuation(name).value(items) / 2
-        covered |= items
         next_id += 1
-    catalog = Catalog(entries=tuple(entries), withheld=auction.item_set - covered)
-    return catalog, prices
+    return Catalog.selling(auction.item_set, entries), prices

@@ -122,8 +122,9 @@ def maximize_revenue(
     checked against sw0 / (8 * ell) and against the seed allocation's
     welfare over 16 * ell, with ell the number of doubling steps.
     """
-    seed_welfare = allocation_welfare(auction, allocation)
+    # run_poly validates the seed, so bad seeds get the solver's message
     base, trace = run_poly(auction, allocation, on_raise=on_raise)
+    seed_welfare = allocation_welfare(auction, allocation)
     survivors0 = _survivors(auction, base)
     k = len(survivors0)
     sw0 = social_welfare(auction, base)

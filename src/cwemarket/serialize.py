@@ -22,18 +22,7 @@ from .market import (
     validate_initial_allocation,
 )
 from .scalars import format_scalar, parse_scalar
-from .trace import (
-    Assign,
-    FallbackRecord,
-    IterationEnd,
-    Merge,
-    PoolAdd,
-    PoolRemove,
-    PriceRaise,
-    Reject,
-    Trace,
-    Unassign,
-)
+from .trace import Trace, event_to_json
 from .valuations import (
     AdditiveValuation,
     ExplicitValuation,
@@ -244,12 +233,7 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
     if len(prices_obj) != len(entries):
         raise InputError("prices list must parallel the catalog list")
     prices = {k: parse_scalar(p) for k, p in enumerate(prices_obj)}
-    sold: frozenset = frozenset()
-    for _, items in entries:
-        sold |= items
-    if not sold <= auction.item_set:
-        raise InputError("catalog mentions items outside the auction")
-    catalog = Catalog(entries=tuple(entries), withheld=auction.item_set - sold)
+    catalog = Catalog.selling(auction.item_set, entries)
     if "withheld" in obj:
         stated = frozenset(_item_list(obj["withheld"], "withheld"))
         if stated != catalog.withheld:
@@ -273,43 +257,8 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
 
 
 def trace_to_json(trace: Trace) -> Dict[str, Any]:
-    events: List[Dict[str, Any]] = []
-    for ev in trace.events:
-        if isinstance(ev, Merge):
-            events.append(
-                {"type": "merge", "sources": sorted(ev.sources), "new_id": ev.new_id}
-            )
-        elif isinstance(ev, PriceRaise):
-            events.append(
-                {
-                    "type": "price_raise",
-                    "bundle": ev.bundle,
-                    "old": format_scalar(ev.old),
-                    "new": format_scalar(ev.new),
-                }
-            )
-        elif isinstance(ev, PoolAdd):
-            events.append({"type": "pool_add", "agent": ev.agent})
-        elif isinstance(ev, PoolRemove):
-            events.append({"type": "pool_remove", "agent": ev.agent})
-        elif isinstance(ev, Reject):
-            events.append({"type": "reject", "agent": ev.agent})
-        elif isinstance(ev, Assign):
-            events.append(
-                {"type": "assign", "agent": ev.agent, "bundles": sorted(ev.bundles)}
-            )
-        elif isinstance(ev, Unassign):
-            events.append({"type": "unassign", "agent": ev.agent})
-        elif isinstance(ev, FallbackRecord):
-            events.append(
-                {"type": "fallback", "agent": ev.agent, "bundles": sorted(ev.bundles)}
-            )
-        elif isinstance(ev, IterationEnd):
-            events.append({"type": "iteration_end", "index": ev.index})
-        else:
-            raise InputError(f"cannot serialize trace event {ev!r}")
     return {
-        "events": events,
+        "events": [event_to_json(ev) for ev in trace.events],
         "iterations": trace.iterations,
         "demand_queries": trace.demand_queries,
     }

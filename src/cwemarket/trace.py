@@ -19,9 +19,9 @@ iterations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, List, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .market import (
@@ -33,16 +33,19 @@ from .market import (
     Outcome,
     initial_market,
 )
+from .scalars import format_scalar
 
 
 @dataclass(frozen=True)
 class Merge:
+    kind: ClassVar[str] = "merge"
     sources: Tuple[BundleId, ...]
     new_id: BundleId
 
 
 @dataclass(frozen=True)
 class PriceRaise:
+    kind: ClassVar[str] = "price_raise"
     bundle: BundleId
     old: Fraction
     new: Fraction
@@ -50,27 +53,32 @@ class PriceRaise:
 
 @dataclass(frozen=True)
 class PoolAdd:
+    kind: ClassVar[str] = "pool_add"
     agent: str
 
 
 @dataclass(frozen=True)
 class PoolRemove:
+    kind: ClassVar[str] = "pool_remove"
     agent: str
 
 
 @dataclass(frozen=True)
 class Reject:
+    kind: ClassVar[str] = "reject"
     agent: str
 
 
 @dataclass(frozen=True)
 class Assign:
+    kind: ClassVar[str] = "assign"
     agent: str
     bundles: BundleSet
 
 
 @dataclass(frozen=True)
 class Unassign:
+    kind: ClassVar[str] = "unassign"
     agent: str
 
 
@@ -78,16 +86,33 @@ class Unassign:
 class FallbackRecord:
     """A price push released this agent, recording its switch-to set."""
 
+    kind: ClassVar[str] = "fallback"
     agent: str
     bundles: BundleSet
 
 
 @dataclass(frozen=True)
 class IterationEnd:
+    kind: ClassVar[str] = "iteration_end"
     index: int
 
 
 Event = object
+
+
+def event_to_json(event: Event) -> Dict[str, Any]:
+    """Wire form of one event: its tag under "type", then its fields in
+    declaration order.  Bundle collections become sorted lists and
+    prices "p/q" strings."""
+    obj: Dict[str, Any] = {"type": event.kind}
+    for f in fields(event):
+        value = getattr(event, f.name)
+        if isinstance(value, (tuple, frozenset)):
+            value = sorted(value)
+        elif isinstance(value, Fraction):
+            value = format_scalar(value)
+        obj[f.name] = value
+    return obj
 
 
 @dataclass
@@ -100,21 +125,13 @@ class Trace:
         self.events.append(event)
 
 
-def replay(
-    auction: Auction,
-    allocation: InitialAllocation,
-    trace: Trace,
-    check: bool = True,
-    poly: Optional[bool] = None,
-) -> Outcome:
+def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Outcome:
     """Rebuild the final outcome from a trace, checking invariants.
 
-    `poly` turns the removal-order checks on; by default they activate
-    when the trace contains FallbackRecord events.  Raises
-    SolverInvariantError on any violation.
+    The removal-order checks run when the trace contains FallbackRecord
+    events.  Raises SolverInvariantError on any violation.
     """
-    if poly is None:
-        poly = any(isinstance(ev, FallbackRecord) for ev in trace.events)
+    poly = any(isinstance(ev, FallbackRecord) for ev in trace.events)
     n = len(auction.agents)
 
     catalog, start_prices = initial_market(auction, allocation)
@@ -143,12 +160,11 @@ def replay(
                     raise SolverInvariantError(f"merge references unknown bundle {bid}")
             if ev.new_id in table:
                 raise SolverInvariantError(f"merge reuses live id {ev.new_id}")
-            if check:
-                for name, held in assignment.items():
-                    if held & ids:
-                        raise SolverInvariantError(
-                            f"merge consumed bundles still assigned to {name!r}"
-                        )
+            for name, held in assignment.items():
+                if held & ids:
+                    raise SolverInvariantError(
+                        f"merge consumed bundles still assigned to {name!r}"
+                    )
             union: FrozenSet[str] = frozenset()
             price = Fraction(0)
             for bid in sorted(ids):
@@ -162,46 +178,43 @@ def replay(
         elif isinstance(ev, PriceRaise):
             if ev.bundle not in table:
                 raise SolverInvariantError(f"price raise on unknown bundle {ev.bundle}")
-            if check and prices[ev.bundle] != ev.old:
+            if prices[ev.bundle] != ev.old:
                 raise SolverInvariantError(
                     f"price raise old value mismatch on bundle {ev.bundle}"
                 )
-            if check and ev.new < ev.old:
+            if ev.new < ev.old:
                 raise SolverInvariantError("price decreased")
             prices[ev.bundle] = ev.new
         elif isinstance(ev, PoolAdd):
             if ev.agent not in pool:
                 pool.append(ev.agent)
         elif isinstance(ev, PoolRemove):
-            if check and ev.agent not in pool:
+            if ev.agent not in pool:
                 raise SolverInvariantError(f"pool remove of absent agent {ev.agent!r}")
             pool.remove(ev.agent)
         elif isinstance(ev, Reject):
             assignment.pop(ev.agent, None)
         elif isinstance(ev, Assign):
-            if check:
-                for bid in ev.bundles:
-                    if bid not in table:
+            for bid in ev.bundles:
+                if bid not in table:
+                    raise SolverInvariantError(
+                        f"assignment references unknown bundle {bid}"
+                    )
+            holders = [
+                b
+                for b, held in assignment.items()
+                if b != ev.agent and held & ev.bundles
+            ]
+            if poly and holders:
+                chain += 1
+                if chain > n:
+                    raise SolverInvariantError(f"displacement chain exceeded {n} hops")
+                for b in holders:
+                    if not rank_of(b) < rank_of(ev.agent):
                         raise SolverInvariantError(
-                            f"assignment references unknown bundle {bid}"
+                            f"{ev.agent!r} displaced {b!r} without moving "
+                            f"earlier in the removal order"
                         )
-                holders = [
-                    b
-                    for b, held in assignment.items()
-                    if b != ev.agent and held & ev.bundles
-                ]
-                if poly and holders:
-                    chain += 1
-                    if chain > n:
-                        raise SolverInvariantError(
-                            f"displacement chain exceeded {n} hops"
-                        )
-                    for b in holders:
-                        if not rank_of(b) < rank_of(ev.agent):
-                            raise SolverInvariantError(
-                                f"{ev.agent!r} displaced {b!r} without moving "
-                                f"earlier in the removal order"
-                            )
             assignment[ev.agent] = ev.bundles
             allocated |= ev.bundles
         elif isinstance(ev, Unassign):
@@ -214,36 +227,28 @@ def replay(
             if pending_rank:
                 rank = {name: k for k, name in enumerate(pending_rank)}
                 pending_rank = []
-            if check:
-                if poly and iteration_count > n * n:
+            if poly and iteration_count > n * n:
+                raise SolverInvariantError(f"more than {n * n} iterations in trace")
+            held: set = set()
+            for name, bundles in assignment.items():
+                dup = held & bundles
+                if dup:
                     raise SolverInvariantError(
-                        f"more than {n * n} iterations in trace"
+                        f"bundles {sorted(dup)} doubly assigned at "
+                        f"iteration {ev.index}"
                     )
-                held: set = set()
-                for name, bundles in assignment.items():
-                    dup = held & bundles
-                    if dup:
-                        raise SolverInvariantError(
-                            f"bundles {sorted(dup)} doubly assigned at "
-                            f"iteration {ev.index}"
-                        )
-                    held |= bundles
-                orphaned = allocated - held
-                if orphaned:
-                    raise SolverInvariantError(
-                        f"bundles {sorted(orphaned)} were sold but have no "
-                        f"holder at iteration {ev.index}"
-                    )
+                held |= bundles
+            orphaned = allocated - held
+            if orphaned:
+                raise SolverInvariantError(
+                    f"bundles {sorted(orphaned)} were sold but have no "
+                    f"holder at iteration {ev.index}"
+                )
         else:
             raise InputError(f"unknown trace event {ev!r}")
 
-    entries = tuple(sorted(table.items(), key=lambda kv: kv[0]))
-    sold: FrozenSet[str] = frozenset()
-    for _, items in entries:
-        sold |= items
-    final_catalog = Catalog(entries=entries, withheld=auction.item_set - sold)
     return Outcome(
-        catalog=final_catalog,
+        catalog=Catalog.selling(auction.item_set, sorted(table.items())),
         prices=dict(prices),
         assignment=dict(assignment),
     )

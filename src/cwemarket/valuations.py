@@ -145,6 +145,11 @@ class Valuation:
         raise NotImplementedError
 
 
+def _weight_sum(weights: Mapping[Item, Fraction], s: Iterable[Item]) -> Fraction:
+    """Sum of the weights of the items of `s`; unweighted items add 0."""
+    return sum((weights[i] for i in s if i in weights), Fraction(0))
+
+
 def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect]:
     for item in sorted(weights):
         if weights[item] < 0:
@@ -249,7 +254,7 @@ class AdditiveValuation(Valuation):
             raise InputError("weight map mentions items outside the universe")
 
     def _value(self, s: ItemSet) -> Fraction:
-        return sum((self.weights.get(i, Fraction(0)) for i in s), Fraction(0))
+        return _weight_sum(self.weights, s)
 
     def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
         ints, den = over_common_denominator([self._value(b) for b in bundles])
@@ -274,9 +279,8 @@ class UnitDemandValuation(Valuation):
     def _value(self, s: ItemSet) -> Fraction:
         best = Fraction(0)
         for i in s:
-            w = self.weights.get(i, Fraction(0))
-            if w > best:
-                best = w
+            if i in self.weights and self.weights[i] > best:
+                best = self.weights[i]
         return best
 
     def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
@@ -357,18 +361,14 @@ class XosValuation(Valuation):
     def _value(self, s: ItemSet) -> Fraction:
         best = Fraction(0)
         for clause in self.clauses:
-            total = sum((clause.get(i, Fraction(0)) for i in s), Fraction(0))
+            total = _weight_sum(clause, s)
             if total > best:
                 best = total
         return best
 
     def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
         k = len(bundles)
-        per_clause = [
-            sum((clause.get(i, Fraction(0)) for i in b), Fraction(0))
-            for clause in self.clauses
-            for b in bundles
-        ]
+        per_clause = [_weight_sum(clause, b) for clause in self.clauses for b in bundles]
         ints, den = over_common_denominator(per_clause)
         best = [0] * (1 << k)
         for c in range(len(self.clauses)):

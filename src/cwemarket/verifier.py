@@ -6,13 +6,13 @@ feasibility (stability of a given assignment as a linear system), and
 full enumeration of stably-priceable outcomes over small markets.
 These functions exist to check the solvers, so they are deliberately
 independent of the solver code paths and fail loudly on any input
-larger than their caps.
+larger than their caps, the module constants below, read at call time.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError, SolverInvariantError
 from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
@@ -89,11 +89,7 @@ def _best_partition(
     return best[0][full], masks
 
 
-def brute_force_optimal(
-    auction: Auction,
-    max_items: int = BRUTE_MAX_ITEMS,
-    max_agents: int = BRUTE_MAX_AGENTS,
-) -> Tuple[Fraction, Dict[str, ItemSet]]:
+def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]:
     """Exact welfare-maximizing allocation of individual items.
 
     Leftover items are folded into the first agent's award, which keeps
@@ -101,8 +97,8 @@ def brute_force_optimal(
     and makes the returned allocation exhaustive: every item is owned
     whenever there is at least one agent.
     """
-    _cap(len(auction.items), max_items, "item count")
-    _cap(len(auction.agents), max_agents, "agent count")
+    _cap(len(auction.items), BRUTE_MAX_ITEMS, "item count")
+    _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
     units = [frozenset({it}) for it in auction.items]
     welfare, masks = _best_partition(auction, units)
     allocation: Dict[str, ItemSet] = {}
@@ -124,14 +120,11 @@ def brute_force_optimal(
 
 
 def brute_force_optimal_over_catalog(
-    auction: Auction,
-    catalog: Catalog,
-    max_bundles: int = BRUTE_MAX_ITEMS,
-    max_agents: int = BRUTE_MAX_AGENTS,
+    auction: Auction, catalog: Catalog
 ) -> Tuple[Fraction, Dict[str, BundleSet]]:
     """Exact welfare maximum when only whole catalog bundles may move."""
-    _cap(len(catalog.entries), max_bundles, "bundle count")
-    _cap(len(auction.agents), max_agents, "agent count")
+    _cap(len(catalog.entries), BRUTE_MAX_ITEMS, "bundle count")
+    _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
     units = [items for _, items in catalog.entries]
     ids = [bid for bid, _ in catalog.entries]
     welfare, masks = _best_partition(auction, units)
@@ -142,12 +135,7 @@ def brute_force_optimal_over_catalog(
     return welfare, assignment
 
 
-def config_lp_fractional_opt(
-    auction: Auction,
-    catalog: Catalog,
-    max_bundles: int = LP_MAX_BUNDLES,
-    max_agents: int = LP_MAX_AGENTS,
-) -> Fraction:
+def config_lp_fractional_opt(auction: Auction, catalog: Catalog) -> Fraction:
     """Optimum of the fractional relaxation over the given catalog.
 
     One variable per (agent, nonempty bundle-subset) pair, unit row per
@@ -155,8 +143,8 @@ def config_lp_fractional_opt(
     """
     k = len(catalog.entries)
     n = len(auction.agents)
-    _cap(k, max_bundles, "bundle count")
-    _cap(n, max_agents, "agent count")
+    _cap(k, LP_MAX_BUNDLES, "bundle count")
+    _cap(n, LP_MAX_AGENTS, "agent count")
     unions = subset_unions([items for _, items in catalog.entries])
     cols: List[Tuple[int, int]] = []  # (agent index, bundle mask)
     c: List[Fraction] = []
@@ -228,7 +216,6 @@ def supporting_prices(
     auction: Auction,
     catalog: Catalog,
     assignment: Dict[str, BundleSet],
-    max_bundles: int = LP_MAX_BUNDLES,
 ) -> Optional[Dict[BundleId, Fraction]]:
     """A price map making the assignment stable, or None.
 
@@ -236,7 +223,7 @@ def supporting_prices(
     assignment (with suitable prices) forms an equilibrium over the
     catalog.
     """
-    _cap(len(catalog.entries), max_bundles, "bundle count")
+    _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
     rows, rhs = _stability_rows(auction, catalog, assignment)
     k = len(catalog.entries)
     sol = solve_lp([Fraction(0)] * k, rows, rhs)
@@ -250,21 +237,19 @@ def supporting_prices_exist(
     auction: Auction,
     catalog: Catalog,
     assignment: Dict[str, BundleSet],
-    max_bundles: int = LP_MAX_BUNDLES,
 ) -> bool:
-    return supporting_prices(auction, catalog, assignment, max_bundles) is not None
+    return supporting_prices(auction, catalog, assignment) is not None
 
 
 def revenue_maximizing_prices(
     auction: Auction,
     catalog: Catalog,
     assignment: Dict[str, BundleSet],
-    max_bundles: int = LP_MAX_BUNDLES,
 ) -> Optional[Tuple[Fraction, Dict[BundleId, Fraction]]]:
     """Highest total price of assigned bundles over all stabilizing
     price maps, with a price map reaching it, or None when the
     assignment cannot be stabilized."""
-    _cap(len(catalog.entries), max_bundles, "bundle count")
+    _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
     rows, rhs = _stability_rows(auction, catalog, assignment)
     assigned: set = set()
     for bundles in assignment.values():
@@ -282,7 +267,6 @@ def revenue_maximizing_prices(
 
 def stable_singleton_outcomes(
     auction: Auction,
-    max_items: int = LP_MAX_BUNDLES,
 ) -> Iterator[Tuple[Dict[str, ItemSet], Dict[BundleId, Fraction]]]:
     """All stably priceable unbundled outcomes.
 
@@ -291,7 +275,7 @@ def stable_singleton_outcomes(
     Yields (allocation by items, witness prices) for each assignment
     that admits supporting prices.
     """
-    _cap(len(auction.items), max_items, "item count")
+    _cap(len(auction.items), LP_MAX_BUNDLES, "item count")
     cat = singleton_catalog(auction)
     names = auction.agent_names
     m = len(auction.items)
@@ -311,22 +295,18 @@ def stable_singleton_outcomes(
         yield allocation, prices
 
 
-def max_stable_singleton_welfare(
-    auction: Auction, max_items: int = LP_MAX_BUNDLES
-) -> Fraction:
+def max_stable_singleton_welfare(auction: Auction) -> Fraction:
     best = Fraction(0)
-    for allocation, _ in stable_singleton_outcomes(auction, max_items):
+    for allocation, _ in stable_singleton_outcomes(auction):
         sw = allocation_welfare(auction, allocation)
         if sw > best:
             best = sw
     return best
 
 
-def max_stable_singleton_items_sold(
-    auction: Auction, max_items: int = LP_MAX_BUNDLES
-) -> int:
+def max_stable_singleton_items_sold(auction: Auction) -> int:
     best = 0
-    for allocation, _ in stable_singleton_outcomes(auction, max_items):
+    for allocation, _ in stable_singleton_outcomes(auction):
         sold = sum(len(s) for s in allocation.values())
         if sold > best:
             best = sold
@@ -378,48 +358,36 @@ def _candidate_market(
 ) -> Tuple[Catalog, Dict[str, BundleSet]]:
     entries: List[Tuple[BundleId, ItemSet]] = []
     assignment: Dict[str, BundleSet] = {}
-    sold: FrozenSet[str] = frozenset()
     for j, (name, bundle) in enumerate(pairs):
-        items = frozenset(bundle)
-        entries.append((j, items))
+        entries.append((j, frozenset(bundle)))
         assignment[name] = frozenset({j})
-        sold |= items
-    catalog = Catalog(entries=tuple(entries), withheld=auction.item_set - sold)
-    return catalog, assignment
+    return Catalog.selling(auction.item_set, entries), assignment
 
 
-def max_cwe_welfare(
-    auction: Auction,
-    max_items: int = SEARCH_MAX_ITEMS,
-    max_agents: int = SEARCH_MAX_AGENTS,
-) -> Tuple[Fraction, Outcome]:
+def max_cwe_welfare(auction: Auction) -> Tuple[Fraction, Outcome]:
     """Highest social welfare over every stably priceable bundled
     outcome, with a priced witness.  Exhaustive over all partitions of
     the items and all ways to award blocks to distinct agents."""
-    _cap(len(auction.items), max_items, "item count")
-    _cap(len(auction.agents), max_agents, "agent count")
+    _cap(len(auction.items), SEARCH_MAX_ITEMS, "item count")
+    _cap(len(auction.agents), SEARCH_MAX_AGENTS, "agent count")
     for sw, pairs in _bundled_candidates(auction):
         catalog, assignment = _candidate_market(auction, pairs)
         prices = supporting_prices(auction, catalog, assignment)
         if prices is None:
             continue
         return sw, Outcome(catalog=catalog, prices=prices, assignment=assignment)
-    raise AssertionError("the sell-nothing outcome is always stable")
+    raise SolverInvariantError("no stable candidate, not even selling nothing")
 
 
-def max_cwe_revenue(
-    auction: Auction,
-    max_items: int = SEARCH_MAX_ITEMS,
-    max_agents: int = SEARCH_MAX_AGENTS,
-) -> Tuple[Fraction, Outcome]:
+def max_cwe_revenue(auction: Auction) -> Tuple[Fraction, Outcome]:
     """Highest revenue over every stably priceable bundled outcome.
 
     Revenue of a candidate is bounded by its welfare (buyers never pay
     above value), so the welfare-descending scan can stop once the best
     found revenue meets the remaining welfare bound.
     """
-    _cap(len(auction.items), max_items, "item count")
-    _cap(len(auction.agents), max_agents, "agent count")
+    _cap(len(auction.items), SEARCH_MAX_ITEMS, "item count")
+    _cap(len(auction.agents), SEARCH_MAX_AGENTS, "agent count")
     best_rev = Fraction(0)
     best: Optional[Outcome] = None
     for sw, pairs in _bundled_candidates(auction):

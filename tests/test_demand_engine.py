@@ -7,6 +7,7 @@ so that zero-margin ties occur; the engine must return the same maximum
 and the same members in the same canonical order.
 """
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from cwemarket import (
     XosValuation,
     demand_correspondence,
 )
+from cwemarket import market
 from cwemarket.valuations import subsets_of
 
 from .helpers import best_avoiding
@@ -156,9 +158,10 @@ def test_item_outside_the_valuation_is_rejected(kind, data):
 def test_bundle_cap_counts_the_whole_catalog(kind, data):
     auction, catalog, prices, excluded = data.draw(markets(kind))
     k = len(catalog.entries)
-    demand_correspondence(auction, "a", catalog, prices, excluded, max_bundles=k)
+    # Hypothesis rejects function-scoped fixtures such as monkeypatch
+    with patch.object(market, "DEMAND_BUNDLE_CAP", k):
+        demand_correspondence(auction, "a", catalog, prices, excluded)
     if k:
-        with pytest.raises(ResourceLimitError):
-            demand_correspondence(
-                auction, "a", catalog, prices, excluded, max_bundles=k - 1
-            )
+        with patch.object(market, "DEMAND_BUNDLE_CAP", k - 1):
+            with pytest.raises(ResourceLimitError):
+                demand_correspondence(auction, "a", catalog, prices, excluded)

@@ -24,6 +24,7 @@ from cwemarket import (
     utility,
     validate_initial_allocation,
 )
+from cwemarket import market
 from cwemarket.market import select_demanded
 
 F = Fraction
@@ -78,7 +79,7 @@ def test_demand_respects_exclusion():
     assert members == [frozenset({1})]
 
 
-def test_demand_bundle_cap():
+def test_demand_bundle_cap(monkeypatch):
     items = frozenset(str(i) for i in range(3))
     auction = Auction(
         items=items,
@@ -86,8 +87,9 @@ def test_demand_bundle_cap():
     )
     catalog = Catalog(entries=tuple((k, frozenset({str(k)})) for k in range(3)))
     prices = {k: F(0) for k in range(3)}
+    monkeypatch.setattr(market, "DEMAND_BUNDLE_CAP", 2)
     with pytest.raises(ResourceLimitError):
-        demand_correspondence(auction, "a", catalog, prices, max_bundles=2)
+        demand_correspondence(auction, "a", catalog, prices)
 
 
 def test_select_demanded_prefers_unheld_then_small_then_low_ids():

@@ -13,6 +13,7 @@ from cwemarket import (
     is_cwe,
     maximize_revenue,
     revenue_of,
+    run_poly,
     shift_prices,
     social_welfare,
 )
@@ -147,3 +148,18 @@ def test_empty_allocation_degenerates_to_level_zero():
     assert len(result.levels) == 1
     assert result.max_revenue == F(0)
     assert result.levels[0].survivors == ()
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [{"zz": frozenset({"1"})}, {"a1": frozenset({"nope"})}],
+    ids=["unknown_agent", "unknown_item"],
+)
+def test_bad_seed_gets_the_solver_message(seed):
+    auction, _ = generate("gap3")
+    with pytest.raises(InputError) as solver:
+        run_poly(auction, seed)
+    with pytest.raises(InputError) as revenue:
+        maximize_revenue(auction, seed)
+    assert str(revenue.value) == str(solver.value)
+    assert "initial allocation" in str(solver.value)

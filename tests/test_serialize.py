@@ -7,6 +7,7 @@ from cwemarket import (
     Agent,
     Auction,
     InputError,
+    Trace,
     UnitDemandValuation,
     generate,
     maximize_revenue,
@@ -23,6 +24,17 @@ from cwemarket.serialize import (
     parse_instance,
     trace_to_json,
     valuation_from_json,
+)
+from cwemarket.trace import (
+    Assign,
+    FallbackRecord,
+    IterationEnd,
+    Merge,
+    PoolAdd,
+    PoolRemove,
+    PriceRaise,
+    Reject,
+    Unassign,
 )
 
 F = Fraction
@@ -207,6 +219,40 @@ def test_trace_serialization_tags_every_event():
     assert {"merge", "price_raise", "assign", "iteration_end"} <= kinds
     assert obj["iterations"] == trace.iterations
     assert obj["demand_queries"] == trace.demand_queries
+
+
+def test_trace_wire_form_is_fixed():
+    """One event of each kind: the tag, the keys in order and the value
+    encoding (sorted id lists, "p/q" prices) are the file format."""
+    trace = Trace(
+        events=[
+            Merge(sources=(3, 1), new_id=4),
+            PriceRaise(bundle=4, old=F(1, 2), new=F(3)),
+            PoolAdd("a1"),
+            PoolRemove("a1"),
+            Reject("a2"),
+            Assign("a1", frozenset({4, 0})),
+            Unassign("a1"),
+            FallbackRecord("a3", frozenset({2, 0})),
+            IterationEnd(7),
+        ],
+        iterations=7,
+        demand_queries=30,
+    )
+    obj = trace_to_json(trace)
+    assert list(obj) == ["events", "iterations", "demand_queries"]
+    assert (obj["iterations"], obj["demand_queries"]) == (7, 30)
+    assert [list(ev.items()) for ev in obj["events"]] == [
+        [("type", "merge"), ("sources", [1, 3]), ("new_id", 4)],
+        [("type", "price_raise"), ("bundle", 4), ("old", "1/2"), ("new", "3")],
+        [("type", "pool_add"), ("agent", "a1")],
+        [("type", "pool_remove"), ("agent", "a1")],
+        [("type", "reject"), ("agent", "a2")],
+        [("type", "assign"), ("agent", "a1"), ("bundles", [0, 4])],
+        [("type", "unassign"), ("agent", "a1")],
+        [("type", "fallback"), ("agent", "a3"), ("bundles", [0, 2])],
+        [("type", "iteration_end"), ("index", 7)],
+    ]
 
 
 def test_ladder_serialization():

@@ -16,6 +16,7 @@ from cwemarket import (
     max_cwe_welfare,
     social_welfare,
 )
+from cwemarket import verifier
 from cwemarket.verifier import (
     brute_force_optimal_over_catalog,
     config_lp_fractional_opt,
@@ -163,10 +164,13 @@ def test_unbundled_welfare_on_pricing_family():
     assert max_stable_singleton_welfare(auction) == F(11, 10)
 
 
-def test_resource_caps_are_loud(gap3):
+def test_resource_caps_are_loud(gap3, monkeypatch):
+    monkeypatch.setattr(verifier, "BRUTE_MAX_ITEMS", 2)
     with pytest.raises(ResourceLimitError):
-        brute_force_optimal(gap3, max_items=2)
+        brute_force_optimal(gap3)
+    monkeypatch.setattr(verifier, "SEARCH_MAX_AGENTS", 1)
     with pytest.raises(ResourceLimitError):
-        max_cwe_welfare(gap3, max_agents=1)
+        max_cwe_welfare(gap3)
+    monkeypatch.setattr(verifier, "LP_MAX_BUNDLES", 2)
     with pytest.raises(ResourceLimitError):
-        config_lp_fractional_opt(gap3, singleton_catalog(gap3), max_bundles=2)
+        config_lp_fractional_opt(gap3, singleton_catalog(gap3))
