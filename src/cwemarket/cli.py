@@ -230,7 +230,7 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
 def _load_solution(auction: Auction, path: str) -> Outcome:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            solution = loads(fh.read())
+            solution = loads(fh.read(), "solution")
     except OSError as exc:
         raise InputError(f"cannot read solution file: {exc}") from None
     return outcome_from_json(auction, solution)

@@ -1,27 +1,55 @@
 """Exact linear programming over rationals.
 
-A small two-phase simplex on Fraction arithmetic, sufficient for the
-desk-scale verification problems in this package (tens of rows and
-columns).  Problems are given in the standard inequality form
+A small two-phase simplex, sufficient for the desk-scale verification
+problems in this package (tens of rows, hundreds of columns).
+Problems are given in the standard inequality form
 
-    maximize c . x   subject to  A x <= b,  x >= 0.
+    maximize c . x   subject to  A x <= b,  x >= 0,
 
-Bland's rule is used for both entering and leaving variables, so the
-method terminates without cycling.  Phase one introduces a single
-auxiliary variable added to every row, as in the classic textbook
-construction.
+with every coefficient an `int` or a `Fraction`; anything else (a
+float above all) is rejected with InputError.
+
+Integers throughout.  A and b are scaled by one common multiple L of
+their denominators, and c by its own multiple Lc, which leaves the
+feasible set, and every pivot choice, unchanged.  The dictionary is
+kept as integer rows over one common denominator d (Edmonds/Bareiss
+pivoting): a pivot on the entry P of row b, with p = |P|, sets every
+other row a, whose entry in the pivot column is f, to
+(p*a - sign(P)*f*b) // d and then d = p.  The division is exact
+because every entry is a minor of the scaled input.  No `Fraction` is
+built before the answer.
+
+Bland's rule is used for both entering and leaving variables (the
+ratio test compares by cross-multiplying), so the method terminates
+without cycling.  Phase one introduces a single auxiliary variable
+added to every row, as in the classic textbook construction, and
+brings it in on the row with the most negative right-hand side.
+
+Every answer is certified in integers against the scaled input before
+it is returned, and a failed check raises SolverInvariantError:
+
+- optimal: the primal point is feasible, the dual y read off the
+  objective row at the slack columns is dual feasible, and both reach
+  the same value;
+- infeasible: a Farkas vector y >= 0 from the phase-one objective row
+  with y A >= 0 and y b < 0;
+- unbounded: a feasible point and a ray r >= 0 with A r <= 0 and
+  c . r > 0, read off the entering column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from math import gcd
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError, SolverInvariantError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -31,102 +59,212 @@ class LpSolution:
     value: Optional[Fraction]
 
 
-class _Dictionary:
-    """Slack-form dictionary.
+class _Tableau:
+    """Slack-form dictionary in integers over one common denominator.
 
-    Row i reads  x_basis[i] = const[i] + sum_j coef[i][j] * x_nonbasis[j]
-    and the objective reads  z = z0 + sum_j zcoef[j] * x_nonbasis[j].
+    With N nonbasic columns, row i reads
+        d * x_basis[i] = rows[i][N] + sum_j rows[i][j] * x_nonbasis[j]
+    and the last row is the objective,
+        d * z = rows[-1][N] + sum_j rows[-1][j] * x_nonbasis[j].
+    The denominator d stays positive.
     """
 
-    def __init__(self, basis, nonbasis, const, coef, z0, zcoef):
-        self.basis: List[int] = basis
-        self.nonbasis: List[int] = nonbasis
-        self.const: List[Fraction] = const
-        self.coef: List[List[Fraction]] = coef
-        self.z0: Fraction = z0
-        self.zcoef: List[Fraction] = zcoef
+    def __init__(self, basis: List[int], nonbasis: List[int], rows: List[List[int]]):
+        self.basis = basis
+        self.nonbasis = nonbasis
+        self.rows = rows
+        self.d = 1
 
-    def pivot(self, row: int, col: int) -> None:
-        piv = self.coef[row][col]
-        if piv == 0:
+    def pivot(self, r: int, s: int) -> None:
+        rows = self.rows
+        prow = rows[r]
+        P = prow[s]
+        if P == 0:
             raise SolverInvariantError("pivot on a zero coefficient")
-        enter = self.nonbasis[col]
-        leave = self.basis[row]
-        # solve row for the entering variable
-        inv = Fraction(-1) / piv
-        new_row = [c * inv for c in self.coef[row]]
-        new_row[col] = Fraction(1) / piv
-        new_const = self.const[row] * inv
-        # substitute into the other rows
-        for i in range(len(self.basis)):
-            if i == row:
+        d = self.d
+        p = P if P > 0 else -P
+        for i, row in enumerate(rows):
+            if i == r:
                 continue
-            factor = self.coef[i][col]
-            if factor == 0:
+            f = row[s]
+            if f == 0:
+                if p != d:
+                    rows[i] = [p * a // d for a in row]
                 continue
-            self.const[i] += factor * new_const
-            old = self.coef[i]
-            for j in range(len(old)):
-                if j == col:
-                    old[j] = factor * new_row[j]
-                else:
-                    old[j] += factor * new_row[j]
-        zfac = self.zcoef[col]
-        if zfac != 0:
-            self.z0 += zfac * new_const
-            for j in range(len(self.zcoef)):
-                if j == col:
-                    self.zcoef[j] = zfac * new_row[j]
-                else:
-                    self.zcoef[j] += zfac * new_row[j]
-        self.const[row] = new_const
-        self.coef[row] = new_row
-        self.basis[row] = enter
-        self.nonbasis[col] = leave
+            g = -f if P > 0 else f
+            new = [(p * a + g * b) // d for a, b in zip(row, prow)]
+            new[s] = -g
+            rows[i] = new
+        if P > 0:
+            new = [-b for b in prow]
+            new[s] = d
+        else:
+            new = list(prow)
+            new[s] = -d
+        rows[r] = new
+        self.d = p
+        self.basis[r], self.nonbasis[s] = self.nonbasis[s], self.basis[r]
 
-    def bland_step(self) -> Optional[str]:
-        """One simplex step.  Returns None if pivoted, OPTIMAL or
-        UNBOUNDED when finished."""
-        col = None
-        best_var = None
-        for j, var in enumerate(self.nonbasis):
-            if self.zcoef[j] > 0 and (best_var is None or var < best_var):
-                best_var = var
-                col = j
-        if col is None:
-            return OPTIMAL
-        row = None
-        best_ratio: Optional[Fraction] = None
-        leave_var = None
-        for i in range(len(self.basis)):
-            a = self.coef[i][col]
-            if a >= 0:
-                continue
-            ratio = -self.const[i] / a
-            if (
-                best_ratio is None
-                or ratio < best_ratio
-                or (ratio == best_ratio and self.basis[i] < leave_var)
-            ):
-                best_ratio = ratio
-                row = i
-                leave_var = self.basis[i]
-        if row is None:
-            return UNBOUNDED
-        self.pivot(row, col)
-        return None
-
-    def run(self) -> str:
+    def run(self) -> Tuple[str, int]:
+        """Bland steps until optimal or unbounded.  Returns the status
+        and, when unbounded, the entering column without a bound."""
+        rows = self.rows
+        basis = self.basis
+        m = len(basis)
         while True:
-            res = self.bland_step()
-            if res is not None:
-                return res
+            z = rows[-1]
+            col = -1
+            best_var = -1
+            for j, var in enumerate(self.nonbasis):
+                if z[j] > 0 and (col < 0 or var < best_var):
+                    best_var = var
+                    col = j
+            if col < 0:
+                return OPTIMAL, -1
+            # ratio of row i is rows[i][-1] / -rows[i][col]
+            row = -1
+            num = den = 0
+            for i in range(m):
+                a = rows[i][col]
+                if a >= 0:
+                    continue
+                rhs = rows[i][-1]
+                if row >= 0:
+                    lhs, cur = rhs * den, num * -a
+                    if lhs > cur or (lhs == cur and basis[i] > basis[row]):
+                        continue
+                row, num, den = i, rhs, -a
+            if row < 0:
+                return UNBOUNDED, col
+            self.pivot(row, col)
+
+    def slack_duals(self, n: int) -> List[int]:
+        """d * y: minus the objective row at the nonbasic slack columns."""
+        m = len(self.basis)
+        z = self.rows[-1]
+        y = [0] * m
+        for j, var in enumerate(self.nonbasis):
+            if n <= var < n + m:
+                y[var - n] = -z[j]
+        return y
+
+    def point(self, n: int) -> List[int]:
+        """d * x: the basic solution on the first n variables."""
+        x = [0] * n
+        for i, var in enumerate(self.basis):
+            if var < n:
+                x[var] = self.rows[i][-1]
+        return x
+
+
+def _scaled(rows: Sequence[Sequence[Rational]]) -> Tuple[int, List[List[int]]]:
+    """The lcm L of all denominators in `rows`, and the rows times L
+    as ints."""
+    lcm = 1
+    for row in rows:
+        for v in row:
+            if type(v) is int:
+                continue
+            if not isinstance(v, (int, Fraction)):
+                raise InputError(
+                    f"LP coefficient {v!r} is not an int or a Fraction"
+                )
+            den = v.denominator
+            if lcm % den:
+                lcm = lcm // gcd(lcm, den) * den
+    if lcm == 1:
+        return 1, [[v.numerator for v in row] for row in rows]
+    return lcm, [
+        [v.numerator * (lcm // v.denominator) for v in row] for row in rows
+    ]
+
+
+def _fail(what: str) -> None:
+    raise SolverInvariantError(f"LP certificate check failed: {what}")
+
+
+def _times(A: List[List[int]], v: List[int]) -> List[int]:
+    """A v, row by row, over the nonzero entries of v."""
+    nz = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in nz) for row in A]
+
+
+def _check_point(A: List[List[int]], b: List[int], d: int, x: List[int]) -> None:
+    """x / d satisfies A x <= b and x >= 0."""
+    if any(v < 0 for v in x):
+        _fail("primal point has a negative entry")
+    if any(ax > d * bi for ax, bi in zip(_times(A, x), b)):
+        _fail("primal point violates a row")
+
+
+def _dual_products(A: List[List[int]], y: List[int], n: int) -> List[int]:
+    """y A over n columns, after checking y >= 0."""
+    if any(v < 0 for v in y):
+        _fail("dual vector has a negative entry")
+    out = [0] * n
+    for row, yi in zip(A, y):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    out[j] += yi * a
+    return out
+
+
+def _certify_optimal(
+    A: List[List[int]],
+    b: List[int],
+    c: List[int],
+    d: int,
+    x: List[int],
+    y: List[int],
+    z: int,
+) -> None:
+    """x / d is feasible with value z / d, and y / d >= 0 is a dual
+    solution (y A >= c) of the same value, so both are optimal."""
+    _check_point(A, b, d, x)
+    for yA, cj in zip(_dual_products(A, y, len(c)), c):
+        if yA < d * cj:
+            _fail("dual vector violates a column")
+    if sum(yi * bi for yi, bi in zip(y, b)) != z:
+        _fail("dual value differs from the optimum")
+    if sum(cj * xj for cj, xj in zip(c, x)) != z:
+        _fail("primal value differs from the optimum")
+
+
+def _certify_infeasible(
+    A: List[List[int]], b: List[int], n: int, y: List[int]
+) -> None:
+    """Farkas: y >= 0, y A >= 0 over the n columns and y b < 0 rule
+    out A x <= b, x >= 0."""
+    if any(v < 0 for v in _dual_products(A, y, n)):
+        _fail("Farkas vector has y A < 0 in a column")
+    if sum(yi * bi for yi, bi in zip(y, b)) >= 0:
+        _fail("Farkas vector has y b >= 0")
+
+
+def _certify_unbounded(
+    A: List[List[int]],
+    b: List[int],
+    c: List[int],
+    d: int,
+    x: List[int],
+    r: List[int],
+) -> None:
+    """x / d is feasible and r >= 0 with A r <= 0 and c . r > 0 is an
+    improving ray from it."""
+    _check_point(A, b, d, x)
+    if any(v < 0 for v in r):
+        _fail("ray has a negative entry")
+    if any(ar > 0 for ar in _times(A, r)):
+        _fail("ray leaves a row")
+    if sum(cj * rj for cj, rj in zip(c, r)) <= 0:
+        _fail("ray does not improve the objective")
 
 
 def solve_lp(
-    c: Sequence[Fraction],
-    A: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
+    c: Sequence[Rational],
+    A: Sequence[Sequence[Rational]],
+    b: Sequence[Rational],
 ) -> LpSolution:
     """Maximize c.x subject to A x <= b, x >= 0, exactly."""
     n = len(c)
@@ -136,79 +274,86 @@ def solve_lp(
     for row in A:
         if len(row) != n:
             raise InputError("matrix row length does not match objective length")
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
-    A = [[Fraction(v) for v in row] for row in A]
+    _, Ab = _scaled([list(row) + [bi] for row, bi in zip(A, b)])
+    lc, (cs,) = _scaled([c])
+    A_int = [row[:n] for row in Ab]
+    b_int = [row[n] for row in Ab]
 
     # slack variable ids n .. n+m-1, auxiliary id n+m
     basis = list(range(n, n + m))
     nonbasis = list(range(n))
-    const = list(b)
-    coef = [[-A[i][j] for j in range(n)] for i in range(m)]
-
-    need_phase1 = any(v < 0 for v in b)
-    if need_phase1:
+    if any(v < 0 for v in b_int):
         aux = n + m
-        for i in range(m):
-            coef[i].append(Fraction(1))
         nonbasis.append(aux)
-        d = _Dictionary(
-            basis, nonbasis, const, coef,
-            Fraction(0), [Fraction(0)] * n + [Fraction(-1)],
-        )
+        rows = [[-a for a in row] + [1, bi] for row, bi in zip(A_int, b_int)]
+        rows.append([0] * n + [-1, 0])
+        t = _Tableau(basis, nonbasis, rows)
         # special first pivot: bring the auxiliary in on the worst row
-        worst = min(range(m), key=lambda i: (const[i], basis[i]))
-        d.pivot(worst, n)
-        status = d.run()
+        worst = min(range(m), key=lambda i: (rows[i][-1], basis[i]))
+        t.pivot(worst, n)
+        status, _ = t.run()
         if status != OPTIMAL:  # phase-1 objective is bounded above by 0
             raise SolverInvariantError(f"phase one ended {status}")
-        if d.z0 != 0:
+        if t.rows[-1][-1] != 0:
+            _certify_infeasible(A_int, b_int, n, t.slack_duals(n))
             return LpSolution(status=INFEASIBLE, x=None, value=None)
-        if aux in d.basis:
-            row = d.basis.index(aux)
-            # degenerate: value must be 0; pivot it out on any usable column
-            if d.const[row] != 0:
+        if aux in t.basis:
+            r = t.basis.index(aux)
+            cells = t.rows[r]
+            # degenerate: value must be 0; pivot it out on the first
+            # usable nonbasis position
+            if cells[-1] != 0:
                 raise SolverInvariantError(
                     "auxiliary variable left basic at a nonzero value"
                 )
-            col = None
-            for j, var in enumerate(d.nonbasis):
-                if d.coef[row][j] != 0:
-                    col = j
-                    break
-            if col is None:
+            s = next((j for j in range(len(t.nonbasis)) if cells[j] != 0), None)
+            if s is None:
                 raise SolverInvariantError(
                     "no column to pivot the auxiliary variable out on"
                 )
-            d.pivot(row, col)
-        keep = [j for j, var in enumerate(d.nonbasis) if var != aux]
-        d.nonbasis = [d.nonbasis[j] for j in keep]
-        d.coef = [[r[j] for j in keep] for r in d.coef]
+            t.pivot(r, s)
+        drop = t.nonbasis.index(aux)
+        del t.nonbasis[drop]
+        t.rows.pop()
+        for row in t.rows:
+            del row[drop]
         # restore the real objective through the current basis
-        z0 = Fraction(0)
-        zcoef = [Fraction(0)] * len(d.nonbasis)
+        d = t.d
+        z = [0] * (len(t.nonbasis) + 1)
+        where = {var: i for i, var in enumerate(t.basis)}
         for var in range(n):
-            cv = c[var]
+            cv = cs[var]
             if cv == 0:
                 continue
-            if var in d.basis:
-                i = d.basis.index(var)
-                z0 += cv * d.const[i]
-                for j in range(len(d.nonbasis)):
-                    zcoef[j] += cv * d.coef[i][j]
+            i = where.get(var)
+            if i is None:
+                z[t.nonbasis.index(var)] += cv * d
             else:
-                j = d.nonbasis.index(var)
-                zcoef[j] += cv
-        d.z0 = z0
-        d.zcoef = zcoef
+                for j, a in enumerate(t.rows[i]):
+                    if a:
+                        z[j] += cv * a
+        t.rows.append(z)
     else:
-        d = _Dictionary(basis, nonbasis, const, coef, Fraction(0), list(c))
+        rows = [[-a for a in row] + [bi] for row, bi in zip(A_int, b_int)]
+        rows.append(cs + [0])
+        t = _Tableau(basis, nonbasis, rows)
 
-    status = d.run()
+    status, col = t.run()
+    d = t.d
+    x = t.point(n)
     if status == UNBOUNDED:
+        ray = [0] * n
+        if t.nonbasis[col] < n:
+            ray[t.nonbasis[col]] = d
+        for i, var in enumerate(t.basis):
+            if var < n:
+                ray[var] = t.rows[i][col]
+        _certify_unbounded(A_int, b_int, cs, d, x, ray)
         return LpSolution(status=UNBOUNDED, x=None, value=None)
-    x = [Fraction(0)] * n
-    for i, var in enumerate(d.basis):
-        if var < n:
-            x[var] = d.const[i]
-    return LpSolution(status=OPTIMAL, x=x, value=d.z0)
+    z = t.rows[-1][-1]
+    _certify_optimal(A_int, b_int, cs, d, x, t.slack_duals(n), z)
+    return LpSolution(
+        status=OPTIMAL,
+        x=[Fraction(v, d) for v in x],
+        value=Fraction(z, d * lc),
+    )

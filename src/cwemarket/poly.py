@@ -59,9 +59,6 @@ from .trace import (
     Unassign,
 )
 
-INFINITE_RANK = float("inf")
-
-
 class AscendingAuction:
     """State, main loop and final checks shared by both solvers.
 
@@ -190,8 +187,9 @@ class PolySolver(AscendingAuction):
         self.chain = 0  # displacements in the current iteration
         self.on_raise = on_raise
 
-    def _rank_of(self, agent: str):
-        return self.rank.get(agent, INFINITE_RANK)
+    def _rank_of(self, agent: str) -> int:
+        # ranks run 1..n, so n + 1 stands behind every ranked agent
+        return self.rank.get(agent, len(self.auction.agents) + 1)
 
     def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
         if not self._rank_of(owner) < self._rank_of(a):

@@ -41,11 +41,13 @@ def _reject_float(text: str) -> Fraction:
     )
 
 
-def loads(text: str) -> Any:
+def loads(text: str, kind: str) -> Any:
+    """Parse JSON text read from a file of the given kind ("instance"
+    or "solution"); the kind names the file in the error message."""
     try:
         return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as exc:
-        raise InputError(f"malformed instance text: {exc}") from None
+        raise InputError(f"malformed {kind} text: {exc}") from None
 
 
 def dumps(obj: Any) -> str:
@@ -188,7 +190,7 @@ def load_instance(path: str) -> Tuple[Auction, Optional[Dict[str, ItemSet]]]:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read instance file {path!r}: {exc}") from None
-    return parse_instance(loads(text))
+    return parse_instance(loads(text, "instance"))
 
 
 def outcome_to_json(

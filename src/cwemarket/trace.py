@@ -143,12 +143,13 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     pool: List[str] = []
     allocated: set = set()  # bundles sold at least once; must stay sold
     rank: Dict[str, int] = {}
+    unranked = 0  # greater than every rank in `rank`
     pending_rank: List[str] = []
     iteration_count = 0
     chain = 0
 
-    def rank_of(name: str):
-        return rank.get(name, float("inf"))
+    def rank_of(name: str) -> int:
+        return rank.get(name, unranked)
 
     for ev in trace.events:
         if isinstance(ev, Merge):
@@ -226,6 +227,7 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
             chain = 0
             if pending_rank:
                 rank = {name: k for k, name in enumerate(pending_rank)}
+                unranked = len(pending_rank)
                 pending_rank = []
             if poly and iteration_count > n * n:
                 raise SolverInvariantError(f"more than {n * n} iterations in trace")

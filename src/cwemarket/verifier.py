@@ -152,15 +152,9 @@ def config_lp_fractional_opt(auction: Auction, catalog: Catalog) -> Fraction:
         for mask in range(1, 1 << k):
             cols.append((i, mask))
             c.append(agent.valuation.value(unions[mask]))
-    rows: List[List[Fraction]] = []
-    b: List[Fraction] = []
-    for i in range(n):
-        rows.append([Fraction(1 if ci == i else 0) for ci, _ in cols])
-        b.append(Fraction(1))
-    for j in range(k):
-        rows.append([Fraction(1 if mask >> j & 1 else 0) for _, mask in cols])
-        b.append(Fraction(1))
-    sol = solve_lp(c, rows, b)
+    rows = [[1 if ci == i else 0 for ci, _ in cols] for i in range(n)]
+    rows += [[mask >> j & 1 for _, mask in cols] for j in range(k)]
+    sol = solve_lp(c, rows, [1] * (n + k))
     _require_optimal(sol, "configuration")
     return sol.value
 
@@ -169,7 +163,7 @@ def _stability_rows(
     auction: Auction,
     catalog: Catalog,
     assignment: Dict[str, BundleSet],
-) -> Tuple[List[List[Fraction]], List[Fraction]]:
+) -> Tuple[List[List[int]], List[Fraction]]:
     """Linear constraints on bundle prices making `assignment` stable.
 
     Variables are prices in catalog order.  For every agent i and every
@@ -192,7 +186,7 @@ def _stability_rows(
                 raise InputError("a bundle is assigned twice")
             held.add(bid)
     unions = subset_unions([table[bid] for bid in ids])
-    rows: List[List[Fraction]] = []
+    rows: List[List[int]] = []
     rhs: List[Fraction] = []
     for agent in auction.agents:
         val = agent.valuation
@@ -204,10 +198,7 @@ def _stability_rows(
         for mask in range(1 << k):
             if mask == own_mask:
                 continue
-            coeff = [Fraction(0)] * k
-            for j in range(k):
-                coeff[j] = Fraction((own_mask >> j & 1) - (mask >> j & 1))
-            rows.append(coeff)
+            rows.append([(own_mask >> j & 1) - (mask >> j & 1) for j in range(k)])
             rhs.append(v_own - val.value(unions[mask]))
     return rows, rhs
 
@@ -226,7 +217,7 @@ def supporting_prices(
     _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
     rows, rhs = _stability_rows(auction, catalog, assignment)
     k = len(catalog.entries)
-    sol = solve_lp([Fraction(0)] * k, rows, rhs)
+    sol = solve_lp([0] * k, rows, rhs)
     if sol.status == INFEASIBLE:
         return None
     _require_optimal(sol, "supporting-price")
@@ -254,7 +245,7 @@ def revenue_maximizing_prices(
     assigned: set = set()
     for bundles in assignment.values():
         assigned |= bundles
-    c = [Fraction(1 if bid in assigned else 0) for bid, _ in catalog.entries]
+    c = [1 if bid in assigned else 0 for bid, _ in catalog.entries]
     sol = solve_lp(c, rows, rhs)
     if sol.status == INFEASIBLE:
         return None

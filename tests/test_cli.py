@@ -128,6 +128,17 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert F(verdict["gap"]) > 0
 
 
+def test_verify_names_a_malformed_solution_file(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "gap3")
+    sol = tmp_path / "sol.json"
+    sol.write_text("")
+    code, out, err = _run(capsys, "verify", "--input", inst, "--solution", str(sol))
+    assert code == 2
+    assert out == ""
+    assert "malformed solution text" in err
+    assert "instance" not in err
+
+
 def test_oracle_reports(tmp_path, capsys):
     inst = _emit(tmp_path, capsys, "gap3")
     code, out, err = _run(capsys, "oracle", "optimal", "--input", inst)

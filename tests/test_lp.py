@@ -2,10 +2,21 @@ from fractions import Fraction
 from itertools import combinations
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 
-from cwemarket import InputError
-from cwemarket.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp
+from cwemarket import InputError, SolverInvariantError
+from cwemarket.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    UNBOUNDED,
+    _certify_infeasible,
+    _certify_optimal,
+    _certify_unbounded,
+    solve_lp,
+)
+from .helpers import reference_solve_lp
 
 F = Fraction
 
@@ -79,6 +90,95 @@ def test_input_validation():
         solve_lp([F(1)], [[F(1)]], [F(1), F(2)])
 
 
+@pytest.mark.parametrize("where", ["c", "A", "b"])
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1"])
+def test_only_ints_and_fractions_enter(where, bad):
+    c, A, b = [F(1), 2], [[1, F(1, 3)]], [F(1)]
+    if where == "c":
+        c[0] = bad
+    elif where == "A":
+        A[0][1] = bad
+    else:
+        b[0] = bad
+    with pytest.raises(InputError, match="not an int or a Fraction"):
+        solve_lp(c, A, b)
+
+
+# Certificates of three tiny LPs, in the integer form the solver checks
+# them in.  max x + y st x <= 2, y <= 3, x + y <= 4: the point (2, 2)
+# and the dual (0, 0, 1) both reach 4.
+OPT_A, OPT_B, OPT_C = [[1, 0], [0, 1], [1, 1]], [2, 3, 4], [1, 1]
+
+
+def test_optimal_certificate():
+    _certify_optimal(OPT_A, OPT_B, OPT_C, 1, [2, 2], [0, 0, 1], 4)
+    # the same answer over the common denominator 3
+    _certify_optimal(OPT_A, OPT_B, OPT_C, 3, [6, 6], [0, 0, 3], 12)
+
+
+@pytest.mark.parametrize(
+    "x, y, z",
+    [
+        ([2, 2], [0, 0, 2], 4),  # dual value 8, not 4
+        ([2, 2], [1, 0, 0], 4),  # y A = (1, 0) misses c in column 2
+        ([2, 2], [-1, 0, 2], 4),  # negative dual entry
+        ([3, 1], [0, 0, 1], 4),  # x = 3 breaks the row x <= 2
+        ([-1, 5], [0, 0, 1], 4),  # negative primal entry
+        ([1, 2], [0, 0, 1], 4),  # primal value 3, not 4
+        ([2, 2], [0, 0, 1], 5),  # claimed optimum reached by neither
+    ],
+)
+def test_corrupted_optimal_certificate_is_caught(x, y, z):
+    with pytest.raises(SolverInvariantError, match="certificate"):
+        _certify_optimal(OPT_A, OPT_B, OPT_C, 1, x, y, z)
+
+
+# x <= -1 and -x <= -2 with x >= 0: y = (1, 0) gives 0 <= y A x <= y b = -1
+INF_A, INF_B = [[1], [-1]], [-1, -2]
+
+
+def test_farkas_certificate():
+    _certify_infeasible(INF_A, INF_B, 1, [1, 0])
+    _certify_infeasible(INF_A, INF_B, 1, [1, 1])
+
+
+@pytest.mark.parametrize(
+    "y",
+    [
+        [0, 1],  # y A = -1 < 0
+        [0, 0],  # y b = 0, not negative
+        [-1, 0],  # negative entry
+    ],
+)
+def test_corrupted_farkas_certificate_is_caught(y):
+    with pytest.raises(SolverInvariantError, match="certificate"):
+        _certify_infeasible(INF_A, INF_B, 1, y)
+
+
+# max x1 st x1 - x2 <= 1: from (1, 0) the ray (1, 1) gains without end
+RAY_A, RAY_B, RAY_C = [[1, -1]], [1], [1, 0]
+
+
+def test_ray_certificate():
+    _certify_unbounded(RAY_A, RAY_B, RAY_C, 1, [1, 0], [1, 1])
+    _certify_unbounded(RAY_A, RAY_B, RAY_C, 2, [2, 0], [2, 2])
+
+
+@pytest.mark.parametrize(
+    "x, r",
+    [
+        ([1, 0], [1, 0]),  # ray leaves the row
+        ([1, 0], [0, 1]),  # c . r = 0
+        ([1, 0], [-1, -1]),  # negative ray entry
+        ([2, 0], [1, 1]),  # start point breaks the row
+        ([1, -1], [1, 1]),  # start point has a negative entry
+    ],
+)
+def test_corrupted_ray_certificate_is_caught(x, r):
+    with pytest.raises(SolverInvariantError, match="certificate"):
+        _certify_unbounded(RAY_A, RAY_B, RAY_C, 1, x, r)
+
+
 def brute_vertex_opt(c, A, b):
     """Enumerate basic feasible points from all constraint intersections."""
     n = len(c)
@@ -150,3 +250,55 @@ def test_random_cross_check_against_vertex_enumeration():
             # which vertex enumeration cannot certify; just sanity-check
             assert sol.status == UNBOUNDED
     assert checked >= 20
+
+
+coefficient = st.one_of(
+    st.integers(-4, 6),
+    st.fractions(min_value=-4, max_value=6, max_denominator=6),
+)
+
+
+@st.composite
+def lps(draw):
+    """Small LPs with any sign of right-hand side, mixed int and
+    Fraction entries over mixed denominators, and degenerate rows:
+    all-zero rows, repeated rows and zero right-hand sides.  "Floor"
+    rows (a x >= |b| with a >= 0) keep many negative right-hand sides
+    feasible, so phase one often hands over to phase two, and "cap"
+    rows (a x <= |b|) often bound the objective."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 5))
+    row = st.lists(coefficient, min_size=n, max_size=n)
+    c = draw(row)
+    A = draw(st.lists(row, min_size=m, max_size=m))
+    b = draw(st.lists(st.one_of(st.just(0), coefficient), min_size=m, max_size=m))
+    for i in range(m):
+        shape = draw(st.sampled_from(["free", "floor", "cap", "zero", "repeat"]))
+        if shape == "floor":
+            A[i] = [-abs(v) for v in A[i]]
+            b[i] = -abs(b[i])
+        elif shape == "cap":
+            A[i] = [abs(v) for v in A[i]]
+            b[i] = abs(b[i])
+        elif shape == "zero":
+            A[i] = [0] * n
+        elif shape == "repeat" and i:
+            A[i] = list(A[i - 1])
+    return c, A, b
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(lps())
+# infeasible: x <= -1
+@example(([1], [[1]], [-1]))
+# unbounded after phase one: x >= 1, max x
+@example(([1], [[-1]], [-1]))
+# the auxiliary variable stays basic at zero and is pivoted out
+@example(([0, 1], [[1, -1], [-1, 1], [0, 0]], [-1, 1, 0]))
+# mixed ints and Fractions with unrelated denominators
+@example(([F(1, 3), 2], [[F(2, 7), 1], [1, F(-5, 4)]], [F(3, 5), -1]))
+def test_matches_the_reference_simplex(lp):
+    c, A, b = lp
+    got = solve_lp(c, A, b)
+    want = reference_solve_lp(c, A, b)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)

@@ -95,10 +95,10 @@ def test_instance_round_trip_covers_every_valuation_kind():
 
 def test_loads_rejects_floats_and_garbage():
     with pytest.raises(InputError, match="floating point"):
-        loads('{"x": 1.5}')
-    with pytest.raises(InputError, match="malformed"):
-        loads("{nope")
-    assert loads(dumps({"k": "1/3"})) == {"k": "1/3"}
+        loads('{"x": 1.5}', "instance")
+    with pytest.raises(InputError, match="malformed instance"):
+        loads("{nope", "instance")
+    assert loads(dumps({"k": "1/3"}), "instance") == {"k": "1/3"}
 
 
 def test_json_true_is_not_a_number():
