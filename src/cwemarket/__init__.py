@@ -33,9 +33,10 @@ from .market import (
     Catalog,
     CweViolation,
     Outcome,
-    chosen_demand,
+    demand,
     demand_correspondence,
     find_violation,
+    in_demand,
     induced_value,
     initial_market,
     is_cwe,
@@ -107,14 +108,15 @@ __all__ = [
     "XosValuation",
     "brute_force_optimal",
     "brute_force_optimal_over_catalog",
-    "chosen_demand",
     "common_granularity",
     "config_lp_fractional_opt",
+    "demand",
     "demand_correspondence",
     "find_violation",
     "format_scalar",
     "gap3",
     "generate",
+    "in_demand",
     "induced_value",
     "initial_market",
     "instance_names",

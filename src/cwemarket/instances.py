@@ -74,8 +74,11 @@ def item_pricing_xos(m: int, delta: Fraction = Fraction(1, 8)) -> Built:
     """Unit-demand bidder against a fractionally subadditive bidder.
 
     Agent a2 values any k items at max(1, k/2); agent a1 values any
-    single item at 1/2 - delta.  For delta below 1/(2(m-1)) no stable
-    item pricing sells more than one item, against an optimum of m/2.
+    single item at 1/2 - delta, with 0 < delta < 1/(2(m-1)).  Stable
+    item pricings do sell two items, one to each agent: with
+    delta = 1/(4(m-1)) the best stable item pricing reaches welfare
+    3/2 - delta for m = 2, 3, 4 (pinned by the acceptance tests),
+    against an optimum of m/2 from m = 3 on.
     """
     if m < 2:
         raise InputError("m must be at least 2")

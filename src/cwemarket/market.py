@@ -9,6 +9,7 @@ utility is never negative.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -266,19 +267,15 @@ def demand_correspondence(
 
 
 def tie_break_key(
-    bundle_set: BundleSet,
-    agent: str,
-    others: Optional[Mapping[str, BundleSet]],
+    bundle_set: BundleSet, held_elsewhere: Mapping[BundleId, int]
 ) -> Tuple[int, int, List[BundleId]]:
     """Deterministic preference order among equally good demand sets:
-    fewest bundles currently held by other agents, then fewest bundles,
-    then lexicographically smallest sorted id tuple.
+    fewest bundles currently held by other agents (`held_elsewhere`
+    counts the other holders of each bundle), then fewest bundles, then
+    lexicographically smallest sorted id tuple.  A set ranks before each
+    of its strict supersets.
     """
-    overlap = 0
-    if others:
-        for name, held in others.items():
-            if name != agent:
-                overlap += len(bundle_set & held)
+    overlap = sum(held_elsewhere.get(bid, 0) for bid in bundle_set)
     return overlap, len(bundle_set), sorted(bundle_set)
 
 
@@ -287,22 +284,55 @@ def select_demanded(
     agent: str,
     others: Optional[Mapping[str, BundleSet]],
 ) -> BundleSet:
+    """The candidate with the smallest `tie_break_key` against the
+    holdings of every agent in `others` but `agent`."""
     if not candidates:
         raise InputError("no demand candidates to select from")
-    return min(candidates, key=lambda s: tie_break_key(s, agent, others))
+    if len(candidates) == 1:
+        return candidates[0]
+    held = Counter(
+        bid for name, bids in (others or {}).items() if name != agent for bid in bids
+    )
+    return min(candidates, key=lambda s: tie_break_key(s, held))
 
 
-def chosen_demand(
+def demand(
     auction: Auction,
     agent: str,
     catalog: Catalog,
     prices: Mapping[BundleId, Fraction],
     excluded: BundleSet = frozenset(),
     others: Optional[Mapping[str, BundleSet]] = None,
-) -> BundleSet:
-    """One deterministic element of the demand correspondence."""
-    _, members = demand_correspondence(auction, agent, catalog, prices, excluded)
-    return select_demanded(members, agent, others)
+) -> Tuple[Fraction, BundleSet]:
+    """The max utility over the available catalog and the demanded set
+    with the smallest `tie_break_key` against `others`.
+
+    Structured valuations answer from per-bundle margins
+    (`Valuation.demand_candidates`); explicit tables enumerate all 2^k
+    subsets through `demand_correspondence`, which caps the catalog at
+    DEMAND_BUNDLE_CAP bundles.
+    """
+    offers = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
+    found = auction.valuation(agent).demand_candidates(offers, prices)
+    if found is None:
+        found = demand_correspondence(auction, agent, catalog, prices, excluded)
+    best, candidates = found
+    return best, select_demanded(candidates, agent, others)
+
+
+def in_demand(
+    auction: Auction,
+    agent: str,
+    catalog: Catalog,
+    prices: Mapping[BundleId, Fraction],
+    bundle_set: BundleSet,
+) -> bool:
+    """Whether `bundle_set` is demanded: its utility is the max over the
+    catalog."""
+    found = auction.valuation(agent).demand_candidates(catalog.entries, prices)
+    if found is None:
+        return bundle_set in demand_correspondence(auction, agent, catalog, prices)[1]
+    return utility(auction, agent, bundle_set, catalog, prices) == found[0]
 
 
 @dataclass(frozen=True)
@@ -329,11 +359,11 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
     for agent in auction.agents:
         held = outcome.assignment.get(agent.name, frozenset())
         cur = utility(auction, agent.name, held, outcome.catalog, outcome.prices)
-        best, members = demand_correspondence(
-            auction, agent.name, outcome.catalog, outcome.prices
+        best, better = demand(
+            auction, agent.name, outcome.catalog, outcome.prices,
+            others=outcome.assignment,
         )
         if cur < best:
-            better = select_demanded(members, agent.name, outcome.assignment)
             return CweViolation(
                 agent=agent.name,
                 held=held,

@@ -37,15 +37,17 @@ from .market import (
     InitialAllocation,
     Outcome,
     allocation_welfare,
-    demand_correspondence,
+    demand,
     initial_market,
     is_cwe,
     merge_bundles,
-    select_demanded,
     social_welfare,
     utility,
     validate_initial_allocation,
 )
+# Unused here: bench/tracing.py wraps this name in every solver module,
+# and its install fails if it is missing.
+from .market import demand_correspondence  # noqa: F401
 from .trace import (
     Assign,
     FallbackRecord,
@@ -63,8 +65,8 @@ class AscendingAuction:
     """State, main loop and final checks shared by both solvers.
 
     A subclass settles a claim on a singleton someone else holds in
-    `_contest`; it may also filter demand sets in `_choose` and act at
-    the end of every iteration in `_end_iteration`.
+    `_contest`; it may also pass over the tie-broken demand set in
+    `_choose` and act at the end of every iteration in `_end_iteration`.
     """
 
     def __init__(self, auction: Auction, allocation: InitialAllocation):
@@ -79,10 +81,11 @@ class AscendingAuction:
 
     def _demand(
         self, agent: str, excluded: BundleSet = frozenset()
-    ) -> Tuple[Fraction, List[BundleSet]]:
+    ) -> Tuple[Fraction, BundleSet]:
+        """One demand query: the max utility and the tie-broken set."""
         self.trace.demand_queries += 1
-        return demand_correspondence(
-            self.auction, agent, self.catalog, self.prices, excluded
+        return demand(
+            self.auction, agent, self.catalog, self.prices, excluded, self.assignment
         )
 
     def run(self) -> Outcome:
@@ -93,13 +96,13 @@ class AscendingAuction:
             self.trace.add(PoolRemove(a))
             if a in self.assignment:
                 raise SolverInvariantError(f"pooled agent {a!r} already holds bundles")
-            best, members = self._demand(a)
-            self._take(a, self._choose(a, members) if best > 0 else frozenset())
+            best, chosen = self._demand(a)
+            self._take(a, self._choose(a, chosen) if best > 0 else frozenset())
             self._end_iteration()
         return self._finish()
 
-    def _choose(self, agent: str, members: List[BundleSet]) -> BundleSet:
-        return select_demanded(members, agent, self.assignment)
+    def _choose(self, agent: str, chosen: BundleSet) -> BundleSet:
+        return chosen
 
     def _take(self, a: str, chosen: BundleSet) -> None:
         """Give `a` the set `chosen`.  The empty set means `a` walks
@@ -244,8 +247,7 @@ class PolySolver(AscendingAuction):
                     raise SolverInvariantError(
                         f"{i!r} holds {len(own)} bundles in a price push, not one"
                     )
-                best, mem = self._demand(i, excluded=excluded)
-                switches[i] = select_demanded(mem, i, self.assignment)
+                best, switches[i] = self._demand(i, excluded=excluded)
                 margin = (
                     utility(self.auction, i, own, self.catalog, self.prices) - best
                 )

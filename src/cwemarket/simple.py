@@ -12,7 +12,7 @@ with social welfare at least half the seed allocation's.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from .errors import InputError, SolverDeadlockError
 from .market import (
@@ -20,12 +20,14 @@ from .market import (
     BundleSet,
     InitialAllocation,
     Outcome,
+    demand_correspondence,
+    in_demand,
     select_demanded,
 )
 
 # Unused here: bench/tracing.py wraps these names in every solver
 # module, and its install fails if one is missing.
-from .market import demand_correspondence, is_cwe, merge_bundles  # noqa: F401
+from .market import is_cwe, merge_bundles  # noqa: F401
 from .poly import AscendingAuction
 from .trace import PriceRaise, Trace
 
@@ -69,8 +71,15 @@ class SimpleSolver(AscendingAuction):
         # until some price or catalog movement happens
         self.blocked: Dict[str, Set[BundleSet]] = {}
 
-    def _choose(self, agent: str, members: List[BundleSet]) -> BundleSet:
-        usable = [s for s in members if s not in self.blocked.get(agent, set())]
+    def _choose(self, agent: str, chosen: BundleSet) -> BundleSet:
+        blocked = self.blocked.get(agent, set())
+        if chosen not in blocked:
+            return chosen
+        # the next set in tie-break order may be any demanded set
+        _, members = demand_correspondence(
+            self.auction, agent, self.catalog, self.prices
+        )
+        usable = [s for s in members if s not in blocked]
         if not usable:
             raise SolverDeadlockError(
                 f"agent {agent!r} has only blocked demand sets; every "
@@ -84,8 +93,8 @@ class SimpleSolver(AscendingAuction):
             self.blocked.clear()  # the catalog moved
 
     def _in_demand(self, agent: str, bundles: BundleSet) -> bool:
-        best, members = self._demand(agent)
-        return bundles in members
+        self.trace.demand_queries += 1
+        return in_demand(self.auction, agent, self.catalog, self.prices, bundles)
 
     def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
         """Escalate the price of the contested bundle until one side

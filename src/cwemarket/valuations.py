@@ -12,8 +12,10 @@ explicit finite item universe.  Supported classes:
 `validate()` checks the class constraints and returns the first defect
 found (None when the valuation is well formed).  `bundle_values()`
 tabulates the value of every union of a few disjoint bundles as exact
-integers over one common denominator; the structured classes build that
-table with integer recurrences instead of one `value()` call per union.
+integers over one common denominator, one `value()` call per union.
+`demand_candidates()` answers a demand query over priced disjoint
+bundles from per-bundle margins alone, in time linear in the number of
+bundles; explicit tables have no such rule.
 """
 from __future__ import annotations
 
@@ -22,13 +24,19 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from .errors import InputError
 
 Item = str
 ItemSet = FrozenSet[str]
+# (id, items) of one priced bundle, and the answer to a demand query over
+# such offers: the maximum utility and sets of offer ids (see
+# Valuation.demand_candidates)
+Offer = Tuple[Hashable, ItemSet]
+DemandAnswer = Tuple[Fraction, List[FrozenSet[Hashable]]]
 
 EXPLICIT_ITEM_CAP = 12
 
@@ -78,14 +86,6 @@ def subset_sums(weights: Sequence[int]) -> List[int]:
     return table
 
 
-def subset_maxima(weights: Sequence[int]) -> List[int]:
-    """Max of 0 and `weights[i]` over the set bits i of every mask."""
-    table = [0]
-    for w in weights:
-        table += [t if t > w else w for t in table]
-    return table
-
-
 @dataclass(frozen=True)
 class ValuationDefect:
     """First constraint violation found by validate()."""
@@ -116,14 +116,7 @@ class Valuation:
     def _value(self, s: ItemSet) -> Fraction:
         raise NotImplementedError
 
-    def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> Tuple[List[int], int]:
-        """Value of every union of the given disjoint bundles.
-
-        Returns (ints, den): entry `mask` of `ints` over `den` is the
-        value of the union of the bundles whose bit is set in `mask`
-        (bit i stands for bundles[i]), so the table has 2^k entries.
-        """
-        sets = [frozenset(b) for b in bundles]
+    def _check_bundles(self, sets: Sequence[ItemSet]) -> None:
         union = frozenset().union(*sets)
         unknown = union - self.items
         if unknown:
@@ -132,10 +125,45 @@ class Valuation:
             )
         if sum(map(len, sets)) != len(union):
             raise InputError("bundles overlap")
-        return self._bundle_values(sets)
 
-    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
-        return over_common_denominator([self.value(u) for u in subset_unions(bundles)])
+    def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> Tuple[List[int], int]:
+        """Value of every union of the given disjoint bundles.
+
+        Returns (ints, den): entry `mask` of `ints` over `den` is the
+        value of the union of the bundles whose bit is set in `mask`
+        (bit i stands for bundles[i]), so the table has 2^k entries.
+        """
+        sets = [frozenset(b) for b in bundles]
+        self._check_bundles(sets)
+        return over_common_denominator([self.value(u) for u in subset_unions(sets)])
+
+    def demand_candidates(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    ) -> Optional[DemandAnswer]:
+        """Demand over the unions of disjoint priced bundles, from margins.
+
+        `offers` are (id, items) pairs and `prices[id]` is the price of
+        each.  A set of offers has utility equal to the value of its
+        pooled items minus its summed prices; the empty set (utility 0)
+        always competes.  Returns (max utility, candidates), where every
+        candidate is a set of ids with the max utility and every set
+        with the max utility contains a candidate.  So an order that
+        ranks each set before its strict supersets (such as
+        `market.tie_break_key`) ranks first, among all maximizers, a
+        candidate.  With a max of 0 the only candidate is the empty set.
+
+        A class without such a rule returns None; the caller then
+        enumerates `bundle_values`, which checks the bundles itself.
+        """
+        found = self._demand_candidates(offers, prices)
+        if found is not None:
+            self._check_bundles([items for _, items in offers])
+        return found
+
+    def _demand_candidates(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    ) -> Optional[DemandAnswer]:
+        return None
 
     def parameter_values(self) -> Iterator[Fraction]:
         """All scalar parameters, for granularity computation."""
@@ -158,6 +186,49 @@ def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect
                 detail=f"weight of item {item!r} is {weights[item]}",
             )
     return None
+
+
+def _best_of(scored: Iterable[Tuple[Fraction, FrozenSet[Hashable]]]) -> DemandAnswer:
+    """The max of 0 and the scores, with every set that scores it; the
+    empty set alone when nothing scores above 0."""
+    best = Fraction(0)
+    sets: List[FrozenSet[Hashable]] = [frozenset()]
+    for score, ids in scored:
+        if score > best:
+            best, sets = score, [ids]
+        elif score == best and score > 0:
+            sets.append(ids)
+    return best, sets
+
+
+def _positive_part(
+    clause: Mapping[Item, Fraction],
+    offers: Sequence[Offer],
+    prices: Mapping[Hashable, Fraction],
+) -> Tuple[Fraction, FrozenSet[Hashable]]:
+    """The sum of the positive margins under one additive clause and the
+    ids of their offers: the best an additive valuation does."""
+    total = Fraction(0)
+    taken = []
+    for bid, items in offers:
+        margin = _weight_sum(clause, items) - prices[bid]
+        if margin > 0:
+            total += margin
+            taken.append(bid)
+    return total, frozenset(taken)
+
+
+def _clause_demand(
+    clauses: Sequence[Mapping[Item, Fraction]],
+    offers: Sequence[Offer],
+    prices: Mapping[Hashable, Fraction],
+) -> DemandAnswer:
+    """`demand_candidates` of the max of additive clauses.  Under one
+    clause margins add up, so its best set takes every positive margin
+    (a maximizer may add zero ones).  A maximizer of the max reaches it
+    under some clause and so holds all of that clause's positive-margin
+    offers."""
+    return _best_of(_positive_part(clause, offers, prices) for clause in clauses)
 
 
 class ExplicitValuation(Valuation):
@@ -256,9 +327,10 @@ class AdditiveValuation(Valuation):
     def _value(self, s: ItemSet) -> Fraction:
         return _weight_sum(self.weights, s)
 
-    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
-        ints, den = over_common_denominator([self._value(b) for b in bundles])
-        return subset_sums(ints), den
+    def _demand_candidates(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    ) -> DemandAnswer:
+        return _clause_demand([self.weights], offers, prices)
 
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.weights.values())
@@ -283,9 +355,14 @@ class UnitDemandValuation(Valuation):
                 best = self.weights[i]
         return best
 
-    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
-        ints, den = over_common_denominator([self._value(b) for b in bundles])
-        return subset_maxima(ints), den
+    def _demand_candidates(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    ) -> DemandAnswer:
+        # a set is worth its best bundle but pays for all of them, so
+        # that bundle alone does at least as well as the set
+        return _best_of(
+            (self._value(items) - prices[bid], frozenset({bid})) for bid, items in offers
+        )
 
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.weights.values())
@@ -307,21 +384,23 @@ class SingleMindedValuation(Valuation):
     def _value(self, s: ItemSet) -> Fraction:
         return self.weight if self.desired <= s else Fraction(0)
 
-    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
+    def _demand_candidates(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    ) -> DemandAnswer:
         # disjoint bundles cover the desired set exactly when every bundle
-        # meeting it is taken and together those bundles hold all of it
-        need = 0
+        # meeting it is taken and together those bundles hold all of it;
+        # any other bundle only adds to the price
+        need = []
         reached: ItemSet = frozenset()
-        for i, b in enumerate(bundles):
-            if b & self.desired:
-                need |= 1 << i
-                reached |= b
-        n_masks = 1 << len(bundles)
-        if not self.desired <= reached:
-            return [0] * n_masks, 1
-        w = self.weight.numerator
-        table = [w if mask & need == need else 0 for mask in range(n_masks)]
-        return table, self.weight.denominator
+        cost = Fraction(0)
+        for bid, items in offers:
+            if items & self.desired:
+                need.append(bid)
+                reached |= items
+                cost += prices[bid]
+        if self.desired <= reached and self.weight > cost:
+            return self.weight - cost, [frozenset(need)]
+        return Fraction(0), [frozenset()]
 
     def parameter_values(self) -> Iterator[Fraction]:
         yield self.weight
@@ -366,15 +445,10 @@ class XosValuation(Valuation):
                 best = total
         return best
 
-    def _bundle_values(self, bundles: List[ItemSet]) -> Tuple[List[int], int]:
-        k = len(bundles)
-        per_clause = [_weight_sum(clause, b) for clause in self.clauses for b in bundles]
-        ints, den = over_common_denominator(per_clause)
-        best = [0] * (1 << k)
-        for c in range(len(self.clauses)):
-            sums = subset_sums(ints[c * k:(c + 1) * k])
-            best = [t if t > u else u for t, u in zip(best, sums)]
-        return best, den
+    def _demand_candidates(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    ) -> DemandAnswer:
+        return _clause_demand(self.clauses, offers, prices)
 
     def parameter_values(self) -> Iterator[Fraction]:
         for clause in self.clauses:

@@ -188,6 +188,36 @@ def brute_stability_violation(auction: Auction, outcome) -> Optional[str]:
     return None
 
 
+def unit_demand_violation(auction: Auction, outcome) -> Optional[str]:
+    """Stability of an all-unit-demand market in closed form.
+
+    A unit-demand agent values a set of bundles at the largest weight
+    among their items and pays for every bundle, so nothing beats the
+    better of walking away and one bundle alone: each agent's held
+    utility must reach max(0, its best single-bundle margin) over the
+    whole catalog.  Returns a description of a violation, or None.
+    """
+    bundles = dict(outcome.catalog.entries)
+
+    def worth(weights, items) -> Fraction:
+        return max((weights.get(i, Fraction(0)) for i in items), default=Fraction(0))
+
+    for agent in auction.agent_names:
+        weights = auction.valuation(agent).weights
+        held = outcome.assignment.get(agent, frozenset())
+        held_items = frozenset().union(*(bundles[bid] for bid in held))
+        u_held = worth(weights, held_items) - sum(
+            (outcome.prices[bid] for bid in held), Fraction(0)
+        )
+        best = max(
+            [Fraction(0)]
+            + [worth(weights, b) - outcome.prices[bid] for bid, b in bundles.items()]
+        )
+        if u_held < best:
+            return f"{agent} gets {u_held} but one bundle gives {best}"
+    return None
+
+
 class _Dictionary:
     """Slack-form dictionary.
 

@@ -124,6 +124,18 @@ def test_criterion_03_xos_single_item_cap():
     assert sold <= 1
 
 
+def test_criterion_03_xos_unbundled_welfare():
+    """What stable item pricing does reach on the XOS family: one item
+    to each agent, welfare 3/2 - delta, against an optimum of m/2 from
+    m = 3 on."""
+    for m, welfare in ((2, F(5, 4)), (3, F(11, 8)), (4, F(17, 12))):
+        delta = F(1, 4 * (m - 1))
+        auction, _ = generate("item_pricing_xos", m=m, delta=delta)
+        assert max_stable_singleton_welfare(auction) == welfare == F(3, 2) - delta
+        opt, _ = brute_force_optimal(auction)
+        assert opt == max(F(m, 2), welfare)
+
+
 def test_criterion_04_integrality_characterization():
     t0 = time.monotonic()
     seen = {True: 0, False: 0}

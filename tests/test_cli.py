@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from cwemarket import market
 from cwemarket.cli import run_cli
-from cwemarket.serialize import dumps
+from cwemarket.serialize import dumps, load_instance, outcome_from_json
+
+from .helpers import unit_demand_violation
 
 F = Fraction
 
@@ -216,6 +219,45 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     code, _, err = _run(capsys, "oracle", "optimal", "--input", str(path))
     assert code == 3
     assert "error:" in err
+
+
+def test_large_unit_demand_catalog_through_cli(tmp_path, capsys):
+    """24 seeded bundles, over DEMAND_BUNDLE_CAP: unit-demand agents are
+    answered from per-bundle margins, so no command hits the cap."""
+    n = 24
+    inst = _emit(tmp_path, capsys, "logn_revenue", "--n", str(n))
+    code, out, err = _run(capsys, "solve", "--input", inst)
+    assert code == 0, err
+    report = json.loads(out)
+    assert len(report["catalog"]) > market.DEMAND_BUNDLE_CAP
+    assert report["cwe"] is True
+    assert report["demand_queries"] <= report["iterations"] * (n + 1) * (n + 2)
+    auction, _ = load_instance(inst)
+    assert unit_demand_violation(auction, outcome_from_json(auction, report)) is None
+    solution = tmp_path / "solution.json"
+    solution.write_text(out)
+    code, out, err = _run(
+        capsys, "verify", "--input", inst, "--solution", str(solution)
+    )
+    assert (code, json.loads(out)) == (0, {"cwe": True}), err
+    code, out, err = _run(capsys, "revenue", "--input", inst)
+    assert code == 0, err
+    ladder = json.loads(out)
+    assert ladder["cwe"] is True
+    assert ladder["demand_queries"] <= ladder["iterations"] * (n + 1) * (n + 2)
+    assert unit_demand_violation(auction, outcome_from_json(auction, ladder)) is None
+
+
+def test_demand_cap_binds_explicit_tables_only(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(market, "DEMAND_BUNDLE_CAP", 2)
+    # gap3 seeds three bundles for explicit tables
+    code, _, err = _run(capsys, "solve", "--input", _emit(tmp_path, capsys, "gap3"))
+    assert code == 3
+    assert "capped at 2" in err
+    inst = _emit(tmp_path, capsys, "logn_revenue", "--n", "4")
+    code, out, err = _run(capsys, "solve", "--input", inst)
+    assert code == 0, err
+    assert json.loads(out)["cwe"] is True
 
 
 def test_bad_instance_file_exit_code(tmp_path, capsys):

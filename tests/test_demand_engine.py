@@ -1,10 +1,13 @@
 """The integer bitmask demand engine against exhaustive `Fraction`
 enumeration (`helpers.best_avoiding`) on generated catalogs, for every
-valuation class.
+valuation class, and the narrow demand queries (`market.demand`,
+`market.in_demand`) against both.
 
 Values and prices mix denominators, and some prices equal bundle values
 so that zero-margin ties occur; the engine must return the same maximum
-and the same members in the same canonical order.
+and the same members in the same canonical order, and the narrow
+queries the same maximum, the same tie-broken set and the same
+membership answers.
 """
 from fractions import Fraction
 from unittest.mock import patch
@@ -24,12 +27,18 @@ from cwemarket import (
     SingleMindedValuation,
     UnitDemandValuation,
     XosValuation,
+    demand,
     demand_correspondence,
+    in_demand,
+    is_cwe,
+    maximize_revenue,
+    run_poly,
 )
 from cwemarket import market
+from cwemarket.market import select_demanded
 from cwemarket.valuations import subsets_of
 
-from .helpers import best_avoiding
+from .helpers import best_avoiding, brute_stability_violation, pick_preferred
 
 F = Fraction
 
@@ -40,17 +49,20 @@ EXPLICIT_MAX_ITEMS = 5
 scalars = st.builds(
     F, st.integers(0, 24), st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12))
 )
+# few distinct values: equal margins, hence ties between bundles and
+# between XOS clauses, become common
+coarse = st.sampled_from((F(0), F(1), F(2)))
 
 
 @st.composite
-def valuations(draw, kind, universe):
+def valuations(draw, kind, universe, values=scalars):
     items = sorted(universe)
     some = st.lists(st.sampled_from(items), unique=True)
     if kind == "explicit":
         # the monotone closure of a few drawn subset values
         listed = draw(
             st.dictionaries(
-                st.frozensets(st.sampled_from(items), min_size=1), scalars, max_size=6
+                st.frozensets(st.sampled_from(items), min_size=1), values, max_size=6
             )
         )
         table = {
@@ -58,14 +70,14 @@ def valuations(draw, kind, universe):
             for s in subsets_of(universe)
         }
         return ExplicitValuation(universe, table)
-    weights = st.dictionaries(st.sampled_from(items), scalars)
+    weights = st.dictionaries(st.sampled_from(items), values)
     if kind == "additive":
         return AdditiveValuation(universe, draw(weights))
     if kind == "unit_demand":
         return UnitDemandValuation(universe, draw(weights))
     if kind == "single_minded":
         desired = frozenset(draw(some))
-        weight = draw(scalars) if desired else F(0)
+        weight = draw(values) if desired else F(0)
         return SingleMindedValuation(universe, desired, weight)
     return XosValuation(universe, draw(st.lists(weights, max_size=3)))
 
@@ -76,7 +88,8 @@ def markets(draw, kind):
     top = EXPLICIT_MAX_ITEMS if kind == "explicit" else MAX_ITEMS
     items = [f"i{k}" for k in range(draw(st.integers(1, top)))]
     universe = frozenset(items)
-    valuation = draw(valuations(kind, universe))
+    values = draw(st.sampled_from((scalars, coarse)))
+    valuation = draw(valuations(kind, universe, values))
     auction = Auction(items=universe, agents=(Agent("a", valuation),))
     # each item goes to one of up to five bundles or is withheld (-1)
     labels = draw(
@@ -102,7 +115,7 @@ def markets(draw, kind):
         if mode == "free":
             prices[bid] = F(0)
         elif mode == "scalar":
-            prices[bid] = draw(scalars)
+            prices[bid] = draw(values)
         else:
             # the agent's value for some set of bundles: ties at zero margin
             chosen = draw(st.lists(st.sampled_from(entries), unique=True))
@@ -118,6 +131,83 @@ def test_demand_matches_exhaustive_fractions(kind, data):
     auction, catalog, prices, excluded = data.draw(markets(kind))
     got = demand_correspondence(auction, "a", catalog, prices, excluded)
     assert got == best_avoiding(auction, "a", catalog, prices, excluded)
+
+
+@st.composite
+def holdings(draw, catalog):
+    """Who else holds which bundles: each bundle goes to nobody, to the
+    asking agent "a" (whose own holdings never count against a set) or
+    to one of two others; sometimes there is no holdings map at all."""
+    if draw(st.integers(0, 4)) == 4:
+        return None
+    owners = draw(
+        st.lists(
+            st.sampled_from(("b", None, "a", "c")),
+            min_size=len(catalog.entries),
+            max_size=len(catalog.entries),
+        )
+    )
+    held = {}
+    for (bid, _), owner in zip(catalog.entries, owners):
+        if owner is not None:
+            held.setdefault(owner, set()).add(bid)
+    return {name: frozenset(bids) for name, bids in held.items()}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_narrow_demand_matches_the_references(kind, data):
+    auction, catalog, prices, excluded = data.draw(markets(kind))
+    value = auction.valuation("a").value
+    worth = [value(items) for _, items in catalog.entries]
+    if any(worth) and data.draw(st.booleans()):
+        # every bundle of positive value gets the same margin, the least
+        # such value: ties above zero, where other agents' holdings
+        # decide the choice
+        slack = min(w for w in worth if w > 0)
+        prices = {
+            bid: max(F(0), w - slack) for (bid, _), w in zip(catalog.entries, worth)
+        }
+    others = data.draw(holdings(catalog))
+    best, members = demand_correspondence(auction, "a", catalog, prices, excluded)
+    ref_best, ref_members = best_avoiding(auction, "a", catalog, prices, excluded)
+    got = demand(auction, "a", catalog, prices, excluded, others)
+    assert got == (best, select_demanded(members, "a", others))
+    assert got == (ref_best, pick_preferred(ref_members, "a", others or {}))
+    _, everywhere = demand_correspondence(auction, "a", catalog, prices)
+    for subset in subsets_of(frozenset(catalog.ids)):
+        demanded = in_demand(auction, "a", catalog, prices, subset)
+        assert demanded == (subset in everywhere)
+
+
+TIED = {
+    # bundles 0 = {x} and 1 = {y} at price 1 both have margin 1
+    "explicit": ExplicitValuation(
+        ["x", "y"],
+        {frozenset(): F(0), frozenset("x"): F(2), frozenset("y"): F(2),
+         frozenset("xy"): F(2)},
+    ),
+    "unit_demand": UnitDemandValuation(["x", "y"], {"x": F(2), "y": F(2)}),
+    "xos": XosValuation(["x", "y"], [{"x": F(2)}, {"y": F(2)}]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIED))
+def test_other_holdings_decide_between_tied_sets(kind):
+    auction = Auction(
+        items=frozenset("xy"), agents=(Agent("a", TIED[kind]), Agent("b", TIED[kind]))
+    )
+    catalog = Catalog(entries=((0, frozenset("x")), (1, frozenset("y"))))
+    prices = {0: F(1), 1: F(1)}
+    for others, chosen in (
+        (None, {0}),
+        ({"b": frozenset({0})}, {1}),
+        ({"a": frozenset({0})}, {0}),  # the agent's own holdings never count
+        ({"b": frozenset({0, 1})}, {0}),
+    ):
+        got = demand(auction, "a", catalog, prices, others=others)
+        assert got == (F(1), frozenset(chosen))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -165,3 +255,44 @@ def test_bundle_cap_counts_the_whole_catalog(kind, data):
         with patch.object(market, "DEMAND_BUNDLE_CAP", k - 1):
             with pytest.raises(ResourceLimitError):
                 demand_correspondence(auction, "a", catalog, prices, excluded)
+
+
+def mixed_market(m):
+    """m items and m agents cycling through additive, unit-demand,
+    single-minded and XOS valuations on their own item and the next;
+    agent g<j> is seeded with item i<j>."""
+    items = tuple(f"i{j}" for j in range(m))
+    universe = frozenset(items)
+    agents = []
+    for j, own in enumerate(items):
+        nxt = items[(j + 1) % m]
+        w = F(2 + j % 3, 4)
+        kind = j % 4
+        if kind == 0:
+            valuation = AdditiveValuation(universe, {own: w, nxt: F(1, 3)})
+        elif kind == 1:
+            valuation = UnitDemandValuation(universe, {own: w, nxt: w + F(1, 4)})
+        elif kind == 2:
+            valuation = SingleMindedValuation(universe, {own, nxt}, 2 * w)
+        else:
+            valuation = XosValuation(universe, [{own: w, nxt: F(1, 2)}, {nxt: F(1)}])
+        agents.append(Agent(f"g{j}", valuation))
+    auction = Auction(items=items, agents=tuple(agents))
+    return auction, {f"g{j}": frozenset({item}) for j, item in enumerate(items)}
+
+
+@pytest.mark.parametrize("m", [8, 2 * market.DEMAND_BUNDLE_CAP])
+def test_structured_classes_never_enumerate(m, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a structured valuation enumerated its demand")
+
+    monkeypatch.setattr(market, "demand_correspondence", refuse)
+    auction, seed = mixed_market(m)
+    outcome, trace = run_poly(auction, seed)
+    assert trace.demand_queries > 0
+    result = maximize_revenue(auction, seed)
+    assert all(is_cwe(auction, level.outcome) for level in result.levels)
+    if m <= 8:
+        # exhaustive over 2^8 bundle sets per agent, apart from the library
+        assert brute_stability_violation(auction, outcome) is None
+        assert brute_stability_violation(auction, result.base) is None

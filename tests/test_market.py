@@ -12,7 +12,7 @@ from cwemarket import (
     Outcome,
     ResourceLimitError,
     UnitDemandValuation,
-    chosen_demand,
+    demand,
     demand_correspondence,
     find_violation,
     generate,
@@ -106,7 +106,7 @@ def test_select_demanded_prefers_unheld_then_small_then_low_ids():
 
 def test_chosen_demand_end_to_end():
     auction = two_item_auction()
-    got = chosen_demand(
+    _, got = demand(
         auction, "a", cat2(), {0: F(1, 2), 1: F(3, 2)},
         others={"b": frozenset({0})},
     )

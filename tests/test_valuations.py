@@ -125,8 +125,8 @@ def test_parameter_values_feed_granularity():
 def test_bundle_values_table_is_indexed_by_mask():
     v = XosValuation(["1", "2", "3"], [{"1": F(1, 2), "2": F(1, 3)}, {"3": F(1)}])
     ints, den = v.bundle_values([["1"], ["2", "3"]])
-    assert den == 6
-    assert ints == [0, 3, 6, 6]  # {}, {1}, {2,3}, {1,2,3}
+    assert den == 2  # the least common denominator of the values
+    assert ints == [0, 1, 2, 2]  # {}, {1}, {2,3}, {1,2,3}: 0, 1/2, 1, 1
     assert v.bundle_values([]) == ([0], 1)
 
 
