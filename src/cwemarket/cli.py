@@ -16,6 +16,7 @@ from .errors import InputError, MarketError
 from .instances import generate, instance_names
 from .market import (
     Auction,
+    BundleSet,
     InitialAllocation,
     Outcome,
     allocation_welfare,
@@ -244,6 +245,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(dumps({"cwe": True}))
         return 0
     position = {bid: k for k, (bid, _) in enumerate(outcome.catalog.entries)}
+
+    def price(bundles: BundleSet) -> str:
+        return format_scalar(sum((outcome.prices[b] for b in bundles), Fraction(0)))
+
     sys.stdout.write(
         dumps(
             {
@@ -252,6 +257,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "held": sorted(position[b] for b in violation.held),
                 "better": sorted(position[b] for b in violation.better),
                 "gap": format_scalar(violation.gap),
+                "held_utility": format_scalar(violation.held_utility),
+                "better_utility": format_scalar(violation.best_utility),
+                "held_price": price(violation.held),
+                "better_price": price(violation.better),
             }
         )
     )

@@ -110,6 +110,8 @@ class Catalog:
             seen_items |= items
         if seen_items & self.withheld:
             raise InputError("withheld items overlap a catalog bundle")
+        # id -> items, built once: the catalog is immutable
+        object.__setattr__(self, "_items", dict(self.entries))
 
     @classmethod
     def selling(
@@ -128,16 +130,17 @@ class Catalog:
         return tuple(bid for bid, _ in self.entries)
 
     def items_of(self, bid: BundleId) -> ItemSet:
-        for b, items in self.entries:
-            if b == bid:
-                return items
-        raise InputError(f"no bundle with id {bid}")
+        try:
+            return self._items[bid]
+        except KeyError:
+            raise InputError(f"no bundle with id {bid}") from None
 
     def as_dict(self) -> Dict[BundleId, ItemSet]:
-        return {bid: items for bid, items in self.entries}
+        """A fresh id -> items dict, safe for the caller to change."""
+        return dict(self._items)
 
     def union_items(self, bundle_ids: Iterable[BundleId]) -> ItemSet:
-        table = self.as_dict()
+        table = self._items
         out: FrozenSet[str] = frozenset()
         for bid in bundle_ids:
             if bid not in table:

@@ -38,11 +38,11 @@ from .market import (
     Outcome,
     allocation_welfare,
     demand,
+    induced_value,
     initial_market,
     is_cwe,
     merge_bundles,
     social_welfare,
-    utility,
     validate_initial_allocation,
 )
 # Unused here: bench/tracing.py wraps this name in every solver module,
@@ -232,6 +232,18 @@ class PolySolver(AscendingAuction):
         if not members:
             self.rank = {}
             return
+        for i in members:
+            held = len(self.assignment[i])
+            if held != 1:
+                raise SolverInvariantError(
+                    f"{i!r} holds {held} bundles in a price push, not one"
+                )
+        # the catalog and the holdings stay fixed during the push, and so
+        # does each holder's value for its own bundle
+        own_value = {
+            i: induced_value(self.auction.valuation(i), self.catalog, self.assignment[i])
+            for i in members
+        }
         before = dict(self.prices)
         active: List[str] = list(members)
         self.rank = {}
@@ -242,15 +254,9 @@ class PolySolver(AscendingAuction):
             switches: Dict[str, BundleSet] = {}
             excluded = frozenset().union(*(self.assignment[j] for j in active))
             for i in active:
-                own = self.assignment[i]
-                if len(own) != 1:
-                    raise SolverInvariantError(
-                        f"{i!r} holds {len(own)} bundles in a price push, not one"
-                    )
+                (bid,) = self.assignment[i]
                 best, switches[i] = self._demand(i, excluded=excluded)
-                margin = (
-                    utility(self.auction, i, own, self.catalog, self.prices) - best
-                )
+                margin = own_value[i] - self.prices[bid] - best
                 if margin < 0:
                     raise SolverInvariantError(
                         f"held bundle of {i!r} is no longer demanded "

@@ -7,18 +7,25 @@ full enumeration of stably-priceable outcomes over small markets.
 These functions exist to check the solvers, so they are deliberately
 independent of the solver code paths and fail loudly on any input
 larger than their caps, the module constants below, read at call time.
+
+Each call reads every valuation once, into int tables over one common
+denominator D (`_tables`), and stays in ints: welfare sums, the DP, LP
+objectives and stability right-hand sides, whose scaling by D changes
+no pivot.  The searches enumerate maps item -> owner or nobody.
 """
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError, SolverInvariantError
 from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
 from .market import Auction, BundleId, BundleSet, Catalog, Outcome, allocation_welfare
-from .partitions import set_partitions
-from .valuations import ItemSet, subset_unions
+# Unused here: bench/tracing.py counts partitions through this name.
+from .partitions import set_partitions  # noqa: F401
+from .valuations import ItemSet, subset_sums
 
 BRUTE_MAX_ITEMS = 8
 BRUTE_MAX_AGENTS = 6
@@ -26,6 +33,9 @@ LP_MAX_BUNDLES = 6
 LP_MAX_AGENTS = 6
 SEARCH_MAX_ITEMS = 5
 SEARCH_MAX_AGENTS = 5
+
+# tables[i][mask]: agent i's value of the union of the bundles in mask
+Tables = List[List[int]]
 
 
 def _cap(value: int, bound: int, what: str) -> None:
@@ -45,6 +55,19 @@ def singleton_catalog(auction: Auction) -> Catalog:
     )
 
 
+def _tables(
+    auction: Auction, bundles: Optional[Sequence[ItemSet]] = None
+) -> Tuple[Tables, int]:
+    """Each agent's value of every union of `bundles` (by default the
+    single items), indexed by mask as in `Valuation.bundle_values`, as
+    ints over one common denominator D; returns (tables in agent order, D)."""
+    if bundles is None:
+        bundles = [frozenset({it}) for it in auction.items]
+    raw = [agent.valuation.bundle_values(bundles) for agent in auction.agents]
+    den = lcm(*[d for _, d in raw])
+    return [[v * (den // d) for v in ints] for ints, d in raw], den
+
+
 def _best_partition(
     auction: Auction, units: Sequence[ItemSet]
 ) -> Tuple[Fraction, Dict[str, int]]:
@@ -52,33 +75,29 @@ def _best_partition(
 
     Units may stay unawarded.  Returns (welfare, agent name -> unit
     mask).  Deterministic: first-found maximum wins, scanning agents in
-    order and submasks in increasing numeric order.
+    order and submasks in decreasing numeric order.
     """
     k = len(units)
     n = len(auction.agents)
     full = (1 << k) - 1
-    unions = subset_unions(units)
-    # best[i][mask]: welfare achievable by agents i.. with units `mask` free
-    best = [[Fraction(0)] * (1 << k) for _ in range(n + 1)]
+    tables, den = _tables(auction, units)
+    # best[i][mask]: welfare over D of agents i.. with units `mask` free
+    best = [[0] * (1 << k) for _ in range(n + 1)]
     pick = [[0] * (1 << k) for _ in range(n)]
     for i in range(n - 1, -1, -1):
-        val = auction.agents[i].valuation
-        values = [val.value(items) for items in unions]
+        values, rest, here, chosen = tables[i], best[i + 1], best[i], pick[i]
         for mask in range(full + 1):
-            b = best[i + 1][mask]
+            b = rest[mask]
             choice = 0
             sub = mask
-            while True:
-                if sub:
-                    cand = values[sub] + best[i + 1][mask ^ sub]
-                    if cand > b:
-                        b = cand
-                        choice = sub
-                if sub == 0:
-                    break
+            while sub:
+                cand = values[sub] + rest[mask ^ sub]
+                if cand > b:
+                    b = cand
+                    choice = sub
                 sub = (sub - 1) & mask
-            best[i][mask] = b
-            pick[i][mask] = choice
+            here[mask] = b
+            chosen[mask] = choice
     masks: Dict[str, int] = {}
     free = full
     for i, agent in enumerate(auction.agents):
@@ -86,7 +105,7 @@ def _best_partition(
         if got:
             masks[agent.name] = got
             free ^= got
-    return best[0][full], masks
+    return Fraction(best[0][full], den), masks
 
 
 def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]:
@@ -99,18 +118,13 @@ def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]
     """
     _cap(len(auction.items), BRUTE_MAX_ITEMS, "item count")
     _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
-    units = [frozenset({it}) for it in auction.items]
-    welfare, masks = _best_partition(auction, units)
-    allocation: Dict[str, ItemSet] = {}
-    used = 0
-    for name, mask in masks.items():
-        allocation[name] = frozenset(
-            auction.items[j] for j in range(len(units)) if mask >> j & 1
-        )
-        used |= mask
-    leftover = frozenset(
-        auction.items[j] for j in range(len(units)) if not used >> j & 1
-    )
+    items = auction.items
+    welfare, masks = _best_partition(auction, [frozenset({it}) for it in items])
+    allocation = {
+        name: frozenset(items[j] for j in range(len(items)) if mask >> j & 1)
+        for name, mask in masks.items()
+    }
+    leftover = auction.item_set.difference(*allocation.values())
     if leftover and auction.agents:
         first = auction.agents[0].name
         allocation[first] = allocation.get(first, frozenset()) | leftover
@@ -145,62 +159,76 @@ def config_lp_fractional_opt(auction: Auction, catalog: Catalog) -> Fraction:
     n = len(auction.agents)
     _cap(k, LP_MAX_BUNDLES, "bundle count")
     _cap(n, LP_MAX_AGENTS, "agent count")
-    unions = subset_unions([items for _, items in catalog.entries])
-    cols: List[Tuple[int, int]] = []  # (agent index, bundle mask)
-    c: List[Fraction] = []
-    for i, agent in enumerate(auction.agents):
-        for mask in range(1, 1 << k):
-            cols.append((i, mask))
-            c.append(agent.valuation.value(unions[mask]))
-    rows = [[1 if ci == i else 0 for ci, _ in cols] for i in range(n)]
-    rows += [[mask >> j & 1 for _, mask in cols] for j in range(k)]
+    tables, den = _tables(auction, [items for _, items in catalog.entries])
+    masks = range(1, 1 << k)
+    c = [table[mask] for table in tables for mask in masks]
+    rows = [[1 if ci == i else 0 for ci in range(n) for _ in masks] for i in range(n)]
+    rows += [[mask >> j & 1 for _ in range(n) for mask in masks] for j in range(k)]
     sol = solve_lp(c, rows, [1] * (n + k))
     _require_optimal(sol, "configuration")
-    return sol.value
+    return sol.value / den
 
 
 def _stability_rows(
-    auction: Auction,
-    catalog: Catalog,
-    assignment: Dict[str, BundleSet],
-) -> Tuple[List[List[int]], List[Fraction]]:
-    """Linear constraints on bundle prices making `assignment` stable.
+    tables: Tables, owns: Sequence[int], k: int
+) -> Tuple[List[List[int]], List[int]]:
+    """Linear constraints on k bundle prices making an assignment stable.
 
-    Variables are prices in catalog order.  For every agent i and every
-    bundle subset S != X_i:  p(X_i) - p(S) <= v_i(X_i) - v_i(S).
-    Row feasibility with p >= 0 is exactly stability (the S = empty row
+    `tables[i][mask]` is agent i's value of the bundles in `mask` and
+    `owns[i]` the mask it holds.  For every agent i and every bundle
+    subset S != X_i:  p(X_i) - p(S) <= v_i(X_i) - v_i(S).  Row
+    feasibility with p >= 0 is exactly stability (the S = empty row
     gives individual rationality).
     """
-    ids = [bid for bid, _ in catalog.entries]
-    pos = {bid: j for j, bid in enumerate(ids)}
-    k = len(ids)
-    table = catalog.as_dict()
+    bits = [[mask >> j & 1 for j in range(k)] for mask in range(1 << k)]
+    rows: List[List[int]] = []
+    rhs: List[int] = []
+    for table, own in zip(tables, owns):
+        v_own = table[own]
+        for mask in range(1 << k):
+            if mask != own:
+                rows.append([a - b for a, b in zip(bits[own], bits[mask])])
+                rhs.append(v_own - table[mask])
+    return rows, rhs
+
+
+def _stable_prices(
+    tables: Tables, den: int, owns: Sequence[int], c: List[int]
+) -> Optional[Tuple[Fraction, List[Fraction]]]:
+    """Max c.p over the stability rows, divided back by den: (optimum,
+    prices), or None when no prices make the assignment stable."""
+    sol = solve_lp(c, *_stability_rows(tables, owns, len(c)))
+    if sol.status == INFEASIBLE:
+        return None
+    # assigned prices are capped by the owners' values, so no ray can
+    # improve a revenue objective c >= 0
+    _require_optimal(sol, "revenue" if any(c) else "supporting-price")
+    return sol.value / den, [x / den for x in sol.x]
+
+
+def _catalog_prices(
+    auction: Auction, catalog: Catalog, assignment: Dict[str, BundleSet], revenue: bool
+) -> Optional[Tuple[Fraction, Dict[BundleId, Fraction]]]:
+    """Max revenue (or 0) over the price maps making the assignment
+    stable, with one such map; None when there is none."""
+    _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
+    pos = {bid: j for j, (bid, _) in enumerate(catalog.entries)}
+    owns = dict.fromkeys(auction.agent_names, 0)  # held masks
     held: set = set()
     for name, bundles in assignment.items():
-        if name not in auction.agent_names:
+        if name not in owns:
             raise InputError(f"assignment names unknown agent {name!r}")
         for bid in bundles:
-            if bid not in table:
+            if bid not in pos:
                 raise InputError(f"assignment references unknown bundle {bid}")
             if bid in held:
                 raise InputError("a bundle is assigned twice")
             held.add(bid)
-    unions = subset_unions([table[bid] for bid in ids])
-    rows: List[List[int]] = []
-    rhs: List[Fraction] = []
-    for agent in auction.agents:
-        val = agent.valuation
-        own = assignment.get(agent.name, frozenset())
-        own_mask = 0
-        for bid in own:
-            own_mask |= 1 << pos[bid]
-        v_own = val.value(unions[own_mask])
-        for mask in range(1 << k):
-            if mask == own_mask:
-                continue
-            rows.append([(own_mask >> j & 1) - (mask >> j & 1) for j in range(k)])
-            rhs.append(v_own - val.value(unions[mask]))
-    return rows, rhs
+            owns[name] |= 1 << pos[bid]
+    tables, den = _tables(auction, [items for _, items in catalog.entries])
+    c = [1 if revenue and bid in held else 0 for bid in pos]
+    got = _stable_prices(tables, den, list(owns.values()), c)
+    return None if got is None else (got[0], dict(zip(pos, got[1])))
 
 
 def supporting_prices(
@@ -214,14 +242,8 @@ def supporting_prices(
     assignment (with suitable prices) forms an equilibrium over the
     catalog.
     """
-    _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
-    rows, rhs = _stability_rows(auction, catalog, assignment)
-    k = len(catalog.entries)
-    sol = solve_lp([0] * k, rows, rhs)
-    if sol.status == INFEASIBLE:
-        return None
-    _require_optimal(sol, "supporting-price")
-    return {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
+    got = _catalog_prices(auction, catalog, assignment, revenue=False)
+    return None if got is None else got[1]
 
 
 def supporting_prices_exist(
@@ -240,20 +262,7 @@ def revenue_maximizing_prices(
     """Highest total price of assigned bundles over all stabilizing
     price maps, with a price map reaching it, or None when the
     assignment cannot be stabilized."""
-    _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
-    rows, rhs = _stability_rows(auction, catalog, assignment)
-    assigned: set = set()
-    for bundles in assignment.values():
-        assigned |= bundles
-    c = [1 if bid in assigned else 0 for bid, _ in catalog.entries]
-    sol = solve_lp(c, rows, rhs)
-    if sol.status == INFEASIBLE:
-        return None
-    # assigned prices are capped by the owners' values, so no ray
-    # can improve the objective
-    _require_optimal(sol, "revenue")
-    prices = {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
-    return sol.value, prices
+    return _catalog_prices(auction, catalog, assignment, revenue=True)
 
 
 def stable_singleton_outcomes(
@@ -267,106 +276,99 @@ def stable_singleton_outcomes(
     that admits supporting prices.
     """
     _cap(len(auction.items), LP_MAX_BUNDLES, "item count")
-    cat = singleton_catalog(auction)
+    items = auction.items
     names = auction.agent_names
-    m = len(auction.items)
-    for combo in itertools.product(range(len(names) + 1), repeat=m):
-        assignment: Dict[str, BundleSet] = {}
+    # bundle j of the singleton catalog is item j, under id j
+    tables, den = _tables(auction)
+    for combo in itertools.product(range(len(names) + 1), repeat=len(items)):
+        owns = [0] * (len(names) + 1)
+        allocation: Dict[str, ItemSet] = {}
         for j, who in enumerate(combo):
+            owns[who] |= 1 << j
             if who:
                 name = names[who - 1]
-                assignment[name] = assignment.get(name, frozenset()) | {j}
-        prices = supporting_prices(auction, cat, assignment)
-        if prices is None:
-            continue
-        allocation = {
-            name: frozenset(auction.items[j] for j in bundles)
-            for name, bundles in assignment.items()
-        }
-        yield allocation, prices
+                allocation[name] = allocation.get(name, frozenset()) | {items[j]}
+        got = _stable_prices(tables, den, owns[1:], [0] * len(items))
+        if got is not None:
+            yield allocation, dict(enumerate(got[1]))
 
 
 def max_stable_singleton_welfare(auction: Auction) -> Fraction:
-    best = Fraction(0)
-    for allocation, _ in stable_singleton_outcomes(auction):
-        sw = allocation_welfare(auction, allocation)
-        if sw > best:
-            best = sw
-    return best
+    outcomes = stable_singleton_outcomes(auction)
+    return max((allocation_welfare(auction, a) for a, _ in outcomes), default=Fraction(0))
 
 
 def max_stable_singleton_items_sold(auction: Auction) -> int:
-    best = 0
-    for allocation, _ in stable_singleton_outcomes(auction):
-        sold = sum(len(s) for s in allocation.values())
-        if sold > best:
-            best = sold
-    return best
+    outcomes = stable_singleton_outcomes(auction)
+    return max((sum(map(len, alloc.values())) for alloc, _ in outcomes), default=0)
 
 
-Candidate = Tuple[Fraction, Tuple[Tuple[str, Tuple[str, ...]], ...]]
+Pairs = Tuple[Tuple[str, Tuple[str, ...]], ...]
+# (-welfare over D, ((agent, sorted items), ...), ((agent index, items mask), ...))
+Candidate = Tuple[int, Pairs, Tuple[Tuple[int, int], ...]]
 
 
-def _bundled_candidates(auction: Auction) -> List[Candidate]:
-    """Every way to sell a bundling of some items: deduplicated
-    (welfare, ((agent, sorted items), ...)) pairs, sorted by welfare
-    descending then canonical form.  Bundles never offered to anyone
-    are dropped; withholding them loses nothing for stability."""
-    items = list(auction.items)
+def _bundled_candidates(auction: Auction) -> Tuple[Tables, int, List[Candidate]]:
+    """The item tables, D, and every way to sell a bundling of some
+    items: one candidate per map item -> agent-or-nobody, an agent's
+    bundle being the items mapped to it.  Sorted by welfare descending
+    then pairs, which list the bundles by agent name.  Items mapped to
+    nobody are withheld; withholding them loses nothing for stability."""
+    _cap(len(auction.items), SEARCH_MAX_ITEMS, "item count")
+    _cap(len(auction.agents), SEARCH_MAX_AGENTS, "agent count")
+    tables, den = _tables(auction)
+    items = auction.items
     names = auction.agent_names
-    seen: set = set()
+    m = len(items)
+    order = sorted(range(len(names)), key=names.__getitem__)
+    labels = [
+        tuple(sorted(items[j] for j in range(m) if mask >> j & 1))
+        for mask in range(1 << m)
+    ]
     out: List[Candidate] = []
-    for blocks in set_partitions(items):
-        k = len(blocks)
-        for owners in itertools.product(range(len(names) + 1), repeat=k):
-            chosen = [w for w in owners if w]
-            if len(chosen) != len(set(chosen)):
-                continue
-            pairs = tuple(
-                sorted(
-                    (names[w - 1], tuple(sorted(blocks[j])))
-                    for j, w in enumerate(owners)
-                    if w
-                )
-            )
-            if pairs in seen:
-                continue
-            seen.add(pairs)
-            sw = sum(
-                (
-                    auction.valuation(name).value(frozenset(bundle))
-                    for name, bundle in pairs
-                ),
-                Fraction(0),
-            )
-            out.append((sw, pairs))
-    out.sort(key=lambda cand: (-cand[0], cand[1]))
-    return out
+    # owner len(names) is nobody; the sort fixes the order
+    for owners in itertools.product(range(len(names) + 1), repeat=m):
+        masks = [0] * (len(names) + 1)
+        for j, who in enumerate(owners):
+            masks[who] |= 1 << j
+        sw = sum(table[mask] for table, mask in zip(tables, masks))
+        owned = tuple((i, masks[i]) for i in order if masks[i])
+        out.append((-sw, tuple((names[i], labels[mask]) for i, mask in owned), owned))
+    out.sort()
+    return tables, den, out
 
 
-def _candidate_market(
-    auction: Auction, pairs: Tuple[Tuple[str, Tuple[str, ...]], ...]
-) -> Tuple[Catalog, Dict[str, BundleSet]]:
-    entries: List[Tuple[BundleId, ItemSet]] = []
-    assignment: Dict[str, BundleSet] = {}
-    for j, (name, bundle) in enumerate(pairs):
-        entries.append((j, frozenset(bundle)))
-        assignment[name] = frozenset({j})
-    return Catalog.selling(auction.item_set, entries), assignment
+def _candidate_prices(
+    tables: Tables, den: int, owned: Sequence[Tuple[int, int]], revenue: bool
+) -> Optional[Tuple[Fraction, List[Fraction]]]:
+    """`_stable_prices` over a candidate's market, where bundle j is the
+    j-th of `owned`, held by its agent; revenue counts every bundle."""
+    unions = subset_sums([mask for _, mask in owned])
+    owns = [0] * len(tables)
+    for j, (i, _) in enumerate(owned):
+        owns[i] = 1 << j
+    lp_tables = [[table[u] for u in unions] for table in tables]
+    return _stable_prices(lp_tables, den, owns, [int(revenue)] * len(owned))
+
+
+def _candidate_outcome(auction: Auction, pairs: Pairs, prices: List[Fraction]) -> Outcome:
+    entries = [(j, frozenset(bundle)) for j, (_, bundle) in enumerate(pairs)]
+    return Outcome(
+        catalog=Catalog.selling(auction.item_set, entries),
+        prices=dict(enumerate(prices)),
+        assignment={name: frozenset({j}) for j, (name, _) in enumerate(pairs)},
+    )
 
 
 def max_cwe_welfare(auction: Auction) -> Tuple[Fraction, Outcome]:
     """Highest social welfare over every stably priceable bundled
-    outcome, with a priced witness.  Exhaustive over all partitions of
-    the items and all ways to award blocks to distinct agents."""
-    _cap(len(auction.items), SEARCH_MAX_ITEMS, "item count")
-    _cap(len(auction.agents), SEARCH_MAX_AGENTS, "agent count")
-    for sw, pairs in _bundled_candidates(auction):
-        catalog, assignment = _candidate_market(auction, pairs)
-        prices = supporting_prices(auction, catalog, assignment)
-        if prices is None:
-            continue
-        return sw, Outcome(catalog=catalog, prices=prices, assignment=assignment)
+    outcome, with a priced witness.  Exhaustive over every map of the
+    items to agents or nobody."""
+    tables, den, candidates = _bundled_candidates(auction)
+    for neg_sw, pairs, owned in candidates:
+        got = _candidate_prices(tables, den, owned, revenue=False)
+        if got is not None:
+            return Fraction(-neg_sw, den), _candidate_outcome(auction, pairs, got[1])
     raise SolverInvariantError("no stable candidate, not even selling nothing")
 
 
@@ -377,21 +379,19 @@ def max_cwe_revenue(auction: Auction) -> Tuple[Fraction, Outcome]:
     above value), so the welfare-descending scan can stop once the best
     found revenue meets the remaining welfare bound.
     """
-    _cap(len(auction.items), SEARCH_MAX_ITEMS, "item count")
-    _cap(len(auction.agents), SEARCH_MAX_AGENTS, "agent count")
+    tables, den, candidates = _bundled_candidates(auction)
     best_rev = Fraction(0)
     best: Optional[Outcome] = None
-    for sw, pairs in _bundled_candidates(auction):
-        if sw <= best_rev and best is not None:
+    for neg_sw, pairs, owned in candidates:
+        if best is not None and Fraction(-neg_sw, den) <= best_rev:
             break
-        catalog, assignment = _candidate_market(auction, pairs)
-        got = revenue_maximizing_prices(auction, catalog, assignment)
+        got = _candidate_prices(tables, den, owned, revenue=True)
         if got is None:
             continue
         rev, prices = got
         if best is None or rev > best_rev:
             best_rev = rev
-            best = Outcome(catalog=catalog, prices=prices, assignment=assignment)
+            best = _candidate_outcome(auction, pairs, prices)
     if best is None:
         raise SolverInvariantError("no stable candidate, not even selling nothing")
     return best_rev, best

@@ -6,19 +6,22 @@ helpers, so that agreement between the two is evidence rather than
 tautology.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from cwemarket import (
     Auction,
     Catalog,
     InputError,
+    Outcome,
     RaiseReport,
     SolverInvariantError,
     brute_force_optimal,
     generate,
 )
-from cwemarket.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution
+from cwemarket.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, solve_lp
+from cwemarket.partitions import set_partitions
+from cwemarket.valuations import subset_unions
 
 BundleSet = FrozenSet[int]
 
@@ -397,3 +400,192 @@ def reference_solve_lp(c, A, b) -> LpSolution:
         if var < n:
             x[var] = d.const[i]
     return LpSolution(status=OPTIMAL, x=x, value=d.z0)
+
+
+# -- references for the exhaustive oracles ------------------------------
+#
+# The `verifier` oracles as they were before they read each valuation
+# once into an integer table: one `value` call per agent and subset on
+# every LP, `Fraction` right-hand sides and welfare sums, and candidates
+# from every set partition with deduplication.  Each function returns
+# what its `verifier` namesake returns, in the same order.
+
+
+def reference_best_partition(auction: Auction, units) -> Tuple[Fraction, Dict[str, int]]:
+    k = len(units)
+    n = len(auction.agents)
+    full = (1 << k) - 1
+    unions = subset_unions(units)
+    best = [[Fraction(0)] * (1 << k) for _ in range(n + 1)]
+    pick = [[0] * (1 << k) for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        val = auction.agents[i].valuation
+        values = [val.value(items) for items in unions]
+        for mask in range(full + 1):
+            b = best[i + 1][mask]
+            choice = 0
+            sub = mask
+            while True:
+                if sub:
+                    cand = values[sub] + best[i + 1][mask ^ sub]
+                    if cand > b:
+                        b = cand
+                        choice = sub
+                if sub == 0:
+                    break
+                sub = (sub - 1) & mask
+            best[i][mask] = b
+            pick[i][mask] = choice
+    masks: Dict[str, int] = {}
+    free = full
+    for i, agent in enumerate(auction.agents):
+        got = pick[i][free]
+        if got:
+            masks[agent.name] = got
+            free ^= got
+    return best[0][full], masks
+
+
+def reference_brute_force_optimal(auction: Auction):
+    items = auction.items
+    welfare, masks = reference_best_partition(auction, [frozenset({it}) for it in items])
+    allocation = {
+        name: frozenset(items[j] for j in range(len(items)) if mask >> j & 1)
+        for name, mask in masks.items()
+    }
+    leftover = auction.item_set.difference(*allocation.values())
+    if leftover and auction.agents:
+        first = auction.agents[0].name
+        allocation[first] = allocation.get(first, frozenset()) | leftover
+    return welfare, allocation
+
+
+def reference_stability_rows(auction: Auction, catalog: Catalog, assignment):
+    ids = [bid for bid, _ in catalog.entries]
+    pos = {bid: j for j, bid in enumerate(ids)}
+    k = len(ids)
+    unions = subset_unions([items for _, items in catalog.entries])
+    rows: List[List[int]] = []
+    rhs: List[Fraction] = []
+    for agent in auction.agents:
+        val = agent.valuation
+        own_mask = 0
+        for bid in assignment.get(agent.name, frozenset()):
+            own_mask |= 1 << pos[bid]
+        v_own = val.value(unions[own_mask])
+        for mask in range(1 << k):
+            if mask == own_mask:
+                continue
+            rows.append([(own_mask >> j & 1) - (mask >> j & 1) for j in range(k)])
+            rhs.append(v_own - val.value(unions[mask]))
+    return rows, rhs
+
+
+def reference_supporting_prices(auction: Auction, catalog: Catalog, assignment):
+    rows, rhs = reference_stability_rows(auction, catalog, assignment)
+    sol = solve_lp([0] * len(catalog.entries), rows, rhs)
+    if sol.status == INFEASIBLE:
+        return None
+    return {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
+
+
+def reference_revenue_maximizing_prices(auction: Auction, catalog: Catalog, assignment):
+    rows, rhs = reference_stability_rows(auction, catalog, assignment)
+    assigned = frozenset().union(*assignment.values())
+    c = [1 if bid in assigned else 0 for bid, _ in catalog.entries]
+    sol = solve_lp(c, rows, rhs)
+    if sol.status == INFEASIBLE:
+        return None
+    return sol.value, {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
+
+
+def reference_config_lp(auction: Auction, catalog: Catalog) -> Fraction:
+    k = len(catalog.entries)
+    n = len(auction.agents)
+    unions = subset_unions([items for _, items in catalog.entries])
+    cols = [(i, mask) for i in range(n) for mask in range(1, 1 << k)]
+    c = [auction.agents[i].valuation.value(unions[mask]) for i, mask in cols]
+    rows = [[1 if ci == i else 0 for ci, _ in cols] for i in range(n)]
+    rows += [[mask >> j & 1 for _, mask in cols] for j in range(k)]
+    return solve_lp(c, rows, [1] * (n + k)).value
+
+
+def reference_stable_singleton_outcomes(auction: Auction) -> list:
+    cat = Catalog(entries=tuple((k, frozenset({it})) for k, it in enumerate(auction.items)))
+    names = auction.agent_names
+    out = []
+    for combo in product(range(len(names) + 1), repeat=len(auction.items)):
+        assignment: Dict[str, BundleSet] = {}
+        for j, who in enumerate(combo):
+            if who:
+                name = names[who - 1]
+                assignment[name] = assignment.get(name, frozenset()) | {j}
+        prices = reference_supporting_prices(auction, cat, assignment)
+        if prices is not None:
+            allocation = {
+                name: frozenset(auction.items[j] for j in bundles)
+                for name, bundles in assignment.items()
+            }
+            out.append((allocation, prices))
+    return out
+
+
+def reference_bundled_candidates(auction: Auction) -> list:
+    """(welfare, ((agent, sorted items), ...)) for every way to sell a
+    bundling of some items, from every set partition and every award of
+    its blocks to distinct agents, deduplicated and sorted."""
+    names = auction.agent_names
+    seen: set = set()
+    out = []
+    for blocks in set_partitions(list(auction.items)):
+        for owners in product(range(len(names) + 1), repeat=len(blocks)):
+            chosen = [w for w in owners if w]
+            if len(chosen) != len(set(chosen)):
+                continue
+            pairs = tuple(sorted(
+                (names[w - 1], tuple(sorted(blocks[j])))
+                for j, w in enumerate(owners)
+                if w
+            ))
+            if pairs in seen:
+                continue
+            seen.add(pairs)
+            sw = sum(
+                (auction.valuation(name).value(frozenset(bundle)) for name, bundle in pairs),
+                Fraction(0),
+            )
+            out.append((sw, pairs))
+    out.sort(key=lambda cand: (-cand[0], cand[1]))
+    return out
+
+
+def _reference_candidate_market(auction: Auction, pairs):
+    entries = tuple((j, frozenset(bundle)) for j, (_, bundle) in enumerate(pairs))
+    assignment = {name: frozenset({j}) for j, (name, _) in enumerate(pairs)}
+    return Catalog.selling(auction.item_set, entries), assignment
+
+
+def reference_max_cwe_welfare(auction: Auction):
+    for sw, pairs in reference_bundled_candidates(auction):
+        catalog, assignment = _reference_candidate_market(auction, pairs)
+        prices = reference_supporting_prices(auction, catalog, assignment)
+        if prices is not None:
+            return sw, Outcome(catalog=catalog, prices=prices, assignment=assignment)
+    raise SolverInvariantError("no stable candidate")
+
+
+def reference_max_cwe_revenue(auction: Auction):
+    best_rev = Fraction(0)
+    best = None
+    for sw, pairs in reference_bundled_candidates(auction):
+        if sw <= best_rev and best is not None:
+            break
+        catalog, assignment = _reference_candidate_market(auction, pairs)
+        got = reference_revenue_maximizing_prices(auction, catalog, assignment)
+        if got is None:
+            continue
+        rev, prices = got
+        if best is None or rev > best_rev:
+            best_rev = rev
+            best = Outcome(catalog=catalog, prices=prices, assignment=assignment)
+    return best_rev, best

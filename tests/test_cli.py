@@ -114,12 +114,13 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     sol = tmp_path / "sol.json"
-    sol.write_text(dumps(report))
+    sol_text = dumps(report)
+    sol.write_text(sol_text)
     code, out, err = _run(
         capsys, "verify", "--input", inst, "--solution", str(sol)
     )
     assert code == 0, err
-    assert json.loads(out) == {"cwe": True}
+    assert out == dumps({"cwe": True})
     report["prices"] = ["0" for _ in report["prices"]]
     report["assignment"] = {name: [] for name in report["assignment"]}
     sol.write_text(dumps(report))
@@ -127,8 +128,34 @@ def test_verify_round_trip_and_tamper(tmp_path, capsys):
     assert code == 4
     verdict = json.loads(out)
     assert verdict["cwe"] is False
-    assert set(verdict) == {"cwe", "agent", "held", "better", "gap"}
+    assert set(verdict) == {
+        "cwe", "agent", "held", "better", "gap",
+        "held_utility", "better_utility", "held_price", "better_price",
+    }
     assert F(verdict["gap"]) > 0
+    assert verdict["agent"] == "a1"
+    assert (verdict["held"], verdict["better"]) == ([], [1])
+    assert verdict["gap"] == verdict["better_utility"] == "21/10"
+    assert verdict["held_utility"] == verdict["held_price"] == "0"
+    assert verdict["better_price"] == "0"
+    # with the solved prices back, a wrong holder and an empty-handed
+    # agent show what they pay
+    report["prices"] = json.loads(sol_text)["prices"]
+    for assignment, expected in [
+        ({"a1": [0], "a2": [1], "a3": []},
+         {"agent": "a2", "held": [1], "better": [], "gap": "3/5",
+          "held_utility": "-3/5", "better_utility": "0",
+          "held_price": "8/5", "better_price": "0"}),
+        ({"a1": [], "a2": [1], "a3": [0]},
+         {"agent": "a1", "held": [], "better": [0], "gap": "1/2",
+          "held_utility": "0", "better_utility": "1/2",
+          "held_price": "0", "better_price": "1/2"}),
+    ]:
+        report["assignment"] = assignment
+        sol.write_text(dumps(report))
+        code, out, _ = _run(capsys, "verify", "--input", inst, "--solution", str(sol))
+        assert code == 4
+        assert json.loads(out) == {"cwe": False, **expected}
 
 
 def test_verify_names_a_malformed_solution_file(tmp_path, capsys):
