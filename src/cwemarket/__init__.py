@@ -16,7 +16,6 @@ from .errors import (
     ResourceLimitError,
     SolverDeadlockError,
     SolverInvariantError,
-    VerificationError,
 )
 from .instances import (
     gap3,
@@ -104,7 +103,6 @@ __all__ = [
     "Trace",
     "UnitDemandValuation",
     "Valuation",
-    "VerificationError",
     "XosValuation",
     "brute_force_optimal",
     "brute_force_optimal_over_catalog",

@@ -24,12 +24,6 @@ class ResourceLimitError(MarketError):
     exit_code = 3
 
 
-class VerificationError(MarketError):
-    """A requested verification did not hold."""
-
-    exit_code = 4
-
-
 class SolverInvariantError(MarketError):
     """Internal solver invariant broke; indicates a bug, not bad input."""
 

@@ -5,6 +5,7 @@ seed the solvers should start from, or None when any seed works.
 """
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from typing import Dict, FrozenSet, Optional, Tuple
@@ -12,7 +13,6 @@ from typing import Dict, FrozenSet, Optional, Tuple
 from .errors import InputError
 from .market import Agent, Auction, InitialAllocation
 from .valuations import (
-    AdditiveValuation,
     ExplicitValuation,
     SingleMindedValuation,
     UnitDemandValuation,
@@ -163,14 +163,11 @@ def random_explicit(
 
 
 _BUILDERS = {
-    "gap3": (gap3, {"epsilon": Fraction}),
-    "item_pricing_um_sm": (item_pricing_um_sm, {"m": int, "epsilon": Fraction}),
-    "item_pricing_xos": (item_pricing_xos, {"m": int, "delta": Fraction}),
-    "logn_revenue": (logn_revenue, {"n": int}),
-    "random_explicit": (
-        random_explicit,
-        {"m": int, "n": int, "seed": int, "denominator": int},
-    ),
+    "gap3": gap3,
+    "item_pricing_um_sm": item_pricing_um_sm,
+    "item_pricing_xos": item_pricing_xos,
+    "logn_revenue": logn_revenue,
+    "random_explicit": random_explicit,
 }
 
 
@@ -179,11 +176,12 @@ def instance_names() -> Tuple[str, ...]:
 
 
 def generate(name: str, **params) -> Built:
-    """Build a named benchmark, validating parameter names and types."""
+    """Build a named benchmark, validating parameter names."""
     if name not in _BUILDERS:
         known = ", ".join(instance_names())
         raise InputError(f"unknown instance {name!r}; expected one of {known}")
-    builder, accepted = _BUILDERS[name]
+    builder = _BUILDERS[name]
+    accepted = inspect.signature(builder).parameters
     for key in params:
         if key not in accepted:
             raise InputError(f"instance {name!r} does not take parameter {key!r}")

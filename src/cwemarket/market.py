@@ -10,7 +10,7 @@ utility is never negative.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -160,14 +160,8 @@ def merge_bundles(catalog: Catalog, bundle_ids: Iterable[BundleId]) -> Tuple[Cat
     ids = frozenset(bundle_ids)
     if len(ids) < 2:
         raise InputError("merge needs at least two bundles")
-    table = catalog.as_dict()
-    for bid in ids:
-        if bid not in table:
-            raise InputError(f"no bundle with id {bid}")
+    union = catalog.union_items(ids)
     new_id = catalog.fresh_id()
-    union: FrozenSet[str] = frozenset()
-    for bid in ids:
-        union |= table[bid]
     kept = tuple((b, s) for b, s in catalog.entries if b not in ids)
     return Catalog(entries=kept + ((new_id, union),), withheld=catalog.withheld), new_id
 

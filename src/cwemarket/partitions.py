@@ -1,7 +1,7 @@
 """Set partition enumeration via restricted growth strings."""
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple, TypeVar
+from typing import Iterator, List, Sequence, TypeVar
 
 T = TypeVar("T")
 

@@ -7,9 +7,12 @@ utility.  Stability survives the shift because a single held bundle
 loses exactly the surcharge while every competing set of one or more
 bundles loses at least that much.
 
-Trying a geometric ladder of surcharges and keeping the best level
-guarantees revenue within a logarithmic factor of the welfare of the
-solver's outcome, hence of the optimum.
+`maximize_revenue` walks one ladder of surcharges.  Level 0 is the
+solver's outcome itself; level t >= 1 shifts it by 2**(t-1) * sw0 / (2k),
+where sw0 is its welfare and k counts its assigned agents.  Keeping the
+best level guarantees revenue within a logarithmic factor of sw0, hence
+of the optimum.  `RevenueResult` reads sw0, k and the number of doubling
+steps off its levels.
 """
 from __future__ import annotations
 
@@ -31,18 +34,14 @@ from .poly import RaiseHook, run_poly
 from .trace import Trace
 
 
-def shift_prices(
-    auction: Auction,
-    outcome: Outcome,
-    sigma: Fraction,
-    verify: bool = True,
-) -> Outcome:
+def shift_prices(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome:
     """Raise every bundle price by sigma, dropping agents priced out.
 
-    Requires every assigned agent to hold at most one bundle; an agent
-    holding two bundles loses 2*sigma across its set, which breaks the
-    argument that keeping stays optimal.  Agents keep their bundle on
-    ties (utility exactly zero after the shift).
+    Requires a stable outcome in which every assigned agent holds at
+    most one bundle; an agent holding two bundles loses 2*sigma across
+    its set, which breaks the argument that keeping stays optimal.
+    Agents keep their bundle on ties (utility exactly zero after the
+    shift).
     """
     if sigma < 0:
         raise InputError("price shift must be nonnegative")
@@ -52,13 +51,17 @@ def shift_prices(
                 f"price shift requires single-bundle assignments; "
                 f"agent {name!r} holds several"
             )
-    if verify:
-        violation = find_violation(auction, outcome)
-        if violation is not None:
-            raise InputError(
-                f"price shift applied to an unstable outcome "
-                f"(agent {violation.agent!r} prefers another set)"
-            )
+    violation = find_violation(auction, outcome)
+    if violation is not None:
+        raise InputError(
+            f"price shift applied to an unstable outcome "
+            f"(agent {violation.agent!r} prefers another set)"
+        )
+    return _shift(auction, outcome, sigma)
+
+
+def _shift(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome:
+    """`shift_prices` without its checks, for outcomes known to pass them."""
     prices = {bid: price + sigma for bid, price in outcome.prices.items()}
     assignment = {}
     for name, held in outcome.assignment.items():
@@ -83,14 +86,24 @@ class LadderLevel:
 
 @dataclass(frozen=True)
 class RevenueResult:
+    # levels[0].outcome; a field, so that dataclasses.replace can swap it
     base: Outcome
     trace: Trace
     levels: Tuple[LadderLevel, ...]
     t_star: int
-    sw0: Fraction
-    k: int
-    ell: int
     seed_welfare: Fraction
+
+    @property
+    def sw0(self) -> Fraction:
+        return self.levels[0].sw
+
+    @property
+    def k(self) -> int:
+        return len(self.levels[0].survivors)
+
+    @property
+    def ell(self) -> int:
+        return max(len(self.levels) - 2, 0)
 
     @property
     def chosen(self) -> LadderLevel:
@@ -116,84 +129,55 @@ def maximize_revenue(
 ) -> RevenueResult:
     """Solve, then scan the surcharge ladder and pick the best level.
 
-    Level 0 is the unshifted outcome; level t >= 1 adds the surcharge
-    2**(t-1) * sw0 / (2k) where k counts assigned agents and sw0 is the
-    welfare of the solver's outcome.  The best level's revenue is
-    checked against sw0 / (8 * ell) and against the seed allocation's
-    welfare over 16 * ell, with ell the number of doubling steps.
+    The ladder has levels 0..ell+1, with ell = (2k - 1).bit_length()
+    doubling steps, or level 0 alone when k = 0.  The best level's
+    revenue is checked against sw0 / (8 * ell) and against the seed
+    allocation's welfare over 16 * ell.
     """
     # run_poly validates the seed, so bad seeds get the solver's message
     base, trace = run_poly(auction, allocation, on_raise=on_raise)
     seed_welfare = allocation_welfare(auction, allocation)
-    survivors0 = _survivors(auction, base)
-    k = len(survivors0)
+    k = len(_survivors(auction, base))
     sw0 = social_welfare(auction, base)
-    rev0 = revenue_of(auction, base)
-    levels: List[LadderLevel] = [
-        LadderLevel(
-            t=0,
-            sigma=Fraction(0),
-            outcome=base,
-            survivors=survivors0,
-            sw=sw0,
-            rev=rev0,
-        )
-    ]
-    if k == 0:
-        return RevenueResult(
-            base=base,
-            trace=trace,
-            levels=tuple(levels),
-            t_star=0,
-            sw0=sw0,
-            k=0,
-            ell=0,
-            seed_welfare=seed_welfare,
-        )
-    if sw0 <= 0:
+    if k and sw0 <= 0:
         raise SolverInvariantError("assigned agents with nonpositive welfare")
-    ell = (2 * k - 1).bit_length()
-    prev = set(survivors0)
-    for t in range(1, ell + 2):
-        sigma = Fraction(2) ** (t - 1) * sw0 / (2 * k)
-        shifted = shift_prices(auction, base, sigma, verify=False)
-        names = _survivors(auction, shifted)
-        if not set(names) <= prev:
+    levels: List[LadderLevel] = []
+    for t in range((2 * k - 1).bit_length() + 2 if k else 1):
+        sigma = Fraction(2) ** (t - 1) * sw0 / (2 * k) if t else Fraction(0)
+        # the solver's outcome passed is_cwe and gives each holder one
+        # bundle, so the shift needs none of shift_prices' checks
+        outcome = _shift(auction, base, sigma) if t else base
+        survivors = _survivors(auction, outcome)
+        if levels and not set(survivors) <= set(levels[-1].survivors):
             raise SolverInvariantError("survivor set grew as the surcharge rose")
-        prev = set(names)
         levels.append(
             LadderLevel(
                 t=t,
                 sigma=sigma,
-                outcome=shifted,
-                survivors=names,
-                sw=social_welfare(auction, shifted),
-                rev=revenue_of(auction, shifted),
+                outcome=outcome,
+                survivors=survivors,
+                sw=social_welfare(auction, outcome),
+                rev=revenue_of(auction, outcome),
             )
         )
-    last = levels[-1]
-    for name in last.survivors:
-        (bid,) = last.outcome.assignment[name]
-        if last.outcome.prices[bid] < sw0:
-            raise SolverInvariantError(
-                "top surcharge left a survivor paying less than the base welfare"
-            )
-    t_star = 0
-    for level in levels:
-        if level.rev > levels[t_star].rev:
-            t_star = level.t
-    best = levels[t_star].rev
-    if best * 8 * ell < sw0:
-        raise SolverInvariantError("revenue fell below the welfare ratio bound")
-    if best * 16 * ell < seed_welfare:
-        raise SolverInvariantError("revenue fell below the seed welfare bound")
-    return RevenueResult(
+    result = RevenueResult(
         base=base,
         trace=trace,
         levels=tuple(levels),
-        t_star=t_star,
-        sw0=sw0,
-        k=k,
-        ell=ell,
+        t_star=max(levels, key=lambda level: level.rev).t,
         seed_welfare=seed_welfare,
     )
+    # with k = 0 the one level has no survivors and sw0 = 0, and the solver
+    # keeps the seed welfare at most 2 * sw0, so every check below passes
+    top = levels[-1]
+    for name in top.survivors:
+        (bid,) = top.outcome.assignment[name]
+        if top.outcome.prices[bid] < sw0:
+            raise SolverInvariantError(
+                "top surcharge left a survivor paying less than the base welfare"
+            )
+    if result.max_revenue * 8 * result.ell < sw0:
+        raise SolverInvariantError("revenue fell below the welfare ratio bound")
+    if result.max_revenue * 16 * result.ell < seed_welfare:
+        raise SolverInvariantError("revenue fell below the seed welfare bound")
+    return result

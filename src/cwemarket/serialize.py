@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .errors import InputError
 from .market import (

@@ -4,7 +4,7 @@ Every valuation is monotone with value(empty) == 0, defined over an
 explicit finite item universe.  Supported classes:
 
   explicit       full table over all subsets of the universe
-  additive       per-item weights, value = sum
+  additive       per-item weights, value = sum (XOS with one clause)
   unit_demand    per-item weights, value = max
   single_minded  a desired set and a weight
   xos            max over additive clauses
@@ -92,10 +92,6 @@ class ValuationDefect:
 
     kind: str  # "normalization" | "monotonicity" | "negative_weight" | "empty_desired"
     detail: str
-    small: Optional[ItemSet] = None
-    large: Optional[ItemSet] = None
-    value_small: Optional[Fraction] = None
-    value_large: Optional[Fraction] = None
 
 
 class Valuation:
@@ -296,8 +292,6 @@ class ExplicitValuation(Valuation):
             return ValuationDefect(
                 kind="normalization",
                 detail=f"value of the empty set is {self.table[empty]}, not 0",
-                small=empty,
-                value_small=self.table[empty],
             )
         # single-item extension steps imply full monotonicity
         for s in subsets_of(self.items):
@@ -307,36 +301,8 @@ class ExplicitValuation(Valuation):
                     return ValuationDefect(
                         kind="monotonicity",
                         detail=f"value drops from {sorted(s)!r} to {sorted(t)!r}",
-                        small=s,
-                        large=t,
-                        value_small=self.table[s],
-                        value_large=self.table[t],
                     )
         return None
-
-
-class AdditiveValuation(Valuation):
-    kind = "additive"
-
-    def __init__(self, items: Iterable[Item], weights: Mapping[Item, Fraction]):
-        self.items = _itemset(items)
-        self.weights = {i: Fraction(w) for i, w in weights.items()}
-        if not frozenset(self.weights) <= self.items:
-            raise InputError("weight map mentions items outside the universe")
-
-    def _value(self, s: ItemSet) -> Fraction:
-        return _weight_sum(self.weights, s)
-
-    def _demand_candidates(
-        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
-    ) -> DemandAnswer:
-        return _clause_demand([self.weights], offers, prices)
-
-    def parameter_values(self) -> Iterator[Fraction]:
-        return iter(self.weights.values())
-
-    def validate(self) -> Optional[ValuationDefect]:
-        return _check_weights(self.weights)
 
 
 class UnitDemandValuation(Valuation):
@@ -460,3 +426,16 @@ class XosValuation(Valuation):
             if defect is not None:
                 return defect
         return None
+
+
+class AdditiveValuation(XosValuation):
+    """Per-item weights, value = sum: the XOS valuation with one clause."""
+
+    kind = "additive"
+
+    def __init__(self, items: Iterable[Item], weights: Mapping[Item, Fraction]):
+        super().__init__(items, [weights])
+
+    @property
+    def weights(self) -> Dict[Item, Fraction]:
+        return self.clauses[0]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cwemarket import market
+from cwemarket import cli, market
 from cwemarket.cli import run_cli
 from cwemarket.serialize import dumps, load_instance, outcome_from_json
 
@@ -226,6 +226,25 @@ def test_revenue_command_ladder(tmp_path, capsys):
     assert report["max_revenue"] == "1"
     assert len(report["ladder"]) == 5
     assert report["ladder"][0]["survivors"] == ["a1", "a2", "a3"]
+
+
+def test_revenue_checks_only_the_shifted_levels(tmp_path, capsys, monkeypatch):
+    """Level 0 is the solver's outcome, which the solver's own final
+    check has passed; `cwe` still covers every level."""
+    calls = []
+    checked = cli.is_cwe
+
+    def counting(auction, outcome):
+        calls.append(outcome)
+        return checked(auction, outcome)
+
+    monkeypatch.setattr(cli, "is_cwe", counting)
+    inst = _emit(tmp_path, capsys, "logn_revenue", "--n", "4")
+    code, out, err = _run(capsys, "revenue", "--input", inst)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["cwe"] is True
+    assert len(calls) == len(report["ladder"]) - 1
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):

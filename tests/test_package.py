@@ -78,3 +78,33 @@ def test_benchmark_tracer_installs_on_the_package():
     assert program.simple.demand_correspondence is before
     assert tracer.counts["simple.demand_queries"] > 0
     assert tracer.counts["market.subsets_enumerated"] > 0
+
+
+def _unused_imports(path):
+    """Names a module imports and never uses, except on `# noqa: F401` lines."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_every_import_is_used(path):
+    """An import kept only for the benchmark's tracer carries `# noqa: F401`."""
+    unused = _unused_imports(path)
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -83,9 +83,6 @@ def test_shift_refuses_unstable_input():
     )
     with pytest.raises(InputError, match="unstable"):
         shift_prices(auction, bad, F(1))
-    # verify=False skips the stability gate
-    shifted = shift_prices(auction, bad, F(1), verify=False)
-    assert shifted.assignment == {}
 
 
 def test_ladder_frozen_values():
