@@ -12,6 +12,15 @@ Each call reads every valuation once, into int tables over one common
 denominator D (`_tables`), and stays in ints: welfare sums, the DP, LP
 objectives and stability right-hand sides, whose scaling by D changes
 no pivot.  The searches enumerate maps item -> owner or nobody.
+
+Two exact screens skip stability LPs whose answer is known.  Every
+LP passes through `_stable_prices`, which first asks the brute-force
+DP for a reallocation of the held bundles with more welfare than the
+holding; by the first welfare theorem over sold bundles no prices then
+make the holding stable, and the DP's witness is re-checked in ints.
+`max_cwe_revenue` also skips a candidate whose revenue bound
+(`_revenue_bound`, stability against every bundle set with IR capping
+its price) cannot beat the best revenue found.
 """
 from __future__ import annotations
 
@@ -68,25 +77,24 @@ def _tables(
     return [[v * (den // d) for v in ints] for ints, d in raw], den
 
 
-def _best_partition(
-    auction: Auction, units: Sequence[ItemSet]
-) -> Tuple[Fraction, Dict[str, int]]:
-    """Max total value over disjoint awards of `units` to agents.
+def _partition(tables: Tables, full: int) -> Tuple[int, List[int]]:
+    """Max total value over disjoint awards of the units in mask `full`
+    to the agents of `tables`.
 
-    Units may stay unawarded.  Returns (welfare, agent name -> unit
-    mask).  Deterministic: first-found maximum wins, scanning agents in
-    order and submasks in decreasing numeric order.
+    Units may stay unawarded.  Returns (welfare over D, each agent's
+    mask in agent order, 0 for nothing).  Deterministic: first-found
+    maximum wins, scanning agents in order and submasks in decreasing
+    numeric order.
     """
-    k = len(units)
-    n = len(auction.agents)
-    full = (1 << k) - 1
-    tables, den = _tables(auction, units)
+    n = len(tables)
+    subs = [mask for mask in range(full + 1) if mask | full == full]
     # best[i][mask]: welfare over D of agents i.. with units `mask` free
-    best = [[0] * (1 << k) for _ in range(n + 1)]
-    pick = [[0] * (1 << k) for _ in range(n)]
+    best = [[0] * (full + 1) for _ in range(n + 1)]
+    pick = [[0] * (full + 1) for _ in range(n)]
     for i in range(n - 1, -1, -1):
         values, rest, here, chosen = tables[i], best[i + 1], best[i], pick[i]
-        for mask in range(full + 1):
+        # agent 0 starts with every unit free
+        for mask in subs if i else (full,):
             b = rest[mask]
             choice = 0
             sub = mask
@@ -98,14 +106,22 @@ def _best_partition(
                 sub = (sub - 1) & mask
             here[mask] = b
             chosen[mask] = choice
-    masks: Dict[str, int] = {}
+    shares: List[int] = []
     free = full
-    for i, agent in enumerate(auction.agents):
-        got = pick[i][free]
-        if got:
-            masks[agent.name] = got
-            free ^= got
-    return Fraction(best[0][full], den), masks
+    for chosen in pick:
+        shares.append(chosen[free])
+        free ^= shares[-1]
+    return best[0][full], shares
+
+
+def _best_partition(
+    auction: Auction, units: Sequence[ItemSet]
+) -> Tuple[Fraction, Dict[str, int]]:
+    """`_partition` of every unit: (welfare, agent name -> unit mask)."""
+    tables, den = _tables(auction, units)
+    welfare, shares = _partition(tables, (1 << len(units)) - 1)
+    masks = {agent.name: got for agent, got in zip(auction.agents, shares) if got}
+    return Fraction(welfare, den), masks
 
 
 def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]:
@@ -192,11 +208,43 @@ def _stability_rows(
     return rows, rhs
 
 
+def _reallocation_beats(tables: Tables, owns: Sequence[int]) -> bool:
+    """Whether some reallocation of the held bundles has strictly more
+    welfare than the holding, which then admits no stable prices.
+
+    Prices are >= 0 and every held bundle is paid for, so summing agent
+    i's stability row against its share Y_i of a reallocation gives
+    sum v(X) >= sum v(Y) + p(held) - p(Y) >= sum v(Y): the first
+    welfare theorem over the sold bundles.  Unsold bundles stay out of
+    it, for their prices may be high.  A beating reallocation from the
+    DP is re-checked in ints before it is believed.
+    """
+    held = 0
+    for own in owns:
+        held |= own
+    welfare = sum(table[own] for table, own in zip(tables, owns))
+    best, shares = _partition(tables, held)
+    if best <= welfare:
+        return False
+    taken = 0
+    for share in shares:
+        if share & taken or share | held != held:
+            raise SolverInvariantError(
+                "reallocation witness is not disjoint within the held bundles"
+            )
+        taken |= share
+    if sum(table[share] for table, share in zip(tables, shares)) <= welfare:
+        raise SolverInvariantError("reallocation witness does not beat the holding")
+    return True
+
+
 def _stable_prices(
     tables: Tables, den: int, owns: Sequence[int], c: List[int]
 ) -> Optional[Tuple[Fraction, List[Fraction]]]:
     """Max c.p over the stability rows, divided back by den: (optimum,
     prices), or None when no prices make the assignment stable."""
+    if _reallocation_beats(tables, owns):
+        return None
     sol = solve_lp(c, *_stability_rows(tables, owns, len(c)))
     if sol.status == INFEASIBLE:
         return None
@@ -276,6 +324,7 @@ def stable_singleton_outcomes(
     that admits supporting prices.
     """
     _cap(len(auction.items), LP_MAX_BUNDLES, "item count")
+    _cap(len(auction.agents), LP_MAX_AGENTS, "agent count")
     items = auction.items
     names = auction.agent_names
     # bundle j of the singleton catalog is item j, under id j
@@ -338,17 +387,36 @@ def _bundled_candidates(auction: Auction) -> Tuple[Tables, int, List[Candidate]]
     return tables, den, out
 
 
-def _candidate_prices(
-    tables: Tables, den: int, owned: Sequence[Tuple[int, int]], revenue: bool
-) -> Optional[Tuple[Fraction, List[Fraction]]]:
-    """`_stable_prices` over a candidate's market, where bundle j is the
-    j-th of `owned`, held by its agent; revenue counts every bundle."""
+def _candidate_market(
+    tables: Tables, owned: Sequence[Tuple[int, int]]
+) -> Tuple[Tables, List[int]]:
+    """A candidate's market for `_stable_prices`: (tables over its
+    bundles, held masks), where bundle j is the j-th of `owned`, held by
+    its agent."""
     unions = subset_sums([mask for _, mask in owned])
     owns = [0] * len(tables)
     for j, (i, _) in enumerate(owned):
         owns[i] = 1 << j
-    lp_tables = [[table[u] for u in unions] for table in tables]
-    return _stable_prices(lp_tables, den, owns, [int(revenue)] * len(owned))
+    return [[table[u] for u in unions] for table in tables], owns
+
+
+def _revenue_bound(tables: Tables, owners: Sequence[int]) -> int:
+    """An upper bound over D on a candidate market's stable revenue,
+    where bundle j is held by agent owners[j] alone.
+
+    Agent i = owners[j] prefers bundle j to any bundle set S without j,
+    and IR caps each bundle of S at its owner's value, so
+    p_j <= v_i(j) - v_i(S) + sum over l in S of v_owners[l](l).  The
+    bound sums the minima over S; S = {} gives the welfare.
+    """
+    caps = subset_sums([tables[i][1 << j] for j, i in enumerate(owners)])
+    bound = 0
+    for j, i in enumerate(owners):
+        table, bit = tables[i], 1 << j
+        bound += table[bit] + min(
+            caps[s] - table[s] for s in range(len(caps)) if not s & bit
+        )
+    return bound
 
 
 def _candidate_outcome(auction: Auction, pairs: Pairs, prices: List[Fraction]) -> Outcome:
@@ -366,7 +434,8 @@ def max_cwe_welfare(auction: Auction) -> Tuple[Fraction, Outcome]:
     items to agents or nobody."""
     tables, den, candidates = _bundled_candidates(auction)
     for neg_sw, pairs, owned in candidates:
-        got = _candidate_prices(tables, den, owned, revenue=False)
+        lp_tables, owns = _candidate_market(tables, owned)
+        got = _stable_prices(lp_tables, den, owns, [0] * len(owned))
         if got is not None:
             return Fraction(-neg_sw, den), _candidate_outcome(auction, pairs, got[1])
     raise SolverInvariantError("no stable candidate, not even selling nothing")
@@ -377,7 +446,9 @@ def max_cwe_revenue(auction: Auction) -> Tuple[Fraction, Outcome]:
 
     Revenue of a candidate is bounded by its welfare (buyers never pay
     above value), so the welfare-descending scan can stop once the best
-    found revenue meets the remaining welfare bound.
+    found revenue meets the remaining welfare bound.  A candidate whose
+    `_revenue_bound` does not exceed the best found revenue cannot
+    replace it, so its LP is skipped.
     """
     tables, den, candidates = _bundled_candidates(auction)
     best_rev = Fraction(0)
@@ -385,7 +456,12 @@ def max_cwe_revenue(auction: Auction) -> Tuple[Fraction, Outcome]:
     for neg_sw, pairs, owned in candidates:
         if best is not None and Fraction(-neg_sw, den) <= best_rev:
             break
-        got = _candidate_prices(tables, den, owned, revenue=True)
+        lp_tables, owns = _candidate_market(tables, owned)
+        if best is not None and Fraction(
+            _revenue_bound(lp_tables, [i for i, _ in owned]), den
+        ) <= best_rev:
+            continue
+        got = _stable_prices(lp_tables, den, owns, [1] * len(owned))
         if got is None:
             continue
         rev, prices = got

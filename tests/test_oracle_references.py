@@ -11,6 +11,7 @@ Inputs mix valuation classes and denominators, and draw values from a
 coarse set too, so that equal welfares put the candidates' tie-break
 to work; item and agent names are not in sorted order.
 """
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from cwemarket import AdditiveValuation, Agent, Auction, Catalog, Valuation, generate
 from cwemarket import verifier
+from cwemarket.lp import INFEASIBLE, solve_lp
 from cwemarket.verifier import (
     brute_force_optimal,
     config_lp_fractional_opt,
@@ -166,3 +168,39 @@ def test_max_cwe_revenue_reads_each_subset_value_once(monkeypatch):
     )
     assert max_cwe_revenue(auction) == ref
     assert len(calls) <= len(auction.agents) * 2 ** len(auction.items)
+
+
+def _reference_lp(auction, catalog, assignment, revenue):
+    rows, rhs = helpers.reference_stability_rows(auction, catalog, assignment)
+    c = [int(revenue)] * len(catalog.entries)
+    return solve_lp(c, rows, rhs)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(auction=auctions())
+def test_screens_skip_no_lp_that_could_change_an_answer(auction):
+    """Where the welfare screen fires, the reference stability LP is
+    infeasible; and no stable candidate earns more than its revenue
+    bound.  Both over every bundled candidate and every singleton map."""
+    tables, den, candidates = verifier._bundled_candidates(auction)
+    for _, pairs, owned in candidates:
+        lp_tables, owns = verifier._candidate_market(tables, owned)
+        catalog, assignment = helpers._reference_candidate_market(auction, pairs)
+        sol = _reference_lp(auction, catalog, assignment, revenue=True)
+        if verifier._reallocation_beats(lp_tables, owns):
+            assert sol.status == INFEASIBLE
+        if sol.status != INFEASIBLE:
+            bound = verifier._revenue_bound(lp_tables, [i for i, _ in owned])
+            assert sol.value <= Fraction(bound, den)
+
+    catalog = singleton_catalog(auction)
+    names = auction.agent_names
+    for combo in itertools.product(range(len(names) + 1), repeat=len(auction.items)):
+        owns = [0] * len(names)
+        assignment = {}
+        for bid, who in enumerate(combo):
+            if who:
+                owns[who - 1] |= 1 << bid
+                assignment[names[who - 1]] = assignment.get(names[who - 1], frozenset()) | {bid}
+        if verifier._reallocation_beats(tables, owns):
+            assert _reference_lp(auction, catalog, assignment, revenue=False).status == INFEASIBLE

@@ -8,6 +8,7 @@ from cwemarket import (
     Auction,
     Catalog,
     ResourceLimitError,
+    SolverInvariantError,
     Valuation,
     brute_force_optimal,
     generate,
@@ -28,6 +29,8 @@ from cwemarket.verifier import (
     supporting_prices,
     supporting_prices_exist,
 )
+
+from . import helpers
 
 F = Fraction
 
@@ -174,3 +177,66 @@ def test_resource_caps_are_loud(gap3, monkeypatch):
     monkeypatch.setattr(verifier, "LP_MAX_BUNDLES", 2)
     with pytest.raises(ResourceLimitError):
         config_lp_fractional_opt(gap3, singleton_catalog(gap3))
+    monkeypatch.setattr(verifier, "LP_MAX_BUNDLES", 6)
+    monkeypatch.setattr(verifier, "LP_MAX_AGENTS", 2)
+    with pytest.raises(ResourceLimitError, match="agent count"):
+        next(stable_singleton_outcomes(gap3))
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    calls = []
+    solve_lp = verifier.solve_lp
+    monkeypatch.setattr(
+        verifier, "solve_lp", lambda *args: calls.append(1) or solve_lp(*args)
+    )
+    return calls
+
+
+def test_revenue_search_skips_lps_that_cannot_win(lp_calls):
+    """The revenue bound skips every candidate after the first stable
+    one on the log family (414 LPs without the screens)."""
+    auction, _ = generate("logn_revenue", n=4)
+    rev, _ = max_cwe_revenue(auction)
+    assert rev == F(1)
+    assert len(lp_calls) == 1
+
+
+@pytest.mark.parametrize("family, lps", [("item_pricing_xos", 22), ("item_pricing_um_sm", 52)])
+def test_singleton_scan_skips_reallocatable_holdings(lp_calls, family, lps):
+    """The welfare screen leaves these LPs of the 81 maps at m = 4, and
+    the outcomes are those of one LP per map."""
+    auction, _ = generate(family, m=4)
+    outcomes = list(stable_singleton_outcomes(auction))
+    assert len(lp_calls) == lps
+    assert outcomes == helpers.reference_stable_singleton_outcomes(auction)
+
+
+@pytest.mark.parametrize("tamper, fault", [
+    (lambda shares: [shares[0]] * len(shares), "not disjoint"),  # A's x to B too
+    (lambda shares: [shares[0] | 0b10] + shares[1:], "not disjoint"),  # unsold y to A
+    (lambda shares: [0] * len(shares), "does not beat"),
+])
+def test_tampered_reallocation_witness_raises(monkeypatch, tamper, fault):
+    """Item x sits with B, who values it least, and y is unsold: the
+    welfare screen fires, and a witness that is not a beating
+    reallocation of the held bundles stops the oracle."""
+    items = frozenset({"x", "y"})
+    auction = Auction(
+        items=("x", "y"),
+        agents=(
+            Agent("A", AdditiveValuation(items, {"x": F(5), "y": F(1)})),
+            Agent("B", AdditiveValuation(items, {"x": F(1), "y": F(1)})),
+        ),
+    )
+    catalog = singleton_catalog(auction)
+    assert supporting_prices(auction, catalog, {"B": frozenset({0})}) is None
+    partition = verifier._partition
+
+    def tampered(tables, full):
+        best, shares = partition(tables, full)
+        return best, tamper(shares)
+
+    monkeypatch.setattr(verifier, "_partition", tampered)
+    with pytest.raises(SolverInvariantError, match=fault):
+        supporting_prices(auction, catalog, {"B": frozenset({0})})
