@@ -52,7 +52,7 @@ from .revenue import (
     shift_prices,
 )
 from .scalars import Scalar, common_granularity, format_scalar, parse_scalar
-from .poly import PolySolver, RaiseReport, run_poly
+from .poly import PolySolver, run_poly
 from .simple import SimpleSolver, run_simple
 from .trace import Trace, replay
 from .valuations import (
@@ -92,7 +92,6 @@ __all__ = [
     "MarketError",
     "Outcome",
     "PolySolver",
-    "RaiseReport",
     "ResourceLimitError",
     "RevenueResult",
     "Scalar",

@@ -24,16 +24,13 @@ a chain visits an agent at most once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import SolverInvariantError
 from .market import (
     Auction,
-    BundleId,
     BundleSet,
-    Catalog,
     InitialAllocation,
     Outcome,
     allocation_welfare,
@@ -162,33 +159,12 @@ class AscendingAuction:
         return outcome
 
 
-@dataclass(frozen=True)
-class RaiseReport:
-    """Snapshot handed to the raise hook after each price push."""
-
-    catalog: Catalog
-    prices_before: Dict[BundleId, Fraction]
-    prices_after: Dict[BundleId, Fraction]
-    assignment: Dict[str, BundleSet]
-    fallbacks: Dict[str, BundleSet]
-    removal_order: Tuple[str, ...]
-
-
-RaiseHook = Callable[[RaiseReport], None]
-
-
 class PolySolver(AscendingAuction):
-    def __init__(
-        self,
-        auction: Auction,
-        allocation: InitialAllocation,
-        on_raise: Optional[RaiseHook] = None,
-    ):
+    def __init__(self, auction: Auction, allocation: InitialAllocation):
         super().__init__(auction, allocation)
         self.fallback: Dict[str, BundleSet] = {}
         self.rank: Dict[str, int] = {}
         self.chain = 0  # displacements in the current iteration
-        self.on_raise = on_raise
 
     def _rank_of(self, agent: str) -> int:
         # ranks run 1..n, so n + 1 stands behind every ranked agent
@@ -244,10 +220,8 @@ class PolySolver(AscendingAuction):
             i: induced_value(self.auction.valuation(i), self.catalog, self.assignment[i])
             for i in members
         }
-        before = dict(self.prices)
         active: List[str] = list(members)
         self.rank = {}
-        order: List[str] = []
         step = 0
         while active:
             margins: Dict[str, Fraction] = {}
@@ -274,20 +248,8 @@ class PolySolver(AscendingAuction):
             step += 1
             self.fallback[a] = switches[a]
             self.rank[a] = step
-            order.append(a)
             self.trace.add(FallbackRecord(agent=a, bundles=switches[a]))
             active.remove(a)
-        if self.on_raise is not None:
-            self.on_raise(
-                RaiseReport(
-                    catalog=self.catalog,
-                    prices_before=before,
-                    prices_after=dict(self.prices),
-                    assignment={k: v for k, v in self.assignment.items()},
-                    fallbacks={k: self.fallback[k] for k in members},
-                    removal_order=tuple(order),
-                )
-            )
 
     def _finish(self) -> Outcome:
         n = len(self.auction.agents)
@@ -300,11 +262,7 @@ class PolySolver(AscendingAuction):
         return super()._finish()
 
 
-def run_poly(
-    auction: Auction,
-    allocation: InitialAllocation,
-    on_raise: Optional[RaiseHook] = None,
-) -> Tuple[Outcome, Trace]:
-    solver = PolySolver(auction, allocation, on_raise)
+def run_poly(auction: Auction, allocation: InitialAllocation) -> Tuple[Outcome, Trace]:
+    solver = PolySolver(auction, allocation)
     outcome = solver.run()
     return outcome, solver.trace

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .market import (
@@ -30,7 +30,7 @@ from .market import (
     revenue_of,
     social_welfare,
 )
-from .poly import RaiseHook, run_poly
+from .poly import run_poly
 from .trace import Trace
 
 
@@ -122,11 +122,7 @@ def _survivors(auction: Auction, outcome: Outcome) -> Tuple[str, ...]:
     )
 
 
-def maximize_revenue(
-    auction: Auction,
-    allocation: InitialAllocation,
-    on_raise: Optional[RaiseHook] = None,
-) -> RevenueResult:
+def maximize_revenue(auction: Auction, allocation: InitialAllocation) -> RevenueResult:
     """Solve, then scan the surcharge ladder and pick the best level.
 
     The ladder has levels 0..ell+1, with ell = (2k - 1).bit_length()
@@ -135,7 +131,7 @@ def maximize_revenue(
     allocation's welfare over 16 * ell.
     """
     # run_poly validates the seed, so bad seeds get the solver's message
-    base, trace = run_poly(auction, allocation, on_raise=on_raise)
+    base, trace = run_poly(auction, allocation)
     seed_welfare = allocation_welfare(auction, allocation)
     k = len(_survivors(auction, base))
     sw0 = social_welfare(auction, base)

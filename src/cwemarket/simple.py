@@ -75,7 +75,9 @@ class SimpleSolver(AscendingAuction):
         blocked = self.blocked.get(agent, set())
         if chosen not in blocked:
             return chosen
-        # the next set in tie-break order may be any demanded set
+        # the next set in tie-break order may be any demanded set; the
+        # enumeration is one more demand query
+        self.trace.demand_queries += 1
         _, members = demand_correspondence(
             self.auction, agent, self.catalog, self.prices
         )
@@ -98,8 +100,17 @@ class SimpleSolver(AscendingAuction):
 
     def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
         """Escalate the price of the contested bundle until one side
-        quits.  If a single step would push the bundle out of both
-        demand correspondences at once, the two parties are exactly
+        quits.
+
+        Each side is asked once per price level.  At the starting price
+        only the incumbent is asked: `_take` merges nothing for a
+        singleton claim, so the catalog and prices are those the
+        claimant's own demand query just answered, and the set it chose
+        is demanded there.  After each trial step both are asked; the
+        two answers settle the step and stand for the next level.
+
+        If a single step would push the bundle out of both demand
+        correspondences at once, the two parties are exactly
         indifferent between keeping it and walking away; the trial step
         is undone and the bundle changes hands instead: the claimant
         keeps it at the rolled-back price and the incumbent, who gives
@@ -109,16 +120,13 @@ class SimpleSolver(AscendingAuction):
         is what keeps chains of exact ties from cycling.
         """
         (bid,) = bundles
-        while True:
-            a_wants = self._in_demand(a, bundles)
-            b_wants = self._in_demand(owner, bundles)
-            if not (a_wants and b_wants):
-                break
+        a_wants, b_wants = True, self._in_demand(owner, bundles)
+        while a_wants and b_wants:
             old = self.prices[bid]
             self.prices[bid] = old + self.epsilon
-            a_after = self._in_demand(a, bundles)
-            b_after = self._in_demand(owner, bundles)
-            if not a_after and not b_after:
+            a_wants = self._in_demand(a, bundles)
+            b_wants = self._in_demand(owner, bundles)
+            if not (a_wants or b_wants):
                 # both would drop: undo the trial step, hand over the set
                 self.prices[bid] = old
                 self._repool(owner)
@@ -126,7 +134,7 @@ class SimpleSolver(AscendingAuction):
                 return
             self.trace.add(PriceRaise(bundle=bid, old=old, new=old + self.epsilon))
             self.blocked.clear()
-        self._repool(a if not a_wants else owner)
+        self._repool(owner if a_wants else a)
 
 
 def run_simple(

@@ -5,6 +5,8 @@ enumeration, deliberately avoiding the library's demand and pricing
 helpers, so that agreement between the two is evidence rather than
 tautology.
 """
+from contextlib import contextmanager
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -14,7 +16,7 @@ from cwemarket import (
     Catalog,
     InputError,
     Outcome,
-    RaiseReport,
+    PolySolver,
     SolverInvariantError,
     brute_force_optimal,
     generate,
@@ -104,6 +106,52 @@ def pick_preferred(candidates, agent: str, assignment) -> BundleSet:
         return (overlap, len(s), sorted(s))
 
     return min(candidates, key=key)
+
+
+@dataclass(frozen=True)
+class RaiseReport:
+    """One price push of the poly solver, as `recorded_pushes` sees it."""
+
+    catalog: Catalog
+    prices_before: Dict[int, Fraction]
+    prices_after: Dict[int, Fraction]
+    assignment: Dict[str, BundleSet]
+    fallbacks: Dict[str, BundleSet]
+    removal_order: Tuple[str, ...]
+
+
+@contextmanager
+def recorded_pushes():
+    """Collect a `RaiseReport` for every price push with held bundles.
+
+    Wraps `PolySolver.raise_prices` for the duration of the block and
+    rebuilds each report from the solver's prices, removal ranks and
+    recorded switch-to sets.
+    """
+    reports: List[RaiseReport] = []
+    push = PolySolver.raise_prices
+
+    def recording_push(solver):
+        before = dict(solver.prices)
+        push(solver)
+        if solver.rank:
+            order = tuple(sorted(solver.rank, key=solver.rank.__getitem__))
+            reports.append(
+                RaiseReport(
+                    catalog=solver.catalog,
+                    prices_before=before,
+                    prices_after=dict(solver.prices),
+                    assignment=dict(solver.assignment),
+                    fallbacks={a: solver.fallback[a] for a in order},
+                    removal_order=order,
+                )
+            )
+
+    PolySolver.raise_prices = recording_push
+    try:
+        yield reports
+    finally:
+        PolySolver.raise_prices = push
 
 
 def sweep_raise_oracle(auction: Auction, report: RaiseReport):

@@ -31,7 +31,7 @@ from cwemarket.verifier import (
     supporting_prices_exist,
 )
 
-from .helpers import check_push_matches_oracle, check_push_maximality
+from .helpers import check_push_matches_oracle, check_push_maximality, recorded_pushes
 
 F = Fraction
 
@@ -52,8 +52,8 @@ def poly_sweep():
     runs = []
     for s in range(200):
         auction, opt, seed = _sweep_instance(s)
-        reports = []
-        result = maximize_revenue(auction, seed, on_raise=reports.append)
+        with recorded_pushes() as reports:
+            result = maximize_revenue(auction, seed)
         runs.append((s, auction, opt, seed, result, reports))
     return time.monotonic() - t0, runs
 
@@ -236,8 +236,8 @@ def test_criterion_10_push_matches_breakpoint_sweep():
         auction, _ = generate("random_explicit", m=m, n=n, seed=3000 + s)
         _, alloc = brute_force_optimal(auction)
         seed = {a: x for a, x in alloc.items() if x}
-        reports = []
-        run_poly(auction, seed, on_raise=reports.append)
+        with recorded_pushes() as reports:
+            run_poly(auction, seed)
         for rep in reports:
             check_push_matches_oracle(auction, rep)
             checked += 1

@@ -14,7 +14,7 @@ from cwemarket import (
 )
 from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
 
-from .helpers import check_push_matches_oracle, check_push_maximality
+from .helpers import check_push_matches_oracle, check_push_maximality, recorded_pushes
 
 F = Fraction
 
@@ -106,8 +106,8 @@ def test_margins_recomputed_after_each_removal():
         ),
     )
     seed = {"P": frozenset({"1"}), "Q": frozenset({"2"})}
-    reports = []
-    out, trace = run_poly(auction, seed, on_raise=reports.append)
+    with recorded_pushes() as reports:
+        out, trace = run_poly(auction, seed)
     assert out.assignment == {"P": frozenset({0}), "Q": frozenset({1})}
     assert out.prices == {0: F(1, 2), 1: F(3, 2)}
     last = reports[-1]
@@ -121,8 +121,8 @@ def test_margins_recomputed_after_each_removal():
 
 def test_push_matches_breakpoint_sweep_oracle():
     auction, seed = generate("gap3")
-    reports = []
-    run_poly(auction, seed, on_raise=reports.append)
+    with recorded_pushes() as reports:
+        run_poly(auction, seed)
     assert reports
     for rep in reports:
         check_push_matches_oracle(auction, rep)

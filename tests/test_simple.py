@@ -12,13 +12,15 @@ from cwemarket import (
     generate,
     is_cwe,
     replay,
+    run_poly,
     run_simple,
     social_welfare,
 )
+from cwemarket import poly, simple
 from cwemarket.simple import check_epsilon
 from cwemarket.trace import Assign, PoolAdd, PriceRaise, Reject, Unassign
 
-from .helpers import seed_welfare
+from .helpers import seed_instance, seed_welfare
 
 F = Fraction
 
@@ -86,7 +88,9 @@ def test_symmetric_tie_hands_the_bundle_to_the_claimant():
     assert out.assignment == {"B": frozenset({0})}
     assert out.prices == {0: F(1)}
     assert trace.iterations == 3
-    assert trace.demand_queries == 15
+    # 3 main-loop queries; the contest asks the holder once, then both
+    # sides after each of its 3 trial steps (the last one is undone)
+    assert trace.demand_queries == 10
     raises = [e for e in trace.events if isinstance(e, PriceRaise)]
     assert [(e.old, e.new) for e in raises] == [(F(1, 2), F(3, 4)), (F(3, 4), F(1))]
     # the incumbent is released, re-pooled, and then leaves empty-handed
@@ -111,6 +115,9 @@ def test_asymmetric_conflict_prices_out_the_lower_value():
         (F(1), F(9, 8)),
     ]
     assert trace.iterations == 3
+    # 3 main-loop queries; the contest asks the holder once, then both
+    # sides once per raise: 2 * 5 + 1
+    assert trace.demand_queries == 14
     assert is_cwe(auction, out)
 
 
@@ -124,10 +131,39 @@ def test_three_agent_merge_run_frozen():
     assert out.assignment == {"a1": frozenset({4})}
     assert social_welfare(auction, out) == F(21, 10)
     assert trace.iterations == 5
-    assert trace.demand_queries == 57
+    assert trace.demand_queries == 32
     rebuilt = replay(auction, seed, trace)
     assert rebuilt.prices == out.prices
     assert rebuilt.assignment == out.assignment
+
+
+def test_demand_queries_count_every_demand_call(monkeypatch):
+    # every call a solver makes to the demand layer, the enumeration of
+    # a barred tie-broken set included, is one counted query; seeds 25
+    # and 29 reach that enumeration
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(poly, "demand")
+    counted(simple, "in_demand")
+    counted(simple, "demand_correspondence")
+    barred = 0
+    for s in range(20, 40):
+        auction, seed = seed_instance(s)
+        for solve in (run_poly, lambda a, x: run_simple(a, x, a.granularity() / 2)):
+            calls.clear()
+            _, trace = solve(auction, seed)
+            assert trace.demand_queries == sum(calls.values()), (s, calls)
+            barred += calls.get("demand_correspondence", 0)
+    assert barred > 0
 
 
 def test_exact_tie_lattice_regression():
