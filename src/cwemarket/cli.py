@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import Any, Dict, Optional
 
 from .errors import InputError, MarketError
@@ -56,7 +57,9 @@ def _scalar_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cwemarket",
         description="Bundled-market stability solver and exact oracles.",

@@ -6,18 +6,22 @@ bought.  Demand is quasi-linear: an agent's utility for a set of
 bundles is its value for the union of their items minus the summed
 prices.  The empty set (utility 0) is always an option, so maximum
 utility is never negative.
+
+The solvers and `find_violation` run on an integer lattice (README, "Solvers").
 """
 from __future__ import annotations
 
+import copy
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .scalars import common_granularity
-from .valuations import Item, ItemSet, Valuation, subset_sums
+from .scalars import lattice_int
+from .valuations import Item, ItemSet, Valuation, over_common_denominator, subset_sums
 
 BundleId = int
 BundleSet = FrozenSet[BundleId]
@@ -77,12 +81,32 @@ class Auction:
         except KeyError:
             raise InputError(f"unknown agent {name!r}") from None
 
+    @cached_property
+    def _grid(self) -> Tuple[int, int]:
+        """(twice the lcm of the parameters' denominators, the gcd of the
+        parameters times it): the lattice of the parameters alone."""
+        ints, den = over_common_denominator(
+            [p for a in self.agents for p in a.valuation.parameter_values()]
+        )
+        return 2 * den, 2 * gcd(*ints)
+
+    def on_lattice(self, *dens: int) -> Tuple["Auction", int]:
+        """(copy, D): this auction with every valuation `scaled` by D, the
+        lcm of `dens` and of twice each parameter's denominator (so every
+        value on the lattice is even, and half of it an int)."""
+        scale = lcm(self._grid[0], *dens)
+        market = copy.copy(self)
+        market.agents = tuple(
+            Agent(a.name, a.valuation.scaled(scale)) for a in self.agents
+        )
+        market._by_name = {a.name: a for a in market.agents}
+        return market, scale
+
     def granularity(self) -> Optional[Fraction]:
-        """Greatest common rational divisor of all valuation parameters."""
-        def walk():
-            for agent in self.agents:
-                yield from agent.valuation.parameter_values()
-        return common_granularity(walk())
+        """Greatest common rational divisor of all valuation parameters:
+        the gcd of their ints on the lattice, over its scale."""
+        scale, g = self._grid
+        return Fraction(g, scale) if g else None
 
 
 @dataclass(frozen=True)
@@ -219,7 +243,7 @@ def utility(
     """Quasi-linear utility of a set of catalog bundles."""
     bundles = frozenset(bundle_set)
     value = induced_value(auction.valuation(agent), catalog, bundles)
-    return value - sum((prices[b] for b in bundles), Fraction(0))
+    return value - sum(prices[b] for b in bundles)
 
 
 def demand_correspondence(
@@ -245,7 +269,8 @@ def demand_correspondence(
             f"capped at {DEMAND_BUNDLE_CAP}"
         )
     avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    values, den = auction.valuation(agent).bundle_values([items for _, items in avail])
+    valuation = auction.valuation(agent)
+    values, den = valuation.bundle_values([items for _, items in avail])
     # prices may be Fractions or ints; both carry numerator/denominator
     avail_prices = [prices[bid] for bid, _ in avail]
     scale = lcm(den, *[p.denominator for p in avail_prices])
@@ -260,7 +285,8 @@ def demand_correspondence(
         if u == best
     ]
     members.sort(key=lambda s: (len(s), sorted(s)))
-    return Fraction(best, scale), members
+    # the valuation's zero keeps a lattice answer an int, any other a Fraction
+    return (valuation.zero + best if scale == 1 else Fraction(best, scale)), members
 
 
 def tie_break_key(
@@ -351,22 +377,24 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
     The outcome is a bundle-pricing equilibrium exactly when this
     returns None: every agent's assigned set maximizes its utility over
     the full catalog, withheld items are off the market, and clearance
-    is not required.
+    is not required.  The check runs on the lattice that also holds
+    the outcome's prices.
     """
+    market, scale = auction.on_lattice(*{p.denominator for p in outcome.prices.values()})
+    prices = {bid: lattice_int(p, scale) for bid, p in outcome.prices.items()}
     for agent in auction.agents:
         held = outcome.assignment.get(agent.name, frozenset())
-        cur = utility(auction, agent.name, held, outcome.catalog, outcome.prices)
+        cur = utility(market, agent.name, held, outcome.catalog, prices)
         best, better = demand(
-            auction, agent.name, outcome.catalog, outcome.prices,
-            others=outcome.assignment,
+            market, agent.name, outcome.catalog, prices, others=outcome.assignment
         )
         if cur < best:
             return CweViolation(
                 agent=agent.name,
                 held=held,
                 better=better,
-                held_utility=cur,
-                best_utility=best,
+                held_utility=Fraction(cur, scale),
+                best_utility=Fraction(best, scale),
             )
     return None
 

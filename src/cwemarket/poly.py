@@ -21,6 +21,8 @@ And the contested bundle changes hands immediately: the displaced
 holder is given its recorded switch-to set, recursively; each
 displacement moves strictly earlier in the breakpoint removal order, so
 a chain visits an agent at most once.
+
+Both run on an integer price lattice (README, "Solvers").
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ from .market import (
 # Unused here: bench/tracing.py wraps this name in every solver module,
 # and its install fails if it is missing.
 from .market import demand_correspondence  # noqa: F401
+from .scalars import lattice_int
 from .trace import (
     Assign,
     FallbackRecord,
@@ -66,10 +69,13 @@ class AscendingAuction:
     `_choose` and act at the end of every iteration in `_end_iteration`.
     """
 
-    def __init__(self, auction: Auction, allocation: InitialAllocation):
+    def __init__(self, auction: Auction, allocation: InitialAllocation, *dens: int):
         self.auction = auction
         self.seed = validate_initial_allocation(auction, allocation)
-        self.catalog, self.prices = initial_market(auction, allocation)
+        # `dens` join the lattice's scale, so quantities over them are ints
+        self.market, self.scale = auction.on_lattice(*dens)
+        self.catalog, prices = initial_market(auction, allocation)
+        self.prices = {bid: lattice_int(p, self.scale) for bid, p in prices.items()}
         self.assignment: Dict[str, BundleSet] = {}
         self.pool: List[str] = list(auction.agent_names)
         self.trace = Trace()
@@ -78,12 +84,17 @@ class AscendingAuction:
 
     def _demand(
         self, agent: str, excluded: BundleSet = frozenset()
-    ) -> Tuple[Fraction, BundleSet]:
+    ) -> Tuple[int, BundleSet]:
         """One demand query: the max utility and the tie-broken set."""
         self.trace.demand_queries += 1
         return demand(
-            self.auction, agent, self.catalog, self.prices, excluded, self.assignment
+            self.market, agent, self.catalog, self.prices, excluded, self.assignment
         )
+
+    def _raised(self, bid: int, old: int, new: int) -> PriceRaise:
+        """The trace event of a raise from `old` to `new`, in Fractions."""
+        scale = self.scale
+        return PriceRaise(bundle=bid, old=Fraction(old, scale), new=Fraction(new, scale))
 
     def run(self) -> Outcome:
         while self.pool:
@@ -114,7 +125,7 @@ class AscendingAuction:
                 if self.assignment.get(b, frozenset()) & chosen:
                     self._repool(b)
             sources = tuple(sorted(chosen))
-            price = sum((self.prices.pop(bid) for bid in sources), Fraction(0))
+            price = sum(self.prices.pop(bid) for bid in sources)
             self.catalog, new_id = merge_bundles(self.catalog, chosen)
             self.prices[new_id] = price
             self.trace.add(Merge(sources=sources, new_id=new_id))
@@ -145,7 +156,7 @@ class AscendingAuction:
     def _finish(self) -> Outcome:
         outcome = Outcome(
             catalog=self.catalog,
-            prices=dict(self.prices),
+            prices={bid: Fraction(p, self.scale) for bid, p in self.prices.items()},
             assignment=dict(self.assignment),
         )
         if not is_cwe(self.auction, outcome):
@@ -217,14 +228,14 @@ class PolySolver(AscendingAuction):
         # the catalog and the holdings stay fixed during the push, and so
         # does each holder's value for its own bundle
         own_value = {
-            i: induced_value(self.auction.valuation(i), self.catalog, self.assignment[i])
+            i: induced_value(self.market.valuation(i), self.catalog, self.assignment[i])
             for i in members
         }
         active: List[str] = list(members)
         self.rank = {}
         step = 0
         while active:
-            margins: Dict[str, Fraction] = {}
+            margins: Dict[str, int] = {}
             switches: Dict[str, BundleSet] = {}
             excluded = frozenset().union(*(self.assignment[j] for j in active))
             for i in active:
@@ -244,7 +255,7 @@ class PolySolver(AscendingAuction):
                     (bid,) = self.assignment[i]
                     old = self.prices[bid]
                     self.prices[bid] = old + delta
-                    self.trace.add(PriceRaise(bundle=bid, old=old, new=old + delta))
+                    self.trace.add(self._raised(bid, old, old + delta))
             step += 1
             self.fallback[a] = switches[a]
             self.rank[a] = step

@@ -1,8 +1,10 @@
 """Exact rational scalars.
 
-All money and value quantities in this package are `fractions.Fraction`
-instances; nothing here ever touches floating point.  Scalars serialize
-as "p/q" strings (or bare integers) in JSON files.
+Money and value quantities are `fractions.Fraction` instances at the
+package's interface.  Inside, the solvers and the stability check work
+on an integer lattice, where x is the int x * D for one scale D
+(`lattice_int`).  Nothing here ever touches floating point.  Scalars
+serialize as "p/q" strings (or bare integers) in JSON files.
 """
 from __future__ import annotations
 
@@ -43,6 +45,11 @@ def parse_scalar(raw: RawScalar) -> Fraction:
 
 def format_scalar(x: Fraction) -> str:
     return str(Fraction(x))
+
+
+def lattice_int(x: Fraction, scale: int) -> int:
+    """x * scale as an int; `scale` must be a multiple of x's denominator."""
+    return x.numerator * (scale // x.denominator)
 
 
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -7,7 +7,8 @@ epsilon steps until one of the two gives up.
 
 May take exponentially many steps; see the poly module for the
 query-efficient variant.  The final outcome is a stable bundle pricing
-with social welfare at least half the seed allocation's.
+with social welfare at least half the seed allocation's.  Epsilon is an
+int on the price lattice (README, "Solvers").
 """
 from __future__ import annotations
 
@@ -29,7 +30,8 @@ from .market import (
 # module, and its install fails if one is missing.
 from .market import is_cwe, merge_bundles  # noqa: F401
 from .poly import AscendingAuction
-from .trace import PriceRaise, Trace
+from .scalars import lattice_int
+from .trace import Trace
 
 
 def check_epsilon(auction: Auction, epsilon: Fraction) -> None:
@@ -64,9 +66,10 @@ class SimpleSolver(AscendingAuction):
         allocation: InitialAllocation,
         epsilon: Fraction,
     ):
-        check_epsilon(auction, Fraction(epsilon))
-        super().__init__(auction, allocation)
-        self.epsilon = Fraction(epsilon)
+        epsilon = Fraction(epsilon)
+        check_epsilon(auction, epsilon)
+        super().__init__(auction, allocation, epsilon.denominator)
+        self.epsilon = lattice_int(epsilon, self.scale)
         # conflict-guard memory: demand sets an agent must not re-claim
         # until some price or catalog movement happens
         self.blocked: Dict[str, Set[BundleSet]] = {}
@@ -79,7 +82,7 @@ class SimpleSolver(AscendingAuction):
         # enumeration is one more demand query
         self.trace.demand_queries += 1
         _, members = demand_correspondence(
-            self.auction, agent, self.catalog, self.prices
+            self.market, agent, self.catalog, self.prices
         )
         usable = [s for s in members if s not in blocked]
         if not usable:
@@ -96,7 +99,7 @@ class SimpleSolver(AscendingAuction):
 
     def _in_demand(self, agent: str, bundles: BundleSet) -> bool:
         self.trace.demand_queries += 1
-        return in_demand(self.auction, agent, self.catalog, self.prices, bundles)
+        return in_demand(self.market, agent, self.catalog, self.prices, bundles)
 
     def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
         """Escalate the price of the contested bundle until one side
@@ -132,7 +135,7 @@ class SimpleSolver(AscendingAuction):
                 self._repool(owner)
                 self.blocked.setdefault(owner, set()).add(bundles)
                 return
-            self.trace.add(PriceRaise(bundle=bid, old=old, new=old + self.epsilon))
+            self.trace.add(self._raised(bid, old, old + self.epsilon))
             self.blocked.clear()
         self._repool(owner if a_wants else a)
 

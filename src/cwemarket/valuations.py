@@ -15,10 +15,12 @@ tabulates the value of every union of a few disjoint bundles as exact
 integers over one common denominator, one `value()` call per union.
 `demand_candidates()` answers a demand query over priced disjoint
 bundles from per-bundle margins alone, in time linear in the number of
-bundles; explicit tables have no such rule.
+bundles; explicit tables have no such rule.  `scaled(D)` is the int
+copy the solvers' lattice uses (README, "Solvers").
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +31,7 @@ from typing import (
 )
 
 from .errors import InputError
+from .scalars import lattice_int
 
 Item = str
 ItemSet = FrozenSet[str]
@@ -99,6 +102,8 @@ class Valuation:
 
     items: ItemSet
     kind: str = "abstract"
+    # the int 0 on a `scaled` copy, so its results stay ints
+    zero: Fraction = Fraction(0)
 
     def value(self, bundle: Iterable[Item]) -> Fraction:
         s = frozenset(bundle)
@@ -165,13 +170,18 @@ class Valuation:
         """All scalar parameters, for granularity computation."""
         raise NotImplementedError
 
+    def scaled(self, scale: int) -> "Valuation":
+        """A copy with each parameter p the int p * scale; `scale` must be
+        a multiple of every p's denominator."""
+        raise NotImplementedError
+
     def validate(self) -> Optional[ValuationDefect]:
         raise NotImplementedError
 
 
 def _weight_sum(weights: Mapping[Item, Fraction], s: Iterable[Item]) -> Fraction:
     """Sum of the weights of the items of `s`; unweighted items add 0."""
-    return sum((weights[i] for i in s if i in weights), Fraction(0))
+    return sum(weights[i] for i in s if i in weights)
 
 
 def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect]:
@@ -184,10 +194,12 @@ def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect
     return None
 
 
-def _best_of(scored: Iterable[Tuple[Fraction, FrozenSet[Hashable]]]) -> DemandAnswer:
-    """The max of 0 and the scores, with every set that scores it; the
-    empty set alone when nothing scores above 0."""
-    best = Fraction(0)
+def _best_of(
+    scored: Iterable[Tuple[Fraction, FrozenSet[Hashable]]], zero: Fraction
+) -> DemandAnswer:
+    """The max of `zero` and the scores, with every set that scores it;
+    the empty set alone when nothing scores above 0."""
+    best = zero
     sets: List[FrozenSet[Hashable]] = [frozenset()]
     for score, ids in scored:
         if score > best:
@@ -201,10 +213,11 @@ def _positive_part(
     clause: Mapping[Item, Fraction],
     offers: Sequence[Offer],
     prices: Mapping[Hashable, Fraction],
+    zero: Fraction,
 ) -> Tuple[Fraction, FrozenSet[Hashable]]:
     """The sum of the positive margins under one additive clause and the
     ids of their offers: the best an additive valuation does."""
-    total = Fraction(0)
+    total = zero
     taken = []
     for bid, items in offers:
         margin = _weight_sum(clause, items) - prices[bid]
@@ -218,13 +231,16 @@ def _clause_demand(
     clauses: Sequence[Mapping[Item, Fraction]],
     offers: Sequence[Offer],
     prices: Mapping[Hashable, Fraction],
+    zero: Fraction,
 ) -> DemandAnswer:
     """`demand_candidates` of the max of additive clauses.  Under one
     clause margins add up, so its best set takes every positive margin
     (a maximizer may add zero ones).  A maximizer of the max reaches it
     under some clause and so holds all of that clause's positive-margin
     offers."""
-    return _best_of(_positive_part(clause, offers, prices) for clause in clauses)
+    return _best_of(
+        (_positive_part(clause, offers, prices, zero) for clause in clauses), zero
+    )
 
 
 class ExplicitValuation(Valuation):
@@ -286,6 +302,9 @@ class ExplicitValuation(Valuation):
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.table.values())
 
+    def scaled(self, scale: int) -> Valuation:
+        return _ScaledTable(self, scale)
+
     def validate(self) -> Optional[ValuationDefect]:
         empty = frozenset()
         if self.table[empty] != 0:
@@ -305,6 +324,29 @@ class ExplicitValuation(Valuation):
         return None
 
 
+class _ScaledTable(ExplicitValuation):
+    """An explicit table on a lattice, scaled at lookup: no table is copied."""
+
+    zero = 0
+
+    def __init__(self, base: ExplicitValuation, scale: int):
+        self.items, self.table, self.scale = base.items, base.table, scale
+
+    def _value(self, s: ItemSet) -> int:
+        return lattice_int(self.table[s], self.scale)
+
+
+def _scaled_map(weights: Mapping[Item, Fraction], scale: int) -> Dict[Item, int]:
+    return {i: lattice_int(w, scale) for i, w in weights.items()}
+
+
+def _replaced(valuation: Valuation, **fields) -> Valuation:
+    """A shallow copy of `valuation` with `fields` set, on the lattice."""
+    out = copy.copy(valuation)
+    out.__dict__.update(fields, zero=0)
+    return out
+
+
 class UnitDemandValuation(Valuation):
     kind = "unit_demand"
 
@@ -315,7 +357,7 @@ class UnitDemandValuation(Valuation):
             raise InputError("weight map mentions items outside the universe")
 
     def _value(self, s: ItemSet) -> Fraction:
-        best = Fraction(0)
+        best = self.zero
         for i in s:
             if i in self.weights and self.weights[i] > best:
                 best = self.weights[i]
@@ -327,11 +369,15 @@ class UnitDemandValuation(Valuation):
         # a set is worth its best bundle but pays for all of them, so
         # that bundle alone does at least as well as the set
         return _best_of(
-            (self._value(items) - prices[bid], frozenset({bid})) for bid, items in offers
+            ((self._value(items) - prices[bid], frozenset({bid})) for bid, items in offers),
+            self.zero,
         )
 
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.weights.values())
+
+    def scaled(self, scale: int) -> Valuation:
+        return _replaced(self, weights=_scaled_map(self.weights, scale))
 
     def validate(self) -> Optional[ValuationDefect]:
         return _check_weights(self.weights)
@@ -348,7 +394,7 @@ class SingleMindedValuation(Valuation):
             raise InputError("desired set outside the item universe")
 
     def _value(self, s: ItemSet) -> Fraction:
-        return self.weight if self.desired <= s else Fraction(0)
+        return self.weight if self.desired <= s else self.zero
 
     def _demand_candidates(
         self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
@@ -358,7 +404,7 @@ class SingleMindedValuation(Valuation):
         # any other bundle only adds to the price
         need = []
         reached: ItemSet = frozenset()
-        cost = Fraction(0)
+        cost = 0
         for bid, items in offers:
             if items & self.desired:
                 need.append(bid)
@@ -366,10 +412,13 @@ class SingleMindedValuation(Valuation):
                 cost += prices[bid]
         if self.desired <= reached and self.weight > cost:
             return self.weight - cost, [frozenset(need)]
-        return Fraction(0), [frozenset()]
+        return self.zero, [frozenset()]
 
     def parameter_values(self) -> Iterator[Fraction]:
         yield self.weight
+
+    def scaled(self, scale: int) -> Valuation:
+        return _replaced(self, weight=lattice_int(self.weight, scale))
 
     def validate(self) -> Optional[ValuationDefect]:
         if self.weight < 0:
@@ -404,7 +453,7 @@ class XosValuation(Valuation):
                 raise InputError("clause mentions items outside the universe")
 
     def _value(self, s: ItemSet) -> Fraction:
-        best = Fraction(0)
+        best = self.zero
         for clause in self.clauses:
             total = _weight_sum(clause, s)
             if total > best:
@@ -414,11 +463,14 @@ class XosValuation(Valuation):
     def _demand_candidates(
         self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
     ) -> DemandAnswer:
-        return _clause_demand(self.clauses, offers, prices)
+        return _clause_demand(self.clauses, offers, prices, self.zero)
 
     def parameter_values(self) -> Iterator[Fraction]:
         for clause in self.clauses:
             yield from clause.values()
+
+    def scaled(self, scale: int) -> Valuation:
+        return _replaced(self, clauses=tuple(_scaled_map(c, scale) for c in self.clauses))
 
     def validate(self) -> Optional[ValuationDefect]:
         for clause in self.clauses:

@@ -126,13 +126,17 @@ def recorded_pushes():
 
     Wraps `PolySolver.raise_prices` for the duration of the block and
     rebuilds each report from the solver's prices, removal ranks and
-    recorded switch-to sets.
+    recorded switch-to sets.  The solver's prices are ints on its
+    lattice; the report divides them by its scale.
     """
     reports: List[RaiseReport] = []
     push = PolySolver.raise_prices
 
+    def prices(solver) -> Dict[int, Fraction]:
+        return {bid: Fraction(p, solver.scale) for bid, p in solver.prices.items()}
+
     def recording_push(solver):
-        before = dict(solver.prices)
+        before = prices(solver)
         push(solver)
         if solver.rank:
             order = tuple(sorted(solver.rank, key=solver.rank.__getitem__))
@@ -140,7 +144,7 @@ def recorded_pushes():
                 RaiseReport(
                     catalog=solver.catalog,
                     prices_before=before,
-                    prices_after=dict(solver.prices),
+                    prices_after=prices(solver),
                     assignment=dict(solver.assignment),
                     fallbacks={a: solver.fallback[a] for a in order},
                     removal_order=order,

@@ -328,3 +328,33 @@ def test_instance_emission_to_stdout(capsys):
     assert sorted(obj["items"]) == ["1", "2", "3"]
     assert [a["name"] for a in obj["agents"]] == ["a1", "a2", "a3"]
     assert obj["initial_allocation"]
+
+
+def test_one_process_reuses_the_parser(tmp_path, capsys):
+    """The parser is built once per process; a usage error between two
+    commands leaves it as it was, so each command's exit code and output
+    match those of a run with a freshly built parser."""
+    inst = _emit(tmp_path, capsys, "gap3")
+    sol = tmp_path / "sol.json"
+    sol.write_text(_run(capsys, "solve", "--input", inst)[1])
+    commands = [
+        ["solve", "--input", inst],
+        ["solve", "--input", inst, "--alg", "fastest"],
+        ["verify", "--input", inst, "--solution", str(sol)],
+    ]
+
+    def outcome(argv):
+        try:
+            code = run_cli(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in commands:
+        cli.build_parser.cache_clear()
+        alone.append(outcome(argv))
+    assert [code for code, _, _ in alone] == [0, 2, 0]
+    assert "invalid choice: 'fastest'" in alone[1][2]
+    assert [outcome(argv) for argv in commands] == alone

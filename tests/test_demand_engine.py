@@ -296,3 +296,36 @@ def test_structured_classes_never_enumerate(m, monkeypatch):
         # exhaustive over 2^8 bundle sets per agent, apart from the library
         assert brute_stability_violation(auction, outcome) is None
         assert brute_stability_violation(auction, result.base) is None
+
+
+# valuations worth 2 for {"a"} and nothing for {"b"}
+WORTH_NOTHING_ON_B = {
+    "explicit": lambda u: ExplicitValuation.from_entries(u, {frozenset({"a"}): F(2)}),
+    "additive": lambda u: AdditiveValuation(u, {"a": F(2)}),
+    "unit_demand": lambda u: UnitDemandValuation(u, {"a": F(2)}),
+    "single_minded": lambda u: SingleMindedValuation(u, {"a"}, F(2)),
+    "xos": lambda u: XosValuation(u, [{"a": F(2)}, {"a": F(1)}]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rational_valuations_answer_in_fractions(kind):
+    """Outside the solvers' integer lattice every value, utility and
+    demand maximum is a Fraction: also a zero one, and also when every
+    value and price is a whole number."""
+    universe = frozenset({"a", "b"})
+    valuation = WORTH_NOTHING_ON_B[kind](universe)
+    auction = Auction(items=universe, agents=(Agent("x", valuation),))
+    catalog = Catalog(
+        entries=((0, frozenset({"a"})), (1, frozenset({"b"}))), withheld=frozenset()
+    )
+    prices = {0: F(2), 1: F(1)}  # no bundle has a positive margin
+    answers = [
+        valuation.value({"b"}),
+        market.utility(auction, "x", frozenset(), catalog, prices),
+        market.utility(auction, "x", frozenset({1}), catalog, prices),
+        demand(auction, "x", catalog, prices)[0],
+        demand_correspondence(auction, "x", catalog, prices)[0],
+    ]
+    assert answers == [0, 0, -1, 0, 0]
+    assert [type(x) for x in answers] == [Fraction] * len(answers)
