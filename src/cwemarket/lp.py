@@ -21,9 +21,14 @@ built before the answer.
 
 Bland's rule is used for both entering and leaving variables (the
 ratio test compares by cross-multiplying), so the method terminates
-without cycling.  Phase one introduces a single auxiliary variable
-added to every row, as in the classic textbook construction, and
-brings it in on the row with the most negative right-hand side.
+without cycling.  One dictionary, real objective row included, serves
+both starts.  When b has a negative entry, phase one adds a single
+auxiliary column (1 in each constraint row, 0 in the objective), as in
+the classic textbook construction, appends its own objective row below
+the real one and brings the auxiliary in on the row with the most
+negative right-hand side.  Every phase-one pivot carries the real
+objective as an ordinary row, so phase two starts once the phase-one
+row and the auxiliary column are dropped.
 
 Every answer is certified in integers against the scaled input before
 it is returned, and a failed check raises SolverInvariantError:
@@ -64,8 +69,9 @@ class _Tableau:
 
     With N nonbasic columns, row i reads
         d * x_basis[i] = rows[i][N] + sum_j rows[i][j] * x_nonbasis[j]
-    and the last row is the objective,
-        d * z = rows[-1][N] + sum_j rows[-1][j] * x_nonbasis[j].
+    and the rows below the basis rows are objectives,
+        d * z = rows[k][N] + sum_j rows[k][j] * x_nonbasis[j],
+    which every pivot carries along; `run` prices from the last one.
     The denominator d stays positive.
     """
 
@@ -148,12 +154,13 @@ class _Tableau:
                 y[var - n] = -z[j]
         return y
 
-    def point(self, n: int) -> List[int]:
-        """d * x: the basic solution on the first n variables."""
+    def column(self, n: int, j: int) -> List[int]:
+        """Column j of the basis rows, on the first n variables (0 where
+        nonbasic).  Column -1 is d * x, the basic solution."""
         x = [0] * n
         for i, var in enumerate(self.basis):
             if var < n:
-                x[var] = self.rows[i][-1]
+                x[var] = self.rows[i][j]
         return x
 
 
@@ -279,27 +286,28 @@ def solve_lp(
     A_int = [row[:n] for row in Ab]
     b_int = [row[n] for row in Ab]
 
+    rows = [[-a for a in row] + [bi] for row, bi in zip(A_int, b_int)]
+    rows.append(cs + [0])
     # slack variable ids n .. n+m-1, auxiliary id n+m
-    basis = list(range(n, n + m))
-    nonbasis = list(range(n))
+    t = _Tableau(list(range(n, n + m)), list(range(n)), rows)
     if any(v < 0 for v in b_int):
         aux = n + m
-        nonbasis.append(aux)
-        rows = [[-a for a in row] + [1, bi] for row, bi in zip(A_int, b_int)]
+        t.nonbasis.append(aux)
+        for i, row in enumerate(rows):
+            row.insert(n, 1 if i < m else 0)
         rows.append([0] * n + [-1, 0])
-        t = _Tableau(basis, nonbasis, rows)
         # special first pivot: bring the auxiliary in on the worst row
-        worst = min(range(m), key=lambda i: (rows[i][-1], basis[i]))
+        worst = min(range(m), key=lambda i: (rows[i][-1], t.basis[i]))
         t.pivot(worst, n)
         status, _ = t.run()
         if status != OPTIMAL:  # phase-1 objective is bounded above by 0
             raise SolverInvariantError(f"phase one ended {status}")
-        if t.rows[-1][-1] != 0:
+        if rows[-1][-1] != 0:
             _certify_infeasible(A_int, b_int, n, t.slack_duals(n))
             return LpSolution(status=INFEASIBLE, x=None, value=None)
         if aux in t.basis:
             r = t.basis.index(aux)
-            cells = t.rows[r]
+            cells = rows[r]
             # degenerate: value must be 0; pivot it out on the first
             # usable nonbasis position
             if cells[-1] != 0:
@@ -314,43 +322,20 @@ def solve_lp(
             t.pivot(r, s)
         drop = t.nonbasis.index(aux)
         del t.nonbasis[drop]
-        t.rows.pop()
-        for row in t.rows:
+        rows.pop()
+        for row in rows:
             del row[drop]
-        # restore the real objective through the current basis
-        d = t.d
-        z = [0] * (len(t.nonbasis) + 1)
-        where = {var: i for i, var in enumerate(t.basis)}
-        for var in range(n):
-            cv = cs[var]
-            if cv == 0:
-                continue
-            i = where.get(var)
-            if i is None:
-                z[t.nonbasis.index(var)] += cv * d
-            else:
-                for j, a in enumerate(t.rows[i]):
-                    if a:
-                        z[j] += cv * a
-        t.rows.append(z)
-    else:
-        rows = [[-a for a in row] + [bi] for row, bi in zip(A_int, b_int)]
-        rows.append(cs + [0])
-        t = _Tableau(basis, nonbasis, rows)
 
     status, col = t.run()
     d = t.d
-    x = t.point(n)
+    x = t.column(n, -1)
     if status == UNBOUNDED:
-        ray = [0] * n
+        ray = t.column(n, col)
         if t.nonbasis[col] < n:
             ray[t.nonbasis[col]] = d
-        for i, var in enumerate(t.basis):
-            if var < n:
-                ray[var] = t.rows[i][col]
         _certify_unbounded(A_int, b_int, cs, d, x, ray)
         return LpSolution(status=UNBOUNDED, x=None, value=None)
-    z = t.rows[-1][-1]
+    z = rows[-1][-1]
     _certify_optimal(A_int, b_int, cs, d, x, t.slack_duals(n), z)
     return LpSolution(
         status=OPTIMAL,

@@ -404,11 +404,9 @@ def is_cwe(auction: Auction, outcome: Outcome) -> bool:
 
 
 def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
-    total = Fraction(0)
-    for agent in auction.agents:
-        items = outcome.assigned_items(agent.name)
-        total += agent.valuation.value(items)
-    return total
+    return allocation_welfare(
+        auction, {name: outcome.assigned_items(name) for name in auction.agent_names}
+    )
 
 
 def revenue_of(auction: Auction, outcome: Outcome) -> Fraction:

@@ -193,7 +193,7 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
             if ev.agent not in pool:
                 raise SolverInvariantError(f"pool remove of absent agent {ev.agent!r}")
             pool.remove(ev.agent)
-        elif isinstance(ev, Reject):
+        elif isinstance(ev, (Reject, Unassign)):
             assignment.pop(ev.agent, None)
         elif isinstance(ev, Assign):
             for bid in ev.bundles:
@@ -218,8 +218,6 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
                         )
             assignment[ev.agent] = ev.bundles
             allocated |= ev.bundles
-        elif isinstance(ev, Unassign):
-            assignment.pop(ev.agent, None)
         elif isinstance(ev, FallbackRecord):
             pending_rank.append(ev.agent)
         elif isinstance(ev, IterationEnd):

@@ -136,7 +136,7 @@ class Valuation:
         """
         sets = [frozenset(b) for b in bundles]
         self._check_bundles(sets)
-        return over_common_denominator([self.value(u) for u in subset_unions(sets)])
+        return over_common_denominator([self._value(u) for u in subset_unions(sets)])
 
     def demand_candidates(
         self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]

@@ -260,6 +260,7 @@ def _catalog_prices(
     """Max revenue (or 0) over the price maps making the assignment
     stable, with one such map; None when there is none."""
     _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
+    _cap(len(auction.agents), LP_MAX_AGENTS, "agent count")
     pos = {bid: j for j, (bid, _) in enumerate(catalog.entries)}
     owns = dict.fromkeys(auction.agent_names, 0)  # held masks
     held: set = set()

@@ -267,6 +267,22 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_oracle_support_caps_the_agent_count(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "logn_revenue", "--n", "9")
+    sol = tmp_path / "sol.json"
+    sol.write_text(dumps({
+        "catalog": [["1"], ["2"], ["3"]],
+        "prices": ["0", "0", "0"],
+        "assignment": {"a1": [0]},
+    }))
+    code, out, err = _run(
+        capsys, "oracle", "support", "--input", inst, "--solution", str(sol)
+    )
+    assert code == 3
+    assert out == ""
+    assert "agent count = 9 exceeds oracle cap 6" in err
+
+
 def test_large_unit_demand_catalog_through_cli(tmp_path, capsys):
     """24 seeded bundles, over DEMAND_BUNDLE_CAP: unit-demand agents are
     answered from per-bundle margins, so no command hits the cap."""

@@ -295,6 +295,13 @@ def lps(draw):
 @example(([1], [[-1]], [-1]))
 # the auxiliary variable stays basic at zero and is pivoted out
 @example(([0, 1], [[1, -1], [-1, 1], [0, 0]], [-1, 1, 0]))
+# phase one brings in x and y, both priced by c, and phase two pivots
+# on: x >= 1, y >= 2, x + y <= 5, max 2x + 3y
+@example(([2, 3], [[-1, 0], [0, -1], [1, 1]], [-1, -2, 5]))
+# the auxiliary stays basic at zero while y, priced by c, entered in
+# phase one; the carried objective then prices two phase-two pivots
+@example(([1, 3], [[1, -1], [-1, 1], [1, 1]], [-1, 1, 3]))
+@example(([F(1, 2), 1], [[1, -1], [-1, 1], [1, 0]], [-1, 1, 2]))
 # mixed ints and Fractions with unrelated denominators
 @example(([F(1, 3), 2], [[F(2, 7), 1], [1, F(-5, 4)]], [F(3, 5), -1]))
 def test_matches_the_reference_simplex(lp):

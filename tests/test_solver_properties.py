@@ -3,14 +3,15 @@ replays to its outcome, and the outcome is stable (checked by
 exhaustive enumeration from raw valuations) with at least half the
 seed allocation's welfare.  Scaling every valuation parameter by a
 constant scales every price and changes nothing else, and no float
-enters a price.
+enters a price.  The lattice's granularity matches its rational
+reference.
 
 `derandomize=True` fixes the examples, so the suite stays
 deterministic.
 """
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwemarket import (
@@ -27,6 +28,7 @@ from cwemarket import (
     social_welfare,
 )
 from cwemarket.errors import SolverDeadlockError
+from cwemarket.scalars import common_granularity
 from cwemarket.trace import PriceRaise
 
 from .helpers import brute_stability_violation, seed_welfare
@@ -184,6 +186,25 @@ def test_scaling_every_parameter_scales_every_price(market, steps):
     epsilon = (g if g is not None else F(1)) / (2 * steps)
     check_scaled_run(solved(lambda: run_simple(auction, seed, epsilon)),
                      solved(lambda: run_simple(scaled, seed, epsilon * c)), c)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(mixed_and_explicit_markets(), st.sampled_from((F(1), F(0))))
+@example((Auction(items=("i0",), agents=()), {}), F(1))
+def test_granularity_is_the_rational_gcd_of_the_parameters(market, c):
+    """`Auction.granularity`, an integer gcd on the lattice, equals
+    `common_granularity` of every valuation parameter: None when all
+    are zero (c = 0) or there are none (no agents)."""
+    auction, _ = market
+    auction = Auction(
+        items=auction.items,
+        agents=tuple(Agent(a.name, times(a.valuation, c)) for a in auction.agents),
+    )
+    values = [p for a in auction.agents for p in a.valuation.parameter_values()]
+    got = auction.granularity()
+    assert got == common_granularity(values)
+    if not c or not auction.agents:
+        assert got is None
 
 
 def test_a_zero_valued_seed_set_keeps_every_price_a_fraction():

@@ -7,9 +7,9 @@ from cwemarket import (
     AdditiveValuation,
     Auction,
     Catalog,
+    ExplicitValuation,
     ResourceLimitError,
     SolverInvariantError,
-    Valuation,
     brute_force_optimal,
     generate,
     is_cwe,
@@ -69,12 +69,12 @@ def test_brute_optimum_awards_every_item():
 def test_brute_optimum_reads_each_subset_value_once(monkeypatch):
     auction, _ = generate("random_explicit", m=5, n=5, seed=3)
     calls = []
-    value = Valuation.value
+    value = ExplicitValuation._value
     monkeypatch.setattr(
-        Valuation, "value", lambda v, bundle: calls.append(1) or value(v, bundle)
+        ExplicitValuation, "_value", lambda v, s: calls.append(1) or value(v, s)
     )
     sw, alloc = brute_force_optimal(auction)
-    assert len(calls) <= len(auction.agents) * 2 ** len(auction.items)
+    assert 0 < len(calls) <= len(auction.agents) * 2 ** len(auction.items)
     assert sw == F(261, 64)
     # the first-found maximum, scanning agents in order
     assert alloc == {
@@ -167,20 +167,58 @@ def test_unbundled_welfare_on_pricing_family():
     assert max_stable_singleton_welfare(auction) == F(11, 10)
 
 
+def _on_singletons(oracle, *args):
+    return lambda auction: oracle(auction, singleton_catalog(auction), *args)
+
+
+# (oracle on an auction, its item or bundle cap, what that cap counts,
+# its agent cap)
+ORACLE_CAPS = [
+    (brute_force_optimal, "BRUTE_MAX_ITEMS", "item count", "BRUTE_MAX_AGENTS"),
+    (_on_singletons(brute_force_optimal_over_catalog),
+     "BRUTE_MAX_ITEMS", "bundle count", "BRUTE_MAX_AGENTS"),
+    (_on_singletons(config_lp_fractional_opt),
+     "LP_MAX_BUNDLES", "bundle count", "LP_MAX_AGENTS"),
+    (_on_singletons(supporting_prices, {}),
+     "LP_MAX_BUNDLES", "bundle count", "LP_MAX_AGENTS"),
+    (_on_singletons(supporting_prices_exist, {}),
+     "LP_MAX_BUNDLES", "bundle count", "LP_MAX_AGENTS"),
+    (_on_singletons(revenue_maximizing_prices, {}),
+     "LP_MAX_BUNDLES", "bundle count", "LP_MAX_AGENTS"),
+    (lambda a: next(stable_singleton_outcomes(a)),
+     "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
+    (max_stable_singleton_welfare, "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
+    (max_stable_singleton_items_sold, "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
+    (max_cwe_welfare, "SEARCH_MAX_ITEMS", "item count", "SEARCH_MAX_AGENTS"),
+    (max_cwe_revenue, "SEARCH_MAX_ITEMS", "item count", "SEARCH_MAX_AGENTS"),
+]
+
+
 def test_resource_caps_are_loud(gap3, monkeypatch):
-    monkeypatch.setattr(verifier, "BRUTE_MAX_ITEMS", 2)
-    with pytest.raises(ResourceLimitError):
-        brute_force_optimal(gap3)
-    monkeypatch.setattr(verifier, "SEARCH_MAX_AGENTS", 1)
-    with pytest.raises(ResourceLimitError):
-        max_cwe_welfare(gap3)
-    monkeypatch.setattr(verifier, "LP_MAX_BUNDLES", 2)
-    with pytest.raises(ResourceLimitError):
-        config_lp_fractional_opt(gap3, singleton_catalog(gap3))
-    monkeypatch.setattr(verifier, "LP_MAX_BUNDLES", 6)
-    monkeypatch.setattr(verifier, "LP_MAX_AGENTS", 2)
+    """Every exhaustive oracle refuses an input one over each of its
+    caps, naming the count, and answers at the cap."""
+    for oracle, item_cap, counted, agent_cap in ORACLE_CAPS:
+        for cap, what, size in (
+            (item_cap, counted, len(gap3.items)),
+            (agent_cap, "agent count", len(gap3.agents)),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(verifier, cap, size - 1)
+                with pytest.raises(ResourceLimitError, match=what):
+                    oracle(gap3)
+                patch.setattr(verifier, cap, size)
+                oracle(gap3)
+
+
+def test_price_lps_cap_the_agent_count():
+    """Three bundles are within the LP cap, nine agents are not."""
+    auction, _ = generate("logn_revenue", n=9)
+    catalog = Catalog(entries=tuple(enumerate(frozenset({it}) for it in "123")))
+    for oracle in (supporting_prices, revenue_maximizing_prices):
+        with pytest.raises(ResourceLimitError, match="agent count"):
+            oracle(auction, catalog, {})
     with pytest.raises(ResourceLimitError, match="agent count"):
-        next(stable_singleton_outcomes(gap3))
+        config_lp_fractional_opt(auction, catalog)
 
 
 @pytest.fixture
