@@ -317,11 +317,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_instance(args: argparse.Namespace) -> int:
-    params = {}
-    for key in ("epsilon", "delta", "m", "n", "seed"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    given = {key: getattr(args, key) for key in ("epsilon", "delta", "m", "n", "seed")}
+    params = {key: value for key, value in given.items() if value is not None}
     auction, allocation = generate(args.name, **params)
     _write(args.output, dumps(instance_to_json(auction, allocation)))
     return 0

@@ -411,11 +411,8 @@ def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
 
 def revenue_of(auction: Auction, outcome: Outcome) -> Fraction:
     """Total price paid over assigned bundles."""
-    total = Fraction(0)
-    for name in auction.agent_names:
-        for bid in outcome.assignment.get(name, frozenset()):
-            total += outcome.prices[bid]
-    return total
+    held = [outcome.assignment.get(name, frozenset()) for name in auction.agent_names]
+    return sum((outcome.prices[bid] for bids in held for bid in bids), Fraction(0))
 
 
 InitialAllocation = Mapping[str, ItemSet]
@@ -443,9 +440,7 @@ def validate_initial_allocation(auction: Auction, allocation: InitialAllocation)
         if not items:
             continue
         if not items <= auction.item_set:
-            raise InputError(
-                f"initial allocation of {name!r} contains unknown items"
-            )
+            raise InputError(f"initial allocation of {name!r} contains unknown items")
         if used & items:
             raise InputError("initial allocation is not disjoint")
         used |= items
@@ -463,14 +458,9 @@ def initial_market(
     withheld.  Returns (catalog, prices).
     """
     norm = validate_initial_allocation(auction, allocation)
-    entries: List[Tuple[BundleId, ItemSet]] = []
-    prices: PriceMap = {}
-    next_id = 0
-    for name in auction.agent_names:
-        items = norm.get(name)
-        if not items:
-            continue
-        entries.append((next_id, items))
-        prices[next_id] = auction.valuation(name).value(items) / 2
-        next_id += 1
+    entries = list(enumerate(norm.values()))
+    prices: PriceMap = {
+        bid: auction.valuation(name).value(items) / 2
+        for bid, (name, items) in enumerate(norm.items())
+    }
     return Catalog.selling(auction.item_set, entries), prices

@@ -61,12 +61,7 @@ def _expect(obj: Any, kind: type, what: str) -> Any:
 
 
 def _item_list(obj: Any, what: str) -> List[str]:
-    _expect(obj, list, what)
-    out = []
-    for entry in obj:
-        _expect(entry, str, f"{what} entry")
-        out.append(entry)
-    return out
+    return [_expect(entry, str, f"{what} entry") for entry in _expect(obj, list, what)]
 
 
 def _weight_map(obj: Any, what: str) -> Dict[str, Fraction]:
@@ -228,9 +223,7 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
     """Rebuild an outcome from its report form for re-verification."""
     _expect(obj, dict, "outcome")
     bundles_obj = _expect(obj.get("catalog"), list, "catalog")
-    entries = []
-    for k, bundle in enumerate(bundles_obj):
-        entries.append((k, frozenset(_item_list(bundle, "catalog bundle"))))
+    entries = [(k, frozenset(_item_list(b, "catalog bundle"))) for k, b in enumerate(bundles_obj)]
     prices_obj = _expect(obj.get("prices"), list, "prices")
     if len(prices_obj) != len(entries):
         raise InputError("prices list must parallel the catalog list")

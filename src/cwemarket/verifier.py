@@ -11,7 +11,10 @@ larger than their caps, the module constants below, read at call time.
 Each call reads every valuation once, into int tables over one common
 denominator D (`_tables`), and stays in ints: welfare sums, the DP, LP
 objectives and stability right-hand sides, whose scaling by D changes
-no pivot.  The searches enumerate maps item -> owner or nobody.
+no pivot.  The searches enumerate maps item -> owner or nobody: one
+walk sums each map's welfare and groups the maps by int welfare level,
+and a level's candidates are built and sorted only when a search, going
+down from the highest level, reaches it.
 
 Two exact screens skip stability LPs whose answer is known.  Every
 LP passes through `_stable_prices`, which first asks the brute-force
@@ -114,14 +117,22 @@ def _partition(tables: Tables, full: int) -> Tuple[int, List[int]]:
     return best[0][full], shares
 
 
+def _members(labels: Sequence, mask: int) -> List:
+    """The labels whose bit is set in `mask`."""
+    return [label for j, label in enumerate(labels) if mask >> j & 1]
+
+
 def _best_partition(
-    auction: Auction, units: Sequence[ItemSet]
-) -> Tuple[Fraction, Dict[str, int]]:
-    """`_partition` of every unit: (welfare, agent name -> unit mask)."""
+    auction: Auction, units: Sequence[ItemSet], labels: Sequence
+) -> Tuple[Fraction, Dict[str, frozenset]]:
+    """`_partition` of every unit: (welfare, agent name -> the labels of
+    its units), where unit j has label labels[j]."""
     tables, den = _tables(auction, units)
     welfare, shares = _partition(tables, (1 << len(units)) - 1)
-    masks = {agent.name: got for agent, got in zip(auction.agents, shares) if got}
-    return Fraction(welfare, den), masks
+    won = {
+        a.name: frozenset(_members(labels, got)) for a, got in zip(auction.agents, shares) if got
+    }
+    return Fraction(welfare, den), won
 
 
 def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]:
@@ -135,11 +146,7 @@ def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]
     _cap(len(auction.items), BRUTE_MAX_ITEMS, "item count")
     _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
     items = auction.items
-    welfare, masks = _best_partition(auction, [frozenset({it}) for it in items])
-    allocation = {
-        name: frozenset(items[j] for j in range(len(items)) if mask >> j & 1)
-        for name, mask in masks.items()
-    }
+    welfare, allocation = _best_partition(auction, [frozenset({it}) for it in items], items)
     leftover = auction.item_set.difference(*allocation.values())
     if leftover and auction.agents:
         first = auction.agents[0].name
@@ -155,14 +162,7 @@ def brute_force_optimal_over_catalog(
     """Exact welfare maximum when only whole catalog bundles may move."""
     _cap(len(catalog.entries), BRUTE_MAX_ITEMS, "bundle count")
     _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
-    units = [items for _, items in catalog.entries]
-    ids = [bid for bid, _ in catalog.entries]
-    welfare, masks = _best_partition(auction, units)
-    assignment = {
-        name: frozenset(ids[j] for j in range(len(ids)) if mask >> j & 1)
-        for name, mask in masks.items()
-    }
-    return welfare, assignment
+    return _best_partition(auction, [items for _, items in catalog.entries], catalog.ids)
 
 
 def config_lp_fractional_opt(auction: Auction, catalog: Catalog) -> Fraction:
@@ -322,7 +322,8 @@ def stable_singleton_outcomes(
     The catalog is every item sold separately with nothing withheld;
     assignments range over every function item -> agent-or-nobody.
     Yields (allocation by items, witness prices) for each assignment
-    that admits supporting prices.
+    that admits supporting prices.  The call checks the caps and reads
+    the tables; the scan runs as the result is consumed.
     """
     _cap(len(auction.items), LP_MAX_BUNDLES, "item count")
     _cap(len(auction.agents), LP_MAX_AGENTS, "agent count")
@@ -330,17 +331,21 @@ def stable_singleton_outcomes(
     names = auction.agent_names
     # bundle j of the singleton catalog is item j, under id j
     tables, den = _tables(auction)
-    for combo in itertools.product(range(len(names) + 1), repeat=len(items)):
-        owns = [0] * (len(names) + 1)
-        allocation: Dict[str, ItemSet] = {}
-        for j, who in enumerate(combo):
-            owns[who] |= 1 << j
-            if who:
-                name = names[who - 1]
-                allocation[name] = allocation.get(name, frozenset()) | {items[j]}
-        got = _stable_prices(tables, den, owns[1:], [0] * len(items))
-        if got is not None:
-            yield allocation, dict(enumerate(got[1]))
+
+    def scan() -> Iterator[Tuple[Dict[str, ItemSet], Dict[BundleId, Fraction]]]:
+        for combo in itertools.product(range(len(names) + 1), repeat=len(items)):
+            owns = [0] * (len(names) + 1)
+            for j, who in enumerate(combo):
+                owns[who] |= 1 << j
+            got = _stable_prices(tables, den, owns[1:], [0] * len(items))
+            if got is not None:
+                # agents in the order of their first item
+                allocation = {
+                    names[w - 1]: frozenset(_members(items, owns[w])) for w in combo if w
+                }
+                yield allocation, dict(enumerate(got[1]))
+
+    return scan()
 
 
 def max_stable_singleton_welfare(auction: Auction) -> Fraction:
@@ -358,34 +363,47 @@ Pairs = Tuple[Tuple[str, Tuple[str, ...]], ...]
 Candidate = Tuple[int, Pairs, Tuple[Tuple[int, int], ...]]
 
 
-def _bundled_candidates(auction: Auction) -> Tuple[Tables, int, List[Candidate]]:
+def _bundled_candidates(auction: Auction) -> Tuple[Tables, int, Iterator[Candidate]]:
     """The item tables, D, and every way to sell a bundling of some
     items: one candidate per map item -> agent-or-nobody, an agent's
     bundle being the items mapped to it.  Sorted by welfare descending
     then pairs, which list the bundles by agent name.  Items mapped to
-    nobody are withheld; withholding them loses nothing for stability."""
+    nobody are withheld; withholding them loses nothing for stability.
+    The call checks the caps and walks the maps once into int welfare
+    levels; the iterator builds and sorts a level's candidates only on
+    reaching it, so a search that stops early builds no lower level."""
     _cap(len(auction.items), SEARCH_MAX_ITEMS, "item count")
     _cap(len(auction.agents), SEARCH_MAX_AGENTS, "agent count")
     tables, den = _tables(auction)
     items = auction.items
     names = auction.agent_names
-    m = len(items)
     order = sorted(range(len(names)), key=names.__getitem__)
-    labels = [
-        tuple(sorted(items[j] for j in range(m) if mask >> j & 1))
-        for mask in range(1 << m)
-    ]
-    out: List[Candidate] = []
-    # owner len(names) is nobody; the sort fixes the order
-    for owners in itertools.product(range(len(names) + 1), repeat=m):
-        masks = [0] * (len(names) + 1)
-        for j, who in enumerate(owners):
-            masks[who] |= 1 << j
-        sw = sum(table[mask] for table, mask in zip(tables, masks))
-        owned = tuple((i, masks[i]) for i in order if masks[i])
-        out.append((-sw, tuple((names[i], labels[mask]) for i, mask in owned), owned))
-    out.sort()
-    return tables, den, out
+    # (-welfare over D, masks of the agents so far in name order, free
+    # items), agent by agent over the submasks of the free items
+    maps = [(0, (), (1 << len(items)) - 1)]
+    for i in order:
+        table, grown = tables[i], []
+        for neg_sw, masks, free in maps:
+            sub = free
+            while True:
+                grown.append((neg_sw - table[sub], masks + (sub,), free ^ sub))
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        maps = grown
+    levels: Dict[int, List[Tuple[int, ...]]] = {}
+    for neg_sw, masks, _ in maps:
+        levels.setdefault(neg_sw, []).append(masks)
+
+    def by_level() -> Iterator[Candidate]:
+        for neg_sw in sorted(levels):
+            owned = [tuple((i, x) for i, x in zip(order, masks) if x) for masks in levels[neg_sw]]
+            yield from sorted(
+                (neg_sw, tuple((names[i], tuple(sorted(_members(items, x)))) for i, x in o), o)
+                for o in owned
+            )
+
+    return tables, den, by_level()
 
 
 def _candidate_market(
@@ -454,13 +472,13 @@ def max_cwe_revenue(auction: Auction) -> Tuple[Fraction, Outcome]:
     tables, den, candidates = _bundled_candidates(auction)
     best_rev = Fraction(0)
     best: Optional[Outcome] = None
+    # floor(best_rev * D): an int over D is <= best_rev iff it is <= cut
+    cut = 0
     for neg_sw, pairs, owned in candidates:
-        if best is not None and Fraction(-neg_sw, den) <= best_rev:
+        if best is not None and -neg_sw <= cut:
             break
         lp_tables, owns = _candidate_market(tables, owned)
-        if best is not None and Fraction(
-            _revenue_bound(lp_tables, [i for i, _ in owned]), den
-        ) <= best_rev:
+        if best is not None and _revenue_bound(lp_tables, [i for i, _ in owned]) <= cut:
             continue
         got = _stable_prices(lp_tables, den, owns, [1] * len(owned))
         if got is None:
@@ -468,6 +486,7 @@ def max_cwe_revenue(auction: Auction) -> Tuple[Fraction, Outcome]:
         rev, prices = got
         if best is None or rev > best_rev:
             best_rev = rev
+            cut = rev.numerator * den // rev.denominator
             best = _candidate_outcome(auction, pairs, prices)
     if best is None:
         raise SolverInvariantError("no stable candidate, not even selling nothing")

@@ -65,6 +65,21 @@ def auctions(draw):
 
 
 @st.composite
+def tied_auctions(draw):
+    """Markets whose candidates tie in welfare: all-zero explicit tables,
+    where every map is on one level, or one valuation shared by agents
+    with different names."""
+    items = ITEM_NAMES[:draw(st.integers(1, 4))]
+    if draw(st.booleans()):
+        valuation = ExplicitValuation.from_entries(items, {})
+    else:
+        kind = draw(st.sampled_from(STRUCTURED))
+        valuation = draw(valuations(kind, frozenset(items), coarse))
+    names = AGENT_NAMES[:draw(st.integers(1, 4))]
+    return Auction(items=items, agents=tuple(Agent(name, valuation) for name in names))
+
+
+@st.composite
 def bundlings(draw, auction):
     """(catalog, assignment): items in up to three bundles or withheld,
     each bundle held by nobody or by one agent, who may hold several."""
@@ -165,6 +180,21 @@ def test_candidate_order_matches_the_set_partition_enumeration():
         _, den, candidates = verifier._bundled_candidates(auction)
         got = [(F(-neg_sw, den), pairs) for neg_sw, pairs, _ in candidates]
         assert got == helpers.reference_bundled_candidates(auction)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(auction=st.one_of(auctions(), tied_auctions()))
+def test_lazy_candidate_order_matches_on_ties(auction):
+    """The level-by-level candidates equal the sorted set-partition
+    enumeration, ties included, and each candidate's owners are its
+    pairs' agents."""
+    names = auction.agent_names
+    _, den, candidates = verifier._bundled_candidates(auction)
+    got = []
+    for neg_sw, pairs, owned in candidates:
+        assert [names[i] for i, _ in owned] == [name for name, _ in pairs]
+        got.append((F(-neg_sw, den), pairs))
+    assert got == helpers.reference_bundled_candidates(auction)
 
 
 def test_max_cwe_revenue_reads_each_subset_value_once(monkeypatch):

@@ -185,18 +185,19 @@ ORACLE_CAPS = [
      "LP_MAX_BUNDLES", "bundle count", "LP_MAX_AGENTS"),
     (_on_singletons(revenue_maximizing_prices, {}),
      "LP_MAX_BUNDLES", "bundle count", "LP_MAX_AGENTS"),
-    (lambda a: next(stable_singleton_outcomes(a)),
-     "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
+    (stable_singleton_outcomes, "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
     (max_stable_singleton_welfare, "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
     (max_stable_singleton_items_sold, "LP_MAX_BUNDLES", "item count", "LP_MAX_AGENTS"),
     (max_cwe_welfare, "SEARCH_MAX_ITEMS", "item count", "SEARCH_MAX_AGENTS"),
     (max_cwe_revenue, "SEARCH_MAX_ITEMS", "item count", "SEARCH_MAX_AGENTS"),
+    (verifier._bundled_candidates, "SEARCH_MAX_ITEMS", "item count", "SEARCH_MAX_AGENTS"),
 ]
 
 
 def test_resource_caps_are_loud(gap3, monkeypatch):
     """Every exhaustive oracle refuses an input one over each of its
-    caps, naming the count, and answers at the cap."""
+    caps, naming the count, and answers at the cap.  The refusal comes
+    on the call, also where the answer is an iterator."""
     for oracle, item_cap, counted, agent_cap in ORACLE_CAPS:
         for cap, what, size in (
             (item_cap, counted, len(gap3.items)),
