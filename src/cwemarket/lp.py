@@ -9,13 +9,14 @@ Problems are given in the standard inequality form
 with every coefficient an `int` or a `Fraction`; anything else (a
 float above all) is rejected with InputError.
 
-Integers throughout.  A and b are scaled by one common multiple L of
-their denominators, and c by its own multiple Lc, which leaves the
-feasible set, and every pivot choice, unchanged.  The dictionary is
-kept as integer rows over one common denominator d (Edmonds/Bareiss
-pivoting): a pivot on the entry P of row b, with p = |P|, sets every
-other row a, whose entry in the pivot column is f, to
-(p*a - sign(P)*f*b) // d and then d = p.  The division is exact
+Integers throughout.  A, b and c are scaled by one common multiple L
+of their denominators, which leaves the feasible set, and every pivot
+choice, unchanged: Bland's entering rule reads only the signs of the
+objective row, and the ratio test reads only A and b.  The
+dictionary is kept as integer rows over one common denominator d
+(Edmonds/Bareiss pivoting): a pivot on the entry P of row b, with
+p = |P|, sets every other row a, whose entry in the pivot column is
+f, to (p*a - sign(P)*f*b) // d and then d = p.  The division is exact
 because every entry is a minor of the scaled input.  No `Fraction` is
 built before the answer.
 
@@ -30,16 +31,19 @@ negative right-hand side.  Every phase-one pivot carries the real
 objective as an ordinary row, so phase two starts once the phase-one
 row and the auxiliary column are dropped.
 
-Every answer is certified in integers against the scaled input before
-it is returned, and a failed check raises SolverInvariantError:
+There are two answers, optimal and infeasible.  Every LP the package
+builds is bounded: each priced bundle is capped by its holder's
+individual-rationality row, and each configuration variable by its
+agent's row.  So an entering column that no row bounds raises
+SolverInvariantError.  Every answer is certified in integers against
+the scaled input before it is returned, and a failed check raises
+SolverInvariantError too:
 
 - optimal: the primal point is feasible, the dual y read off the
   objective row at the slack columns is dual feasible, and both reach
   the same value;
 - infeasible: a Farkas vector y >= 0 from the phase-one objective row
-  with y A >= 0 and y b < 0;
-- unbounded: a feasible point and a ray r >= 0 with A r <= 0 and
-  c . r > 0, read off the entering column.
+  with y A >= 0 and y b < 0.
 """
 from __future__ import annotations
 
@@ -52,7 +56,6 @@ from .errors import InputError, SolverInvariantError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 Rational = Union[int, Fraction]
 
@@ -111,9 +114,8 @@ class _Tableau:
         self.d = p
         self.basis[r], self.nonbasis[s] = self.nonbasis[s], self.basis[r]
 
-    def run(self) -> Tuple[str, int]:
-        """Bland steps until optimal or unbounded.  Returns the status
-        and, when unbounded, the entering column without a bound."""
+    def run(self) -> None:
+        """Bland steps until the last row prices no column in."""
         rows = self.rows
         basis = self.basis
         m = len(basis)
@@ -126,7 +128,7 @@ class _Tableau:
                     best_var = var
                     col = j
             if col < 0:
-                return OPTIMAL, -1
+                return
             # ratio of row i is rows[i][-1] / -rows[i][col]
             row = -1
             num = den = 0
@@ -141,7 +143,7 @@ class _Tableau:
                         continue
                 row, num, den = i, rhs, -a
             if row < 0:
-                return UNBOUNDED, col
+                raise SolverInvariantError("LP is unbounded")
             self.pivot(row, col)
 
     def slack_duals(self, n: int) -> List[int]:
@@ -154,13 +156,12 @@ class _Tableau:
                 y[var - n] = -z[j]
         return y
 
-    def column(self, n: int, j: int) -> List[int]:
-        """Column j of the basis rows, on the first n variables (0 where
-        nonbasic).  Column -1 is d * x, the basic solution."""
+    def point(self, n: int) -> List[int]:
+        """d * x, the basic solution on the first n variables."""
         x = [0] * n
-        for i, var in enumerate(self.basis):
+        for var, row in zip(self.basis, self.rows):
             if var < n:
-                x[var] = self.rows[i][j]
+                x[var] = row[-1]
         return x
 
 
@@ -190,20 +191,6 @@ def _fail(what: str) -> None:
     raise SolverInvariantError(f"LP certificate check failed: {what}")
 
 
-def _times(A: List[List[int]], v: List[int]) -> List[int]:
-    """A v, row by row, over the nonzero entries of v."""
-    nz = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in nz) for row in A]
-
-
-def _check_point(A: List[List[int]], b: List[int], d: int, x: List[int]) -> None:
-    """x / d satisfies A x <= b and x >= 0."""
-    if any(v < 0 for v in x):
-        _fail("primal point has a negative entry")
-    if any(ax > d * bi for ax, bi in zip(_times(A, x), b)):
-        _fail("primal point violates a row")
-
-
 def _dual_products(A: List[List[int]], y: List[int], n: int) -> List[int]:
     """y A over n columns, after checking y >= 0."""
     if any(v < 0 for v in y):
@@ -228,7 +215,11 @@ def _certify_optimal(
 ) -> None:
     """x / d is feasible with value z / d, and y / d >= 0 is a dual
     solution (y A >= c) of the same value, so both are optimal."""
-    _check_point(A, b, d, x)
+    if any(v < 0 for v in x):
+        _fail("primal point has a negative entry")
+    nz = [(j, v) for j, v in enumerate(x) if v]
+    if any(sum(row[j] * v for j, v in nz) > d * bi for row, bi in zip(A, b)):
+        _fail("primal point violates a row")
     for yA, cj in zip(_dual_products(A, y, len(c)), c):
         if yA < d * cj:
             _fail("dual vector violates a column")
@@ -249,25 +240,6 @@ def _certify_infeasible(
         _fail("Farkas vector has y b >= 0")
 
 
-def _certify_unbounded(
-    A: List[List[int]],
-    b: List[int],
-    c: List[int],
-    d: int,
-    x: List[int],
-    r: List[int],
-) -> None:
-    """x / d is feasible and r >= 0 with A r <= 0 and c . r > 0 is an
-    improving ray from it."""
-    _check_point(A, b, d, x)
-    if any(v < 0 for v in r):
-        _fail("ray has a negative entry")
-    if any(ar > 0 for ar in _times(A, r)):
-        _fail("ray leaves a row")
-    if sum(cj * rj for cj, rj in zip(c, r)) <= 0:
-        _fail("ray does not improve the objective")
-
-
 def solve_lp(
     c: Sequence[Rational],
     A: Sequence[Sequence[Rational]],
@@ -281,10 +253,10 @@ def solve_lp(
     for row in A:
         if len(row) != n:
             raise InputError("matrix row length does not match objective length")
-    _, Ab = _scaled([list(row) + [bi] for row, bi in zip(A, b)])
-    lc, (cs,) = _scaled([c])
-    A_int = [row[:n] for row in Ab]
-    b_int = [row[n] for row in Ab]
+    lcm, scaled = _scaled([list(row) + [bi] for row, bi in zip(A, b)] + [list(c)])
+    cs = scaled.pop()
+    A_int = [row[:n] for row in scaled]
+    b_int = [row[n] for row in scaled]
 
     rows = [[-a for a in row] + [bi] for row, bi in zip(A_int, b_int)]
     rows.append(cs + [0])
@@ -299,9 +271,7 @@ def solve_lp(
         # special first pivot: bring the auxiliary in on the worst row
         worst = min(range(m), key=lambda i: (rows[i][-1], t.basis[i]))
         t.pivot(worst, n)
-        status, _ = t.run()
-        if status != OPTIMAL:  # phase-1 objective is bounded above by 0
-            raise SolverInvariantError(f"phase one ended {status}")
+        t.run()
         if rows[-1][-1] != 0:
             _certify_infeasible(A_int, b_int, n, t.slack_duals(n))
             return LpSolution(status=INFEASIBLE, x=None, value=None)
@@ -326,19 +296,13 @@ def solve_lp(
         for row in rows:
             del row[drop]
 
-    status, col = t.run()
+    t.run()
     d = t.d
-    x = t.column(n, -1)
-    if status == UNBOUNDED:
-        ray = t.column(n, col)
-        if t.nonbasis[col] < n:
-            ray[t.nonbasis[col]] = d
-        _certify_unbounded(A_int, b_int, cs, d, x, ray)
-        return LpSolution(status=UNBOUNDED, x=None, value=None)
+    x = t.point(n)
     z = rows[-1][-1]
     _certify_optimal(A_int, b_int, cs, d, x, t.slack_duals(n), z)
     return LpSolution(
         status=OPTIMAL,
         x=[Fraction(v, d) for v in x],
-        value=Fraction(z, d * lc),
+        value=Fraction(z, d * lcm),
     )

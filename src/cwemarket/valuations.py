@@ -249,12 +249,7 @@ class ExplicitValuation(Valuation):
     kind = "explicit"
 
     def __init__(self, items: Iterable[Item], table: Mapping[ItemSet, Fraction]):
-        self.items = _itemset(items)
-        if len(self.items) > EXPLICIT_ITEM_CAP:
-            raise InputError(
-                f"explicit valuation over {len(self.items)} items exceeds the "
-                f"cap of {EXPLICIT_ITEM_CAP}"
-            )
+        self.items = self._universe(items)
         tab: Dict[ItemSet, Fraction] = {}
         for s, v in table.items():
             key = frozenset(s)
@@ -269,6 +264,18 @@ class ExplicitValuation(Valuation):
             )
         self.table: Dict[ItemSet, Fraction] = tab
 
+    @staticmethod
+    def _universe(items: Iterable[Item]) -> ItemSet:
+        """The table's items, refused beyond EXPLICIT_ITEM_CAP before
+        any of their 2^m subsets is listed."""
+        universe = _itemset(items)
+        if len(universe) > EXPLICIT_ITEM_CAP:
+            raise InputError(
+                f"explicit valuation over {len(universe)} items exceeds the "
+                f"cap of {EXPLICIT_ITEM_CAP}"
+            )
+        return universe
+
     @classmethod
     def from_entries(
         cls,
@@ -282,7 +289,7 @@ class ExplicitValuation(Valuation):
         (0 when no listed subset fits).  A listed pair that violates
         monotonicity is preserved as stated and will fail validate().
         """
-        universe = _itemset(items)
+        universe = cls._universe(items)
         listed = {frozenset(s): Fraction(v) for s, v in entries.items()}
         table: Dict[ItemSet, Fraction] = {}
         for s in subsets_of(universe):

@@ -21,7 +21,7 @@ from cwemarket import (
     brute_force_optimal,
     generate,
 )
-from cwemarket.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpSolution, solve_lp
+from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
 from cwemarket.partitions import set_partitions
 from cwemarket.valuations import subset_unions
 
@@ -271,6 +271,11 @@ def unit_demand_violation(auction: Auction, outcome) -> Optional[str]:
         if u_held < best:
             return f"{agent} gets {u_held} but one bundle gives {best}"
     return None
+
+
+# The reference's third answer: `solve_lp` raises SolverInvariantError
+# where the reference finds an improving ray.
+UNBOUNDED = "unbounded"
 
 
 class _Dictionary:

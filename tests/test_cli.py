@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cwemarket import cli, market
+from cwemarket import cli, market, poly
 from cwemarket.cli import run_cli
 from cwemarket.serialize import dumps, load_instance, outcome_from_json
 
@@ -247,6 +247,22 @@ def test_revenue_checks_only_the_shifted_levels(tmp_path, capsys, monkeypatch):
     assert len(calls) == len(report["ladder"]) - 1
 
 
+def test_solve_takes_the_verdict_from_the_solver(tmp_path, capsys, monkeypatch):
+    """`solve` reports the solver's own final stability check: the CLI
+    checks nothing again, and an outcome that fails the solver's check
+    exits 4 before any report is written."""
+    calls = []
+    monkeypatch.setattr(cli, "is_cwe", lambda *args: calls.append(args))
+    inst = _emit(tmp_path, capsys, "gap3")
+    code, out, err = _run(capsys, "solve", "--input", inst, "--initial", "optimal")
+    assert code == 0, err
+    assert json.loads(out)["cwe"] is True and calls == []
+    monkeypatch.setattr(poly, "is_cwe", lambda auction, outcome: False)
+    code, out, err = _run(capsys, "solve", "--input", inst, "--initial", "optimal")
+    assert (code, out) == (4, "")
+    assert err == "error: final outcome is not stable\n"
+
+
 def test_resource_cap_exit_code(tmp_path, capsys):
     big = {
         "items": [f"i{k}" for k in range(9)],
@@ -344,6 +360,20 @@ def test_instance_emission_to_stdout(capsys):
     assert sorted(obj["items"]) == ["1", "2", "3"]
     assert [a["name"] for a in obj["agents"]] == ["a1", "a2", "a3"]
     assert obj["initial_allocation"]
+
+
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["logn_revenue"], "n"),
+        (["random_explicit", "--m", "2", "--n", "2"], "seed"),
+        (["item_pricing_xos"], "m"),
+    ],
+)
+def test_missing_instance_parameter_is_bad_input(capsys, argv, missing):
+    code, out, err = _run(capsys, "paper-instance", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: instance {argv[0]!r} needs parameter(s) {missing}\n"
 
 
 def test_one_process_reuses_the_parser(tmp_path, capsys):

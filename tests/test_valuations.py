@@ -10,6 +10,7 @@ from cwemarket import (
     UnitDemandValuation,
     XosValuation,
 )
+from cwemarket import valuations
 from cwemarket.valuations import EXPLICIT_ITEM_CAP, subsets_of
 
 F = Fraction
@@ -66,6 +67,19 @@ def test_explicit_item_cap():
     items = [str(i) for i in range(EXPLICIT_ITEM_CAP + 1)]
     with pytest.raises(InputError, match="cap"):
         ExplicitValuation.from_entries(items, {})
+
+
+def test_explicit_item_cap_is_checked_before_the_table_is_filled(monkeypatch):
+    """A table over too many items is refused before any of its 2^m
+    subsets is listed, so 40 items fail at once."""
+
+    def no_subsets(items):
+        raise AssertionError(f"listed the subsets of {len(items)} items")
+
+    monkeypatch.setattr(valuations, "subsets_of", no_subsets)
+    items = [f"i{k}" for k in range(40)]
+    with pytest.raises(InputError, match=f"40 items exceeds the cap of {EXPLICIT_ITEM_CAP}"):
+        ExplicitValuation.from_entries(items, {frozenset({"i0"}): F(1)})
 
 
 def test_additive():
