@@ -20,8 +20,8 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .scalars import lattice_int
-from .valuations import Item, ItemSet, Valuation, over_common_denominator, subset_sums
+from .scalars import lattice_int, over_common_denominator
+from .valuations import Item, ItemSet, Valuation, subset_sums
 
 BundleId = int
 BundleSet = FrozenSet[BundleId]
@@ -194,11 +194,15 @@ PriceMap = Dict[BundleId, Fraction]
 
 
 def check_prices(catalog: Catalog, prices: Mapping[BundleId, Fraction]) -> None:
+    """Every bundle's price is a nonnegative int or Fraction, not a bool."""
     for bid, _ in catalog.entries:
         if bid not in prices:
             raise InputError(f"bundle {bid} has no price")
-        if prices[bid] < 0:
-            raise InputError(f"bundle {bid} has negative price {prices[bid]}")
+        price = prices[bid]
+        if isinstance(price, bool) or not isinstance(price, (int, Fraction)):
+            raise InputError(f"bundle {bid} has price {price!r}, not an int or a Fraction")
+        if price < 0:
+            raise InputError(f"bundle {bid} has negative price {price}")
 
 
 @dataclass(frozen=True)
@@ -259,9 +263,9 @@ def demand_correspondence(
     minus `excluded`; the empty set is always a candidate, so the max
     is at least 0.  Members come back in a canonical order (by size,
     then sorted ids).  All 2^k subsets of the k available bundles are
-    compared exactly, as integers over one common denominator of the
-    agent's bundle-value table and the prices.  Catalogs over
-    DEMAND_BUNDLE_CAP bundles raise ResourceLimitError.
+    compared exactly: values (`Valuation.bundle_values`) minus summed
+    prices (ints or `Fraction`s), so the max is an int on a lattice.
+    Catalogs over DEMAND_BUNDLE_CAP bundles raise ResourceLimitError.
     """
     if len(catalog.entries) > DEMAND_BUNDLE_CAP:
         raise ResourceLimitError(
@@ -269,14 +273,9 @@ def demand_correspondence(
             f"capped at {DEMAND_BUNDLE_CAP}"
         )
     avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    valuation = auction.valuation(agent)
-    values, den = valuation.bundle_values([items for _, items in avail])
-    # prices may be Fractions or ints; both carry numerator/denominator
-    avail_prices = [prices[bid] for bid, _ in avail]
-    scale = lcm(den, *[p.denominator for p in avail_prices])
-    psums = subset_sums([p.numerator * (scale // p.denominator) for p in avail_prices])
-    factor = scale // den
-    utils = [v * factor - p for v, p in zip(values, psums)]
+    values = auction.valuation(agent).bundle_values([items for _, items in avail])
+    psums = subset_sums([prices[bid] for bid, _ in avail])
+    utils = [v - p for v, p in zip(values, psums)]
     best = max(utils)
     ids = [bid for bid, _ in avail]
     members = [
@@ -285,8 +284,7 @@ def demand_correspondence(
         if u == best
     ]
     members.sort(key=lambda s: (len(s), sorted(s)))
-    # the valuation's zero keeps a lattice answer an int, any other a Fraction
-    return (valuation.zero + best if scale == 1 else Fraction(best, scale)), members
+    return best, members
 
 
 def tie_break_key(
@@ -333,7 +331,7 @@ def demand(
     Structured valuations answer from per-bundle margins
     (`Valuation.demand_candidates`); explicit tables enumerate all 2^k
     subsets through `demand_correspondence`, which caps the catalog at
-    DEMAND_BUNDLE_CAP bundles.
+    DEMAND_BUNDLE_CAP bundles.  Prices, ints or `Fraction`s, go unchecked.
     """
     offers = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
     found = auction.valuation(agent).demand_candidates(offers, prices)
@@ -351,7 +349,7 @@ def in_demand(
     bundle_set: BundleSet,
 ) -> bool:
     """Whether `bundle_set` is demanded: its utility is the max over the
-    catalog."""
+    catalog.  Prices are ints or `Fraction`s, as for `demand`."""
     found = auction.valuation(agent).demand_candidates(catalog.entries, prices)
     if found is None:
         return bundle_set in demand_correspondence(auction, agent, catalog, prices)[1]

@@ -3,14 +3,15 @@
 Money and value quantities are `fractions.Fraction` instances at the
 package's interface.  Inside, the solvers and the stability check work
 on an integer lattice, where x is the int x * D for one scale D
-(`lattice_int`).  Nothing here ever touches floating point.  Scalars
+(`lattice_int`), and the oracles over one common denominator
+(`over_common_denominator`).  No float is ever touched.  Scalars
 serialize as "p/q" strings (or bare integers) in JSON files.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 
@@ -50,6 +51,15 @@ def format_scalar(x: Fraction) -> str:
 def lattice_int(x: Fraction, scale: int) -> int:
     """x * scale as an int; `scale` must be a multiple of x's denominator."""
     return x.numerator * (scale // x.denominator)
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
+    """Integer numerators of `values` over their least common denominator."""
+    # unpack a list, not a generator: a generator's argument tuple is
+    # built by resizing, and the odd-sized tuples it leaves on the
+    # interpreter's free lists raised peak memory measurably
+    den = lcm(*[v.denominator for v in values])
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -11,12 +11,12 @@ explicit finite item universe.  Supported classes:
 
 `validate()` checks the class constraints and returns the first defect
 found (None when the valuation is well formed).  `bundle_values()`
-tabulates the value of every union of a few disjoint bundles as exact
-integers over one common denominator, one `value()` call per union.
-`demand_candidates()` answers a demand query over priced disjoint
-bundles from per-bundle margins alone, in time linear in the number of
-bundles; explicit tables have no such rule.  `scaled(D)` is the int
-copy the solvers' lattice uses (README, "Solvers").
+tabulates the value of every union of a few disjoint bundles, one read
+per union.  `demand_candidates()` answers a demand query over priced
+disjoint bundles from per-bundle margins alone, in time linear in the
+number of bundles; explicit tables have no such rule.  `scaled(D)` is
+the copy with int parameters that the solvers' lattice uses (README,
+"Solvers"), so its values are ints where all others are `Fraction`s.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import (
     Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
     Tuple,
@@ -57,15 +56,6 @@ def subsets_of(items: ItemSet) -> Iterator[ItemSet]:
     for k in range(len(order) + 1):
         for combo in combinations(order, k):
             yield frozenset(combo)
-
-
-def over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integer numerators of `values` over their least common denominator."""
-    # unpack a list, not a generator: a generator's argument tuple is
-    # built by resizing, and the odd-sized tuples it leaves on the
-    # interpreter's free lists raised peak memory measurably
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def subset_unions(bundles: Sequence[ItemSet]) -> List[ItemSet]:
@@ -127,16 +117,16 @@ class Valuation:
         if sum(map(len, sets)) != len(union):
             raise InputError("bundles overlap")
 
-    def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> Tuple[List[int], int]:
+    def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> List[Fraction]:
         """Value of every union of the given disjoint bundles.
 
-        Returns (ints, den): entry `mask` of `ints` over `den` is the
-        value of the union of the bundles whose bit is set in `mask`
-        (bit i stands for bundles[i]), so the table has 2^k entries.
+        Entry `mask` is the value of the union of the bundles whose bit
+        is set in `mask` (bit i stands for bundles[i]), so the table has
+        2^k entries: ints on a `scaled` copy, `Fraction`s otherwise.
         """
         sets = [frozenset(b) for b in bundles]
         self._check_bundles(sets)
-        return over_common_denominator([self._value(u) for u in subset_unions(sets)])
+        return [self._value(u) for u in subset_unions(sets)]
 
     def demand_candidates(
         self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
@@ -144,14 +134,15 @@ class Valuation:
         """Demand over the unions of disjoint priced bundles, from margins.
 
         `offers` are (id, items) pairs and `prices[id]` is the price of
-        each.  A set of offers has utility equal to the value of its
-        pooled items minus its summed prices; the empty set (utility 0)
-        always competes.  Returns (max utility, candidates), where every
-        candidate is a set of ids with the max utility and every set
-        with the max utility contains a candidate.  So an order that
-        ranks each set before its strict supersets (such as
-        `market.tie_break_key`) ranks first, among all maximizers, a
-        candidate.  With a max of 0 the only candidate is the empty set.
+        each, an int or a `Fraction`.  A set of offers has utility equal
+        to the value of its pooled items minus its summed prices; the
+        empty set (utility 0) always competes.  Returns (max utility,
+        candidates), where every candidate is a set of ids with the max
+        utility and every set with the max utility contains a candidate.
+        So an order that ranks each set before its strict supersets
+        (such as `market.tie_break_key`) ranks first, among all
+        maximizers, a candidate.  With a max of 0 the only candidate is
+        the empty set.
 
         A class without such a rule returns None; the caller then
         enumerates `bundle_values`, which checks the bundles itself.
@@ -291,16 +282,16 @@ class ExplicitValuation(Valuation):
         """
         universe = cls._universe(items)
         listed = {frozenset(s): Fraction(v) for s, v in entries.items()}
-        table: Dict[ItemSet, Fraction] = {}
-        for s in subsets_of(universe):
-            if s in listed:
-                table[s] = listed[s]
-                continue
-            best = Fraction(0)
-            for t, v in listed.items():
-                if t <= s and v > best:
-                    best = v
-            table[s] = best
+        subsets = list(subsets_of(universe))
+        table = {s: listed[s] for s in subsets if s in listed}
+        if len(table) < len(subsets):
+            # below[S]: the max of 0 and the listed values at or below S,
+            # from the one-item-smaller subsets, which come first
+            table, below = {}, {}
+            for s in subsets:
+                carried = max([below[s - {i}] for i in s], default=Fraction(0))
+                table[s] = listed.get(s, carried)
+                below[s] = max(carried, table[s])
         return cls(universe, table)
 
     def _value(self, s: ItemSet) -> Fraction:
@@ -310,7 +301,7 @@ class ExplicitValuation(Valuation):
         return iter(self.table.values())
 
     def scaled(self, scale: int) -> Valuation:
-        return _ScaledTable(self, scale)
+        return _replaced(self, table=_scaled_map(self.table, scale))
 
     def validate(self) -> Optional[ValuationDefect]:
         empty = frozenset()
@@ -331,20 +322,8 @@ class ExplicitValuation(Valuation):
         return None
 
 
-class _ScaledTable(ExplicitValuation):
-    """An explicit table on a lattice, scaled at lookup: no table is copied."""
-
-    zero = 0
-
-    def __init__(self, base: ExplicitValuation, scale: int):
-        self.items, self.table, self.scale = base.items, base.table, scale
-
-    def _value(self, s: ItemSet) -> int:
-        return lattice_int(self.table[s], self.scale)
-
-
-def _scaled_map(weights: Mapping[Item, Fraction], scale: int) -> Dict[Item, int]:
-    return {i: lattice_int(w, scale) for i, w in weights.items()}
+def _scaled_map(weights: Mapping[Hashable, Fraction], scale: int) -> Dict[Hashable, int]:
+    return {key: lattice_int(w, scale) for key, w in weights.items()}
 
 
 def _replaced(valuation: Valuation, **fields) -> Valuation:

@@ -37,6 +37,7 @@ from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
 from .market import Auction, BundleId, BundleSet, Catalog, Outcome, allocation_welfare
 # Unused here: bench/tracing.py counts partitions through this name.
 from .partitions import set_partitions  # noqa: F401
+from .scalars import over_common_denominator
 from .valuations import ItemSet, subset_sums
 
 BRUTE_MAX_ITEMS = 8
@@ -72,10 +73,10 @@ def _tables(
 ) -> Tuple[Tables, int]:
     """Each agent's value of every union of `bundles` (by default the
     single items), indexed by mask as in `Valuation.bundle_values`, as
-    ints over one common denominator D; returns (tables in agent order, D)."""
+    ints over the agents' common denominator D; returns (tables in agent order, D)."""
     if bundles is None:
         bundles = [frozenset({it}) for it in auction.items]
-    raw = [agent.valuation.bundle_values(bundles) for agent in auction.agents]
+    raw = [over_common_denominator(a.valuation.bundle_values(bundles)) for a in auction.agents]
     den = lcm(*[d for _, d in raw])
     return [[v * (den // d) for v in ints] for ints, d in raw], den
 

@@ -23,7 +23,7 @@ from cwemarket import (
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
 from cwemarket.partitions import set_partitions
-from cwemarket.valuations import subset_unions
+from cwemarket.valuations import subset_unions, subsets_of
 
 BundleSet = FrozenSet[int]
 
@@ -457,6 +457,24 @@ def reference_solve_lp(c, A, b) -> LpSolution:
         if var < n:
             x[var] = d.const[i]
     return LpSolution(status=OPTIMAL, x=x, value=d.z0)
+
+
+def reference_from_entries(items, entries) -> Dict[FrozenSet[str], Fraction]:
+    """The table `ExplicitValuation.from_entries` builds, by its first
+    algorithm: each unlisted subset scans every listed one for the best
+    value at or below it (0 when none is above 0), in O(2^m x listed)."""
+    listed = {frozenset(s): Fraction(v) for s, v in entries.items()}
+    table: Dict[FrozenSet[str], Fraction] = {}
+    for s in subsets_of(frozenset(items)):
+        if s in listed:
+            table[s] = listed[s]
+            continue
+        best = Fraction(0)
+        for t, v in listed.items():
+            if t <= s and v > best:
+                best = v
+        table[s] = best
+    return table
 
 
 # -- references for the exhaustive oracles ------------------------------

@@ -9,7 +9,9 @@ and the same members in the same canonical order, and the narrow
 queries the same maximum, the same tie-broken set and the same
 membership answers.
 """
+import copy
 from fractions import Fraction
+from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -36,6 +38,7 @@ from cwemarket import (
 )
 from cwemarket import market
 from cwemarket.market import select_demanded
+from cwemarket.scalars import lattice_int
 from cwemarket.valuations import subsets_of
 
 from .helpers import best_avoiding, brute_stability_violation, pick_preferred
@@ -217,13 +220,62 @@ def test_bundle_values_match_value_of_each_union(kind, data):
     auction, catalog, _, _ = data.draw(markets(kind))
     valuation = auction.valuation("a")
     bundles = [items for _, items in catalog.entries]
-    ints, den = valuation.bundle_values(bundles)
-    assert len(ints) == 1 << len(bundles)
-    for mask, numerator in enumerate(ints):
+    values = valuation.bundle_values(bundles)
+    assert len(values) == 1 << len(bundles)
+    for mask, value in enumerate(values):
         union = frozenset().union(
             *(b for i, b in enumerate(bundles) if mask >> i & 1)
         )
-        assert F(numerator, den) == valuation.value(union)
+        assert type(value) is F and value == valuation.value(union)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scaled_copy_is_the_valuation_times_d(kind, data):
+    """For D a multiple of twice every parameter's and price's
+    denominator, `scaled(D)` answers every value, bundle table and
+    margin demand query with D times the original's answer, as ints,
+    and leaves the original as it was."""
+    auction, catalog, prices, _ = data.draw(markets(kind))
+    valuation = auction.valuation("a")
+    before = copy.deepcopy(vars(valuation))
+    dens = [x.denominator for x in [*valuation.parameter_values(), *prices.values()]]
+    scale = 2 * lcm(*dens) * data.draw(st.sampled_from((1, 3)))
+    scaled = valuation.scaled(scale)
+    assert vars(valuation) == before
+    for subset in subsets_of(valuation.items):
+        value = scaled.value(subset)
+        assert type(value) is int and value == scale * valuation.value(subset)
+    bundles = [items for _, items in catalog.entries]
+    values = scaled.bundle_values(bundles)
+    assert all(type(v) is int for v in values)
+    assert values == [scale * v for v in valuation.bundle_values(bundles)]
+    on_lattice = {bid: lattice_int(p, scale) for bid, p in prices.items()}
+    found = valuation.demand_candidates(catalog.entries, prices)
+    got = scaled.demand_candidates(catalog.entries, on_lattice)
+    if found is None:
+        assert got is None
+    else:
+        assert type(got[0]) is int
+        assert got == (scale * found[0], found[1])
+    assert vars(valuation) == before
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_enumerated_demand_answers_in_the_numbers_it_is_given(kind, data):
+    """`demand_correspondence` returns an int maximum on the lattice
+    copy with int prices and a Fraction on the auction itself, with the
+    same members."""
+    auction, catalog, prices, excluded = data.draw(markets(kind))
+    lattice, scale = auction.on_lattice(*[p.denominator for p in prices.values()])
+    on_lattice = {bid: lattice_int(p, scale) for bid, p in prices.items()}
+    best, members = demand_correspondence(auction, "a", catalog, prices, excluded)
+    got = demand_correspondence(lattice, "a", catalog, on_lattice, excluded)
+    assert type(best) is F and type(got[0]) is int
+    assert got == (scale * best, members)
 
 
 @pytest.mark.parametrize("kind", KINDS)

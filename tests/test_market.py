@@ -190,6 +190,14 @@ def test_outcome_rejects_double_assignment_and_unknown_bundles():
         Outcome(catalog, {0: F(-1), 1: F(0)}, {})
 
 
+@pytest.mark.parametrize("price", [0.5, True, "1/2"])
+def test_outcome_rejects_prices_that_are_not_ints_or_fractions(price):
+    """Prices are checked where they enter: a float, a bool or a string
+    is bad input naming its bundle, not a crash in a later check."""
+    with pytest.raises(InputError, match=f"bundle 1 has price {price!r}"):
+        Outcome(cat2(), {0: F(1, 2), 1: price}, {"a": frozenset({0})})
+
+
 def test_find_violation_and_is_cwe():
     auction = two_item_auction()
     catalog = cat2()

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwemarket import (
     AdditiveValuation,
@@ -12,6 +14,8 @@ from cwemarket import (
 )
 from cwemarket import valuations
 from cwemarket.valuations import EXPLICIT_ITEM_CAP, subsets_of
+
+from .helpers import reference_from_entries
 
 F = Fraction
 
@@ -55,6 +59,22 @@ def test_explicit_listed_values_are_authoritative():
     assert v.value(["1", "2"]) == 1
     defect = v.validate()
     assert defect is not None and defect.kind == "monotonicity"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_from_entries_matches_the_scan_of_every_listed_subset(data):
+    """The size-order completion gives the reference's table bit for bit:
+    the same keys in the same order, the same Fractions.  Listed values
+    may break monotonicity, be negative, or sit on the empty set."""
+    items = [f"i{k}" for k in range(data.draw(st.integers(0, 6)))]
+    keys = st.frozensets(st.sampled_from(items)) if items else st.just(frozenset())
+    values = st.builds(F, st.integers(-2, 12), st.sampled_from((1, 2, 3, 4)))
+    entries = data.draw(st.dictionaries(keys, values, max_size=40))
+    got = ExplicitValuation.from_entries(items, entries).table
+    want = reference_from_entries(items, entries)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is F for v in got.values())
 
 
 def test_explicit_normalization_defect():
@@ -138,10 +158,10 @@ def test_parameter_values_feed_granularity():
 
 def test_bundle_values_table_is_indexed_by_mask():
     v = XosValuation(["1", "2", "3"], [{"1": F(1, 2), "2": F(1, 3)}, {"3": F(1)}])
-    ints, den = v.bundle_values([["1"], ["2", "3"]])
-    assert den == 2  # the least common denominator of the values
-    assert ints == [0, 1, 2, 2]  # {}, {1}, {2,3}, {1,2,3}: 0, 1/2, 1, 1
-    assert v.bundle_values([]) == ([0], 1)
+    values = v.bundle_values([["1"], ["2", "3"]])
+    assert values == [0, F(1, 2), 1, 1]  # {}, {1}, {2,3}, {1,2,3}
+    assert [type(x) for x in values] == [F] * 4
+    assert v.bundle_values([]) == [0]
 
 
 def test_bundle_values_rejects_overlap_and_unknown_items():
