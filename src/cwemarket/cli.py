@@ -191,7 +191,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         if args.epsilon is not None:
             raise InputError("--epsilon only applies to --alg simple")
         outcome, trace = run_poly(auction, allocation)
-    # the solver's final check passed is_cwe and half the seed welfare
+    # the solver's final checks passed: stability and half the seed welfare
     verified = None if args.no_verify else True
     return _report(
         args,
@@ -210,7 +210,7 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
     result = maximize_revenue(auction, allocation)
     verified: Optional[bool] = None
     if not args.no_verify:
-        # level 0 is run_poly's outcome, which its own final is_cwe passed
+        # level 0 is run_poly's outcome, which its own stability check passed
         verified = all(is_cwe(auction, level.outcome) for level in result.levels[1:])
     return _report(
         args,

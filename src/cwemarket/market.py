@@ -250,6 +250,26 @@ def utility(
     return value - sum(prices[b] for b in bundles)
 
 
+def _utilities(
+    auction: Auction,
+    agent: str,
+    catalog: Catalog,
+    prices: Mapping[BundleId, Fraction],
+    excluded: BundleSet = frozenset(),
+) -> Tuple[List[BundleId], List[Fraction]]:
+    """(ids of the available bundles, utility of each union of them by
+    mask); catalogs over DEMAND_BUNDLE_CAP bundles raise ResourceLimitError."""
+    if len(catalog.entries) > DEMAND_BUNDLE_CAP:
+        raise ResourceLimitError(
+            f"catalog has {len(catalog.entries)} bundles; demand enumeration "
+            f"capped at {DEMAND_BUNDLE_CAP}"
+        )
+    avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
+    values = auction.valuation(agent).bundle_values([items for _, items in avail])
+    psums = subset_sums([prices[bid] for bid, _ in avail])
+    return [bid for bid, _ in avail], [v - p for v, p in zip(values, psums)]
+
+
 def demand_correspondence(
     auction: Auction,
     agent: str,
@@ -267,24 +287,14 @@ def demand_correspondence(
     prices (ints or `Fraction`s), so the max is an int on a lattice.
     Catalogs over DEMAND_BUNDLE_CAP bundles raise ResourceLimitError.
     """
-    if len(catalog.entries) > DEMAND_BUNDLE_CAP:
-        raise ResourceLimitError(
-            f"catalog has {len(catalog.entries)} bundles; demand enumeration "
-            f"capped at {DEMAND_BUNDLE_CAP}"
-        )
-    avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    values = auction.valuation(agent).bundle_values([items for _, items in avail])
-    psums = subset_sums([prices[bid] for bid, _ in avail])
-    utils = [v - p for v, p in zip(values, psums)]
+    ids, utils = _utilities(auction, agent, catalog, prices, excluded)
     best = max(utils)
-    ids = [bid for bid, _ in avail]
-    members = [
+    members = (
         frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
         for mask, u in enumerate(utils)
         if u == best
-    ]
-    members.sort(key=lambda s: (len(s), sorted(s)))
-    return best, members
+    )
+    return best, sorted(members, key=lambda s: (len(s), sorted(s)))
 
 
 def tie_break_key(
@@ -349,11 +359,12 @@ def in_demand(
     bundle_set: BundleSet,
 ) -> bool:
     """Whether `bundle_set` is demanded: its utility is the max over the
-    catalog.  Prices are ints or `Fraction`s, as for `demand`."""
+    catalog, which explicit tables take over all 2^k unions without
+    listing the maximizers.  Prices are ints or `Fraction`s, as for
+    `demand`; an id outside the catalog raises InputError."""
     found = auction.valuation(agent).demand_candidates(catalog.entries, prices)
-    if found is None:
-        return bundle_set in demand_correspondence(auction, agent, catalog, prices)[1]
-    return utility(auction, agent, bundle_set, catalog, prices) == found[0]
+    best = max(_utilities(auction, agent, catalog, prices)[1]) if found is None else found[0]
+    return utility(auction, agent, bundle_set, catalog, prices) == best
 
 
 @dataclass(frozen=True)
@@ -380,7 +391,15 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
     """
     market, scale = auction.on_lattice(*{p.denominator for p in outcome.prices.values()})
     prices = {bid: lattice_int(p, scale) for bid, p in outcome.prices.items()}
-    for agent in auction.agents:
+    return lattice_violation(market, scale, outcome, prices)
+
+
+def lattice_violation(
+    market: Auction, scale: int, outcome: Outcome, prices: Mapping[BundleId, int]
+) -> Optional[CweViolation]:
+    """`find_violation` on `market`, a lattice copy at `scale`, with the
+    outcome's prices as ints on it: the solvers' final check."""
+    for agent in market.agents:
         held = outcome.assignment.get(agent.name, frozenset())
         cur = utility(market, agent.name, held, outcome.catalog, prices)
         best, better = demand(
@@ -388,11 +407,7 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
         )
         if cur < best:
             return CweViolation(
-                agent=agent.name,
-                held=held,
-                better=better,
-                held_utility=Fraction(cur, scale),
-                best_utility=Fraction(best, scale),
+                agent.name, held, better, Fraction(cur, scale), Fraction(best, scale)
             )
     return None
 

@@ -39,14 +39,14 @@ from .market import (
     demand,
     induced_value,
     initial_market,
-    is_cwe,
+    lattice_violation,
     merge_bundles,
     social_welfare,
     validate_initial_allocation,
 )
-# Unused here: bench/tracing.py wraps this name in every solver module,
-# and its install fails if it is missing.
-from .market import demand_correspondence  # noqa: F401
+# Unused here: bench/tracing.py wraps these names in every solver
+# module, and its install fails if one is missing.
+from .market import demand_correspondence, is_cwe  # noqa: F401
 from .scalars import lattice_int
 from .trace import (
     Assign,
@@ -159,7 +159,7 @@ class AscendingAuction:
             prices={bid: Fraction(p, self.scale) for bid, p in self.prices.items()},
             assignment=dict(self.assignment),
         )
-        if not is_cwe(self.auction, outcome):
+        if lattice_violation(self.market, self.scale, outcome, self.prices) is not None:
             raise SolverInvariantError("final outcome is not stable")
         sw = social_welfare(self.auction, outcome)
         seed_sw = allocation_welfare(self.auction, self.seed)

@@ -140,7 +140,7 @@ def maximize_revenue(auction: Auction, allocation: InitialAllocation) -> Revenue
     levels: List[LadderLevel] = []
     for t in range((2 * k - 1).bit_length() + 2 if k else 1):
         sigma = Fraction(2) ** (t - 1) * sw0 / (2 * k) if t else Fraction(0)
-        # the solver's outcome passed is_cwe and gives each holder one
+        # the solver's outcome passed its stability check and gives each holder one
         # bundle, so the shift needs none of shift_prices' checks
         outcome = _shift(auction, base, sigma) if t else base
         survivors = _survivors(auction, outcome)

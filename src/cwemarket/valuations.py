@@ -238,6 +238,10 @@ class ExplicitValuation(Valuation):
     """Valuation given by a full subset table."""
 
     kind = "explicit"
+    # (bundles, table) of the last `bundle_values` call, kept on a
+    # `scaled` copy only: a solver run reuses it while the catalog stands.
+    # The key is a list, as a fresh tuple per query piled up in free lists.
+    _last: Optional[Tuple[List[ItemSet], List[int]]] = None
 
     def __init__(self, items: Iterable[Item], table: Mapping[ItemSet, Fraction]):
         self.items = self._universe(items)
@@ -278,7 +282,8 @@ class ExplicitValuation(Valuation):
         Listed subsets keep their stated value.  Every unlisted subset S
         gets the minimal monotone completion max{v(T) : listed T <= S}
         (0 when no listed subset fits).  A listed pair that violates
-        monotonicity is preserved as stated and will fail validate().
+        monotonicity is preserved as stated and will fail validate(); a
+        listed subset outside the universe raises InputError.
         """
         universe = cls._universe(items)
         listed = {frozenset(s): Fraction(v) for s, v in entries.items()}
@@ -292,16 +297,26 @@ class ExplicitValuation(Valuation):
                 carried = max([below[s - {i}] for i in s], default=Fraction(0))
                 table[s] = listed.get(s, carried)
                 below[s] = max(carried, table[s])
-        return cls(universe, table)
+        return cls(universe, {**table, **listed})  # cls refuses stray keys
 
     def _value(self, s: ItemSet) -> Fraction:
         return self.table[s]
+
+    def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> List[Fraction]:
+        """As `Valuation.bundle_values`; a `scaled` copy returns one list
+        while the bundles stay the same, so callers must not change it."""
+        if self._last is None:
+            return super().bundle_values(bundles)
+        sets = list(map(frozenset, bundles))
+        if self._last[0] != sets:
+            self._last = (sets, super().bundle_values(sets))
+        return self._last[1]
 
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.table.values())
 
     def scaled(self, scale: int) -> Valuation:
-        return _replaced(self, table=_scaled_map(self.table, scale))
+        return _replaced(self, table=_scaled_map(self.table, scale), _last=(None, None))
 
     def validate(self) -> Optional[ValuationDefect]:
         empty = frozenset()

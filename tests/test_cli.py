@@ -257,10 +257,25 @@ def test_solve_takes_the_verdict_from_the_solver(tmp_path, capsys, monkeypatch):
     code, out, err = _run(capsys, "solve", "--input", inst, "--initial", "optimal")
     assert code == 0, err
     assert json.loads(out)["cwe"] is True and calls == []
-    monkeypatch.setattr(poly, "is_cwe", lambda auction, outcome: False)
+    unstable = market.CweViolation("A", frozenset(), frozenset({0}), 0, 1)
+    monkeypatch.setattr(poly, "lattice_violation", lambda *args: unstable)
     code, out, err = _run(capsys, "solve", "--input", inst, "--initial", "optimal")
     assert (code, out) == (4, "")
     assert err == "error: final outcome is not stable\n"
+
+
+def test_explicit_entry_outside_the_items_exits_2(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "gap3")
+    data = json.loads((tmp_path / "gap3.json").read_text())
+    table = next(
+        a["valuation"] for a in data["agents"] if a["valuation"]["type"] == "explicit"
+    )
+    table["values"].append({"items": ["1", "zz"], "value": "7"})
+    path = tmp_path / "stray.json"
+    path.write_text(dumps(data))
+    code, out, err = _run(capsys, "oracle", "optimal", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert "outside item universe" in err
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):

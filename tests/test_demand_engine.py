@@ -31,17 +31,19 @@ from cwemarket import (
     XosValuation,
     demand,
     demand_correspondence,
+    find_violation,
     in_demand,
     is_cwe,
     maximize_revenue,
     run_poly,
+    run_simple,
 )
 from cwemarket import market
 from cwemarket.market import select_demanded
 from cwemarket.scalars import lattice_int
-from cwemarket.valuations import subsets_of
+from cwemarket.valuations import subset_unions, subsets_of
 
-from .helpers import best_avoiding, brute_stability_violation, pick_preferred
+from .helpers import best_avoiding, brute_stability_violation, pick_preferred, seed_instance
 
 F = Fraction
 
@@ -182,6 +184,72 @@ def test_narrow_demand_matches_the_references(kind, data):
     for subset in subsets_of(frozenset(catalog.ids)):
         demanded = in_demand(auction, "a", catalog, prices, subset)
         assert demanded == (subset in everywhere)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_explicit_membership_matches_the_exhaustive_reference(data):
+    """`in_demand` on an explicit table compares one set's utility with
+    the max over every set.  It must answer as membership among the
+    exhaustive maximizers (`helpers.best_avoiding`), in `Fraction`s and
+    on a lattice copy that keeps its table between the queries.  Coarse
+    values and prices, and equal margins, make ties common."""
+    auction, catalog, prices, _ = data.draw(markets("explicit"))
+    if data.draw(st.booleans()):
+        prices = {bid: data.draw(coarse) for bid in catalog.ids}
+    value = auction.valuation("a").value
+    worth = {bid: value(items) for bid, items in catalog.entries}
+    if any(worth.values()) and data.draw(st.booleans()):
+        slack = min(w for w in worth.values() if w > 0)
+        prices = {bid: max(F(0), w - slack) for bid, w in worth.items()}
+    _, maximizers = best_avoiding(auction, "a", catalog, prices, frozenset())
+    lattice, scale = auction.on_lattice(*[p.denominator for p in prices.values()])
+    on_lattice = {bid: lattice_int(p, scale) for bid, p in prices.items()}
+    for subset in subsets_of(frozenset(catalog.ids)):
+        want = subset in maximizers
+        assert in_demand(auction, "a", catalog, prices, subset) == want
+        assert in_demand(lattice, "a", catalog, on_lattice, subset) == want
+
+
+def test_lattice_copy_never_serves_a_stale_table():
+    """One lattice copy asked over catalogs A, B, A in turn (same ids,
+    other items) answers each time as a fresh copy does."""
+    items = ["1", "2", "3", "4"]
+    listed = {
+        ("1", "2"): 4, ("2", "3"): 6, ("4",): 1, ("1", "2", "4"): 5, ("2", "3", "4"): 7
+    }
+    valuation = ExplicitValuation.from_entries(
+        items, {frozenset(s): F(v) for s, v in listed.items()}
+    )
+    agent = "a"
+    auction = Auction(items=items, agents=(Agent(agent, valuation),))
+    lattice, scale = auction.on_lattice()
+    bundles_a = (frozenset({"1", "2"}), frozenset({"3"}), frozenset({"4"}))
+    bundles_b = (frozenset({"1"}), frozenset({"2", "3"}), frozenset({"4"}))
+    prices = {0: scale, 1: scale, 2: scale}
+    answers = []
+    for bundles in (bundles_a, bundles_b, bundles_a):
+        catalog = Catalog(entries=tuple(enumerate(bundles)))
+        fresh, _ = auction.on_lattice()
+        values = lattice.valuation(agent).bundle_values(bundles)
+        assert values == [
+            scale * auction.valuation(agent).value(u) for u in subset_unions(bundles)
+        ]
+        got = demand_correspondence(lattice, agent, catalog, prices)
+        assert got == demand_correspondence(fresh, agent, catalog, prices)
+        answers.append(got)
+    assert answers[0] != answers[1]
+
+
+def test_caller_valuations_keep_no_tables():
+    """The tables a run reuses live on its lattice copy: after the solvers
+    and `find_violation` the caller's valuations are as they were."""
+    auction, seed = seed_instance(11)
+    before = copy.deepcopy([vars(a.valuation) for a in auction.agents])
+    outcome, _ = run_poly(auction, seed)
+    run_simple(auction, seed, auction.granularity() / 2)
+    assert find_violation(auction, outcome) is None
+    assert [vars(a.valuation) for a in auction.agents] == before
 
 
 TIED = {

@@ -16,6 +16,7 @@ from cwemarket import (
     demand_correspondence,
     find_violation,
     generate,
+    in_demand,
     induced_value,
     initial_market,
     is_cwe,
@@ -263,3 +264,22 @@ def test_auction_valuation_universe_must_match():
             items=items,
             agents=(Agent("a", AdditiveValuation(frozenset({"x"}), {"x": F(1)})),),
         )
+
+
+def test_in_demand_refuses_an_unknown_bundle_id_in_every_class():
+    """A bundle id outside the catalog is an input error, whether the
+    agent's table is enumerated (explicit) or answered from margins."""
+    items = ["1", "2"]
+    auction = Auction(
+        items=frozenset(items),
+        agents=(
+            Agent("e", ExplicitValuation.from_entries(items, {frozenset({"1"}): F(1)})),
+            Agent("u", UnitDemandValuation(items, {"1": F(1), "2": F(2)})),
+        ),
+    )
+    catalog = Catalog(entries=((0, frozenset({"1"})), (1, frozenset({"2"}))))
+    prices = {0: F(0), 1: F(1)}
+    for agent in ("e", "u"):
+        assert in_demand(auction, agent, catalog, prices, frozenset({0}))
+        with pytest.raises(InputError, match="^no bundle with id 7$"):
+            in_demand(auction, agent, catalog, prices, frozenset({7}))

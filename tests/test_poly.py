@@ -5,16 +5,27 @@ import pytest
 from cwemarket import (
     Agent,
     Auction,
+    Outcome,
+    PolySolver,
+    SimpleSolver,
     UnitDemandValuation,
+    find_violation,
     generate,
     is_cwe,
     replay,
     run_poly,
     social_welfare,
 )
+from cwemarket.errors import SolverDeadlockError
+from cwemarket.market import lattice_violation
 from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
 
-from .helpers import check_push_matches_oracle, check_push_maximality, recorded_pushes
+from .helpers import (
+    check_push_matches_oracle,
+    check_push_maximality,
+    recorded_pushes,
+    seed_instance,
+)
 
 F = Fraction
 
@@ -159,3 +170,48 @@ def test_query_budget_and_iteration_caps_hold_on_generated_runs():
         assert trace.iterations <= n * n
         assert trace.demand_queries <= trace.iterations * (n + 1) * (n + 2)
         assert is_cwe(auction, out)
+
+
+def _verdict_corpus():
+    yield generate("gap3")
+    for n in (3, 4, 5):
+        yield generate("logn_revenue", n=n)
+    for m in (2, 3):
+        yield generate("item_pricing_xos", m=m)
+    for seed in range(64):
+        yield seed_instance(seed)
+
+
+def test_final_check_on_the_run_lattice_agrees_with_find_violation():
+    """Both solvers check stability on their own lattice
+    (`lattice_violation`).  On each solved outcome, and on each with one
+    bundle's price a lattice step lower or higher, it finds the violation
+    that `find_violation` finds on the outcome, and none where that
+    finds none."""
+    violations = 0
+    for auction, seed in _verdict_corpus():
+        for solver in (
+            PolySolver(auction, seed),
+            SimpleSolver(auction, seed, auction.granularity() / 2),
+        ):
+            try:
+                outcome = solver.run()
+            except SolverDeadlockError:
+                continue
+            assert find_violation(auction, outcome) is None
+            moves = [(bid, step) for bid in outcome.catalog.ids for step in (-1, 1)]
+            for bid, step in [(None, 0)] + moves:
+                prices = dict(solver.prices)
+                if bid is not None:
+                    prices[bid] += step
+                    if prices[bid] < 0:
+                        continue
+                moved = Outcome(
+                    catalog=outcome.catalog,
+                    prices={b: F(p, solver.scale) for b, p in prices.items()},
+                    assignment=outcome.assignment,
+                )
+                want = find_violation(auction, moved)
+                assert lattice_violation(solver.market, solver.scale, moved, prices) == want
+                violations += want is not None
+    assert violations > 0

@@ -49,6 +49,16 @@ def test_explicit_from_entries_monotone_completion():
     assert v.validate() is None
 
 
+def test_from_entries_refuses_a_listed_subset_outside_the_universe():
+    """As the constructor does, with some subsets listed or all of them."""
+    stray = {frozenset({"1"}): F(1), frozenset({"1", "zz"}): F(7)}
+    with pytest.raises(InputError, match="outside item universe"):
+        ExplicitValuation.from_entries(["1", "2"], stray)
+    full = {s: F(len(s)) for s in subsets_of(frozenset({"1", "2"}))}
+    with pytest.raises(InputError, match="outside item universe"):
+        ExplicitValuation.from_entries(["1", "2"], {**full, **stray})
+
+
 def test_explicit_listed_values_are_authoritative():
     # a listed non-monotone pair survives construction and fails validate
     v = ExplicitValuation.from_entries(
