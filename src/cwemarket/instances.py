@@ -12,6 +12,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from .errors import InputError
 from .market import Agent, Auction, InitialAllocation
+from .scalars import parse_scalar
 from .valuations import (
     ExplicitValuation,
     SingleMindedValuation,
@@ -30,6 +31,7 @@ def gap3(epsilon: Fraction = Fraction(1, 10)) -> Built:
     at 2 + epsilon.  The welfare optimum (value 3) gives item i to
     agent i, but no stable bundling reaches more than 2 + epsilon.
     """
+    epsilon = parse_scalar(epsilon)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     items = ("1", "2", "3")
@@ -54,6 +56,7 @@ def item_pricing_um_sm(m: int, epsilon: Fraction = Fraction(1, 10)) -> Built:
     """
     if m < 2:
         raise InputError("m must be at least 2")
+    epsilon = parse_scalar(epsilon)
     if epsilon <= 0:
         raise InputError("epsilon must be positive")
     items = tuple(str(j) for j in range(1, m + 1))
@@ -82,6 +85,7 @@ def item_pricing_xos(m: int, delta: Fraction = Fraction(1, 8)) -> Built:
     """
     if m < 2:
         raise InputError("m must be at least 2")
+    delta = parse_scalar(delta)
     if not (0 < delta and 2 * (m - 1) * delta < 1):
         raise InputError("delta must lie strictly between 0 and 1/(2(m-1))")
     items = tuple(str(j) for j in range(1, m + 1))

@@ -6,19 +6,18 @@ Problems are given in the standard inequality form
 
     maximize c . x   subject to  A x <= b,  x >= 0,
 
-with every coefficient an `int` or a `Fraction`; anything else (a
-float above all) is rejected with InputError.
+with every coefficient an `int`; anything else (a `Fraction`, a float,
+a bool) is rejected with InputError.  Callers with rational data
+scale it to ints first: a positive factor on b or on c changes no
+pivot, as Bland's entering rule reads only the signs of the objective
+row and the ratio test compares ratios of b to A.
 
-Integers throughout.  A, b and c are scaled by one common multiple L
-of their denominators, which leaves the feasible set, and every pivot
-choice, unchanged: Bland's entering rule reads only the signs of the
-objective row, and the ratio test reads only A and b.  The
-dictionary is kept as integer rows over one common denominator d
-(Edmonds/Bareiss pivoting): a pivot on the entry P of row b, with
-p = |P|, sets every other row a, whose entry in the pivot column is
-f, to (p*a - sign(P)*f*b) // d and then d = p.  The division is exact
-because every entry is a minor of the scaled input.  No `Fraction` is
-built before the answer.
+Integers throughout.  The dictionary is kept as integer rows over one
+common denominator d (Edmonds/Bareiss pivoting): a pivot on the entry
+P of row b, with p = |P|, sets every other row a, whose entry in the
+pivot column is f, to (p*a - sign(P)*f*b) // d and then d = p.  The
+division is exact because every entry is a minor of the input.  No
+`Fraction` is built before the answer.
 
 Bland's rule is used for both entering and leaving variables (the
 ratio test compares by cross-multiplying), so the method terminates
@@ -36,7 +35,7 @@ builds is bounded: each priced bundle is capped by its holder's
 individual-rationality row, and each configuration variable by its
 agent's row.  So an entering column that no row bounds raises
 SolverInvariantError.  Every answer is certified in integers against
-the scaled input before it is returned, and a failed check raises
+the input before it is returned, and a failed check raises
 SolverInvariantError too:
 
 - optimal: the primal point is feasible, the dual y read off the
@@ -49,15 +48,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence
 
 from .errors import InputError, SolverInvariantError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -165,33 +161,11 @@ class _Tableau:
         return x
 
 
-def _scaled(rows: Sequence[Sequence[Rational]]) -> Tuple[int, List[List[int]]]:
-    """The lcm L of all denominators in `rows`, and the rows times L
-    as ints."""
-    lcm = 1
-    for row in rows:
-        for v in row:
-            if type(v) is int:
-                continue
-            if not isinstance(v, (int, Fraction)):
-                raise InputError(
-                    f"LP coefficient {v!r} is not an int or a Fraction"
-                )
-            den = v.denominator
-            if lcm % den:
-                lcm = lcm // gcd(lcm, den) * den
-    if lcm == 1:
-        return 1, [[v.numerator for v in row] for row in rows]
-    return lcm, [
-        [v.numerator * (lcm // v.denominator) for v in row] for row in rows
-    ]
-
-
 def _fail(what: str) -> None:
     raise SolverInvariantError(f"LP certificate check failed: {what}")
 
 
-def _dual_products(A: List[List[int]], y: List[int], n: int) -> List[int]:
+def _dual_products(A: Sequence[Sequence[int]], y: List[int], n: int) -> List[int]:
     """y A over n columns, after checking y >= 0."""
     if any(v < 0 for v in y):
         _fail("dual vector has a negative entry")
@@ -205,9 +179,9 @@ def _dual_products(A: List[List[int]], y: List[int], n: int) -> List[int]:
 
 
 def _certify_optimal(
-    A: List[List[int]],
-    b: List[int],
-    c: List[int],
+    A: Sequence[Sequence[int]],
+    b: Sequence[int],
+    c: Sequence[int],
     d: int,
     x: List[int],
     y: List[int],
@@ -230,7 +204,7 @@ def _certify_optimal(
 
 
 def _certify_infeasible(
-    A: List[List[int]], b: List[int], n: int, y: List[int]
+    A: Sequence[Sequence[int]], b: Sequence[int], n: int, y: List[int]
 ) -> None:
     """Farkas: y >= 0, y A >= 0 over the n columns and y b < 0 rule
     out A x <= b, x >= 0."""
@@ -241,9 +215,7 @@ def _certify_infeasible(
 
 
 def solve_lp(
-    c: Sequence[Rational],
-    A: Sequence[Sequence[Rational]],
-    b: Sequence[Rational],
+    c: Sequence[int], A: Sequence[Sequence[int]], b: Sequence[int]
 ) -> LpSolution:
     """Maximize c.x subject to A x <= b, x >= 0, exactly."""
     n = len(c)
@@ -253,16 +225,14 @@ def solve_lp(
     for row in A:
         if len(row) != n:
             raise InputError("matrix row length does not match objective length")
-    lcm, scaled = _scaled([list(row) + [bi] for row, bi in zip(A, b)] + [list(c)])
-    cs = scaled.pop()
-    A_int = [row[:n] for row in scaled]
-    b_int = [row[n] for row in scaled]
-
-    rows = [[-a for a in row] + [bi] for row, bi in zip(A_int, b_int)]
-    rows.append(cs + [0])
+    odd = [v for row in (*A, b, c) for v in row if type(v) is not int]
+    if odd:
+        raise InputError(f"LP coefficient {odd[0]!r} is not an int")
+    rows = [[-a for a in row] + [bi] for row, bi in zip(A, b)]
+    rows.append([*c, 0])
     # slack variable ids n .. n+m-1, auxiliary id n+m
     t = _Tableau(list(range(n, n + m)), list(range(n)), rows)
-    if any(v < 0 for v in b_int):
+    if any(v < 0 for v in b):
         aux = n + m
         t.nonbasis.append(aux)
         for i, row in enumerate(rows):
@@ -273,7 +243,7 @@ def solve_lp(
         t.pivot(worst, n)
         t.run()
         if rows[-1][-1] != 0:
-            _certify_infeasible(A_int, b_int, n, t.slack_duals(n))
+            _certify_infeasible(A, b, n, t.slack_duals(n))
             return LpSolution(status=INFEASIBLE, x=None, value=None)
         if aux in t.basis:
             r = t.basis.index(aux)
@@ -300,9 +270,9 @@ def solve_lp(
     d = t.d
     x = t.point(n)
     z = rows[-1][-1]
-    _certify_optimal(A_int, b_int, cs, d, x, t.slack_duals(n), z)
+    _certify_optimal(A, b, c, d, x, t.slack_duals(n), z)
     return LpSolution(
         status=OPTIMAL,
         x=[Fraction(v, d) for v in x],
-        value=Fraction(z, d * lcm),
+        value=Fraction(z, d),
     )

@@ -20,7 +20,7 @@ from math import gcd, lcm
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
-from .scalars import lattice_int, over_common_denominator
+from .scalars import lattice_int
 from .valuations import Item, ItemSet, Valuation, subset_sums
 
 BundleId = int
@@ -85,16 +85,22 @@ class Auction:
     def _grid(self) -> Tuple[int, int]:
         """(twice the lcm of the parameters' denominators, the gcd of the
         parameters times it): the lattice of the parameters alone."""
-        ints, den = over_common_denominator(
-            [p for a in self.agents for p in a.valuation.parameter_values()]
-        )
-        return 2 * den, 2 * gcd(*ints)
+        params = [p for a in self.agents for p in a.valuation.parameter_values()]
+        # unpack lists, not generators: a generator's argument tuple is built by
+        # resizing, and the odd-sized tuples it leaves raised peak memory measurably
+        den = lcm(*[p.denominator for p in params])
+        return 2 * den, 2 * gcd(*[lattice_int(p, den) for p in params])
+
+    @property
+    def lattice_scale(self) -> int:
+        """D of `on_lattice()` alone: every agent's values are ints over it."""
+        return self._grid[0]
 
     def on_lattice(self, *dens: int) -> Tuple["Auction", int]:
         """(copy, D): this auction with every valuation `scaled` by D, the
         lcm of `dens` and of twice each parameter's denominator (so every
         value on the lattice is even, and half of it an int)."""
-        scale = lcm(self._grid[0], *dens)
+        scale = lcm(self.lattice_scale, *dens)
         market = copy.copy(self)
         market.agents = tuple(
             Agent(a.name, a.valuation.scaled(scale)) for a in self.agents
@@ -387,8 +393,12 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
     returns None: every agent's assigned set maximizes its utility over
     the full catalog, withheld items are off the market, and clearance
     is not required.  The check runs on the lattice that also holds
-    the outcome's prices.
+    the outcome's prices.  An assignment naming an agent outside the
+    auction raises InputError.
     """
+    for name in outcome.assignment:
+        if name not in auction._index:
+            raise InputError(f"assignment names unknown agent {name!r}")
     market, scale = auction.on_lattice(*{p.denominator for p in outcome.prices.values()})
     prices = {bid: lattice_int(p, scale) for bid, p in outcome.prices.items()}
     return lattice_violation(market, scale, outcome, prices)

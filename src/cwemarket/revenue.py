@@ -31,6 +31,7 @@ from .market import (
     social_welfare,
 )
 from .poly import run_poly
+from .scalars import parse_scalar
 from .trace import Trace
 
 
@@ -43,6 +44,7 @@ def shift_prices(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome
     Agents keep their bundle on ties (utility exactly zero after the
     shift).
     """
+    sigma = parse_scalar(sigma)
     if sigma < 0:
         raise InputError("price shift must be nonnegative")
     for name in auction.agent_names:

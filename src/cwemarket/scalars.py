@@ -1,17 +1,16 @@
 """Exact rational scalars.
 
 Money and value quantities are `fractions.Fraction` instances at the
-package's interface.  Inside, the solvers and the stability check work
-on an integer lattice, where x is the int x * D for one scale D
-(`lattice_int`), and the oracles over one common denominator
-(`over_common_denominator`).  No float is ever touched.  Scalars
-serialize as "p/q" strings (or bare integers) in JSON files.
+package's interface.  Inside, the solvers, the stability check and the
+oracles all work on one integer lattice, where x is the int x * D for
+the auction's scale D (`lattice_int`).  No float is ever touched.
+Scalars serialize as "p/q" strings (or bare integers) in JSON files.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Optional, Union
 
 from .errors import InputError
 
@@ -49,17 +48,12 @@ def format_scalar(x: Fraction) -> str:
 
 
 def lattice_int(x: Fraction, scale: int) -> int:
-    """x * scale as an int; `scale` must be a multiple of x's denominator."""
-    return x.numerator * (scale // x.denominator)
-
-
-def over_common_denominator(values: Sequence[Fraction]) -> Tuple[List[int], int]:
-    """Integer numerators of `values` over their least common denominator."""
-    # unpack a list, not a generator: a generator's argument tuple is
-    # built by resizing, and the odd-sized tuples it leaves on the
-    # interpreter's free lists raised peak memory measurably
-    den = lcm(*[v.denominator for v in values])
-    return [v.numerator * (den // v.denominator) for v in values], den
+    """x * scale as an int; InputError unless `scale` is a multiple of
+    x's denominator, so that nothing is ever floored."""
+    den = x.denominator
+    if scale % den:
+        raise InputError(f"{x} is off the lattice of scale {scale}")
+    return x.numerator * (scale // den)
 
 
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:

@@ -30,7 +30,7 @@ from .market import (
 # module, and its install fails if one is missing.
 from .market import is_cwe, merge_bundles  # noqa: F401
 from .poly import AscendingAuction
-from .scalars import lattice_int
+from .scalars import lattice_int, parse_scalar
 from .trace import Trace
 
 
@@ -66,7 +66,7 @@ class SimpleSolver(AscendingAuction):
         allocation: InitialAllocation,
         epsilon: Fraction,
     ):
-        epsilon = Fraction(epsilon)
+        epsilon = parse_scalar(epsilon)
         check_epsilon(auction, epsilon)
         super().__init__(auction, allocation, epsilon.denominator)
         self.epsilon = lattice_int(epsilon, self.scale)

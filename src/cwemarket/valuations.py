@@ -30,7 +30,7 @@ from typing import (
 )
 
 from .errors import InputError
-from .scalars import lattice_int
+from .scalars import lattice_int, parse_scalar
 
 Item = str
 ItemSet = FrozenSet[str]
@@ -250,7 +250,7 @@ class ExplicitValuation(Valuation):
             key = frozenset(s)
             if not key <= self.items:
                 raise InputError(f"table key {sorted(key)!r} outside item universe")
-            tab[key] = Fraction(v)
+            tab[key] = parse_scalar(v)
         missing = [s for s in subsets_of(self.items) if s not in tab]
         if missing:
             raise InputError(
@@ -286,7 +286,7 @@ class ExplicitValuation(Valuation):
         listed subset outside the universe raises InputError.
         """
         universe = cls._universe(items)
-        listed = {frozenset(s): Fraction(v) for s, v in entries.items()}
+        listed = {frozenset(s): parse_scalar(v) for s, v in entries.items()}
         subsets = list(subsets_of(universe))
         table = {s: listed[s] for s in subsets if s in listed}
         if len(table) < len(subsets):
@@ -353,7 +353,7 @@ class UnitDemandValuation(Valuation):
 
     def __init__(self, items: Iterable[Item], weights: Mapping[Item, Fraction]):
         self.items = _itemset(items)
-        self.weights = {i: Fraction(w) for i, w in weights.items()}
+        self.weights = {i: parse_scalar(w) for i, w in weights.items()}
         if not frozenset(self.weights) <= self.items:
             raise InputError("weight map mentions items outside the universe")
 
@@ -390,7 +390,7 @@ class SingleMindedValuation(Valuation):
     def __init__(self, items: Iterable[Item], desired: Iterable[Item], weight: Fraction):
         self.items = _itemset(items)
         self.desired = _itemset(desired)
-        self.weight = Fraction(weight)
+        self.weight = parse_scalar(weight)
         if not self.desired <= self.items:
             raise InputError("desired set outside the item universe")
 
@@ -447,7 +447,7 @@ class XosValuation(Valuation):
     ):
         self.items = _itemset(items)
         self.clauses: Tuple[Dict[Item, Fraction], ...] = tuple(
-            {i: Fraction(w) for i, w in clause.items()} for clause in clauses
+            {i: parse_scalar(w) for i, w in clause.items()} for clause in clauses
         )
         for clause in self.clauses:
             if not frozenset(clause) <= self.items:

@@ -8,13 +8,14 @@ These functions exist to check the solvers, so they are deliberately
 independent of the solver code paths and fail loudly on any input
 larger than their caps, the module constants below, read at call time.
 
-Each call reads every valuation once, into int tables over one common
-denominator D (`_tables`), and stays in ints: welfare sums, the DP, LP
-objectives and stability right-hand sides, whose scaling by D changes
-no pivot.  The searches enumerate maps item -> owner or nobody: one
-walk sums each map's welfare and groups the maps by int welfare level,
-and a level's candidates are built and sorted only when a search, going
-down from the highest level, reaches it.
+Each call reads every valuation once, into int tables on the auction's
+lattice (`_tables`: values times the scale D the solvers use too), and
+stays in ints: welfare sums, the DP, LP objectives and stability
+right-hand sides, whose scaling by D changes no pivot.  The searches
+enumerate maps item -> owner or nobody: one walk sums each map's
+welfare and groups the maps by int welfare level, and a level's
+candidates are built and sorted only when a search, going down from
+the highest level, reaches it.
 
 Two exact screens skip stability LPs whose answer is known.  Every
 LP passes through `_stable_prices`, which first asks the brute-force
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError, SolverInvariantError
@@ -37,7 +37,7 @@ from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
 from .market import Auction, BundleId, BundleSet, Catalog, Outcome, allocation_welfare
 # Unused here: bench/tracing.py counts partitions through this name.
 from .partitions import set_partitions  # noqa: F401
-from .scalars import over_common_denominator
+from .scalars import lattice_int
 from .valuations import ItemSet, subset_sums
 
 BRUTE_MAX_ITEMS = 8
@@ -71,14 +71,14 @@ def singleton_catalog(auction: Auction) -> Catalog:
 def _tables(
     auction: Auction, bundles: Optional[Sequence[ItemSet]] = None
 ) -> Tuple[Tables, int]:
-    """Each agent's value of every union of `bundles` (by default the
-    single items), indexed by mask as in `Valuation.bundle_values`, as
-    ints over the agents' common denominator D; returns (tables in agent order, D)."""
+    """Each agent's value of every union of `bundles` (by default the single
+    items), indexed by mask as in `Valuation.bundle_values`, as ints on the
+    auction's lattice, InputError off it; returns (tables in agent order, D)."""
     if bundles is None:
         bundles = [frozenset({it}) for it in auction.items]
-    raw = [over_common_denominator(a.valuation.bundle_values(bundles)) for a in auction.agents]
-    den = lcm(*[d for _, d in raw])
-    return [[v * (den // d) for v in ints] for ints, d in raw], den
+    den = auction.lattice_scale
+    values = [a.valuation.bundle_values(bundles) for a in auction.agents]
+    return [[lattice_int(v, den) for v in vs] for vs in values], den
 
 
 def _partition(tables: Tables, full: int) -> Tuple[int, List[int]]:

@@ -21,7 +21,7 @@ from cwemarket import (
     brute_force_optimal,
     generate,
 )
-from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
+from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
 from cwemarket.partitions import set_partitions
 from cwemarket.valuations import subset_unions, subsets_of
 
@@ -558,7 +558,7 @@ def reference_stability_rows(auction: Auction, catalog: Catalog, assignment):
 
 def reference_supporting_prices(auction: Auction, catalog: Catalog, assignment):
     rows, rhs = reference_stability_rows(auction, catalog, assignment)
-    sol = solve_lp([0] * len(catalog.entries), rows, rhs)
+    sol = reference_solve_lp([0] * len(catalog.entries), rows, rhs)
     if sol.status == INFEASIBLE:
         return None
     return {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
@@ -568,7 +568,7 @@ def reference_revenue_maximizing_prices(auction: Auction, catalog: Catalog, assi
     rows, rhs = reference_stability_rows(auction, catalog, assignment)
     assigned = frozenset().union(*assignment.values())
     c = [1 if bid in assigned else 0 for bid, _ in catalog.entries]
-    sol = solve_lp(c, rows, rhs)
+    sol = reference_solve_lp(c, rows, rhs)
     if sol.status == INFEASIBLE:
         return None
     return sol.value, {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
@@ -582,7 +582,7 @@ def reference_config_lp(auction: Auction, catalog: Catalog) -> Fraction:
     c = [auction.agents[i].valuation.value(unions[mask]) for i, mask in cols]
     rows = [[1 if ci == i else 0 for ci, _ in cols] for i in range(n)]
     rows += [[mask >> j & 1 for _, mask in cols] for j in range(k)]
-    return solve_lp(c, rows, [1] * (n + k)).value
+    return reference_solve_lp(c, rows, [1] * (n + k)).value
 
 
 def reference_stable_singleton_outcomes(auction: Auction) -> list:

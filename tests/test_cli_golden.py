@@ -42,6 +42,7 @@ GOLDEN: Dict[str, str] = {
     'gap3: oracle optimal': '119e245f0b67471e',
     'gap3: oracle lp-opt': '48cb994799bae8d7',
     'gap3: oracle max-cwe': 'f7796ea3b58eab33',
+    'gap3: oracle support': '8e0fb9e01db60302',
     'gap3: simple': 'c3efc223812cf762',
     'logn4: solve': '3f293aac69a24587',
     'logn4: verify': 'd57cba1569cc2ac4',
@@ -49,6 +50,7 @@ GOLDEN: Dict[str, str] = {
     'logn4: oracle optimal': '040c5cca2428c3b2',
     'logn4: oracle lp-opt': '16c5e0bdd28fd170',
     'logn4: oracle max-cwe': '7c245c4c89d5be1f',
+    'logn4: oracle support': '2cb65f45d527e744',
     'logn4: simple': '95d11dc8327ccff6',
     'logn9: solve': '282254c3592c8683',
     'logn9: verify': 'd57cba1569cc2ac4',
@@ -56,6 +58,7 @@ GOLDEN: Dict[str, str] = {
     'logn9: oracle optimal': '58f3863531cc09ab',
     'logn9: oracle lp-opt': 'de9ba06b8e588472',
     'logn9: oracle max-cwe': 'c27610d8608a9c09',
+    'logn9: oracle support': 'de9ba06b8e588472',
     'logn9: simple': '95d11dc8327ccff6',
     'um_sm3: solve': 'e427eb5c52acbc7a',
     'um_sm3: verify': 'd57cba1569cc2ac4',
@@ -63,6 +66,7 @@ GOLDEN: Dict[str, str] = {
     'um_sm3: oracle optimal': '39dc89f9d8c4f9b1',
     'um_sm3: oracle lp-opt': '0c8a06065665de06',
     'um_sm3: oracle max-cwe': '9e97e447829df508',
+    'um_sm3: oracle support': '6187c0064a0e8958',
     'um_sm3: simple': '35a56832817a0ad7',
     'xos3: solve': '0d6f1bc866eac665',
     'xos3: verify': 'd57cba1569cc2ac4',
@@ -70,6 +74,7 @@ GOLDEN: Dict[str, str] = {
     'xos3: oracle optimal': '2045c39bcb3ea016',
     'xos3: oracle lp-opt': '0c1daebaac997cd4',
     'xos3: oracle max-cwe': '5348d4e08d0dace1',
+    'xos3: oracle support': '8ed2ce3df222a745',
     'xos3: simple': 'ae596e5a9333d0ad',
     'explicit_m4_n3_s5: solve': 'fde656f561978cae',
     'explicit_m4_n3_s5: verify': 'd57cba1569cc2ac4',
@@ -77,6 +82,7 @@ GOLDEN: Dict[str, str] = {
     'explicit_m4_n3_s5: oracle optimal': 'c6860cba9cabfcc1',
     'explicit_m4_n3_s5: oracle lp-opt': '45ca05af4722cc79',
     'explicit_m4_n3_s5: oracle max-cwe': 'bac62642e09b0f84',
+    'explicit_m4_n3_s5: oracle support': '24232255274e7e8f',
     'explicit_m4_n3_s5: simple': '698c292ff534514c',
     'explicit_m5_n4_s11: solve': 'c04a55b6f7148080',
     'explicit_m5_n4_s11: verify': 'd57cba1569cc2ac4',
@@ -84,6 +90,7 @@ GOLDEN: Dict[str, str] = {
     'explicit_m5_n4_s11: oracle optimal': 'aae46516a4b349b6',
     'explicit_m5_n4_s11: oracle lp-opt': 'c6baaf125a3d0602',
     'explicit_m5_n4_s11: oracle max-cwe': '33d850703ed8e0a0',
+    'explicit_m5_n4_s11: oracle support': 'ddadaa66b42e36ca',
     'explicit_m5_n4_s11: simple': '1a6ad38b6ccd9d47',
 }
 
@@ -111,6 +118,9 @@ def _runs(directory: Path, stem: str, args: List[str], epsilon: str):
     yield "revenue", ["revenue", "--input", path, *seed], None, None
     for kind in ("optimal", "lp-opt", "max-cwe"):
         yield f"oracle {kind}", ["oracle", kind, "--input", path], None, None
+    yield "oracle support", [
+        "oracle", "support", "--input", path, "--solution", str(report)
+    ], None, None
     yield "simple", [
         "solve", "--input", path, *seed, "--alg", "simple", "--epsilon", epsilon
     ], None, None

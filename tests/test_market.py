@@ -220,6 +220,15 @@ def test_find_violation_and_is_cwe():
     assert is_cwe(auction, ok)
 
 
+def test_find_violation_refuses_an_unknown_agent():
+    """An assignment naming an agent outside the auction is bad input,
+    as in `supporting_prices`, not a stable outcome."""
+    stray = Outcome(cat2(), {0: F(0), 1: F(0)}, {"zz": frozenset({0})})
+    for check in (find_violation, is_cwe):
+        with pytest.raises(InputError, match="assignment names unknown agent 'zz'"):
+            check(two_item_auction(), stray)
+
+
 def test_social_welfare_sums_assigned_values():
     auction = seeded_auction()
     catalog, prices = initial_market(

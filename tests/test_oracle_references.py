@@ -1,10 +1,11 @@
 """The exhaustive oracles against their `Fraction` references.
 
 The `verifier` oracles read each valuation once into integer tables
-over one common denominator and enumerate candidates as item -> owner
+on the auction's lattice and enumerate candidates as item -> owner
 maps.  `helpers` keeps the earlier form of each: `value` calls per
-subset on every LP, `Fraction` right-hand sides, welfare sums and DP,
-and candidates from set partitions with deduplication.  Both must give
+subset on every LP, `Fraction` right-hand sides solved by the
+reference simplex, welfare sums and DP, and candidates from set
+partitions with deduplication.  Both must give
 the same values, the same outcomes and price maps, in the same order.
 
 Inputs mix valuation classes and denominators, and draw values from a
@@ -22,7 +23,7 @@ from cwemarket import (
     AdditiveValuation, Agent, Auction, Catalog, ExplicitValuation, generate,
 )
 from cwemarket import verifier
-from cwemarket.lp import INFEASIBLE, solve_lp
+from cwemarket.lp import INFEASIBLE
 from cwemarket.verifier import (
     brute_force_optimal,
     config_lp_fractional_opt,
@@ -212,7 +213,7 @@ def test_max_cwe_revenue_reads_each_subset_value_once(monkeypatch):
 def _reference_lp(auction, catalog, assignment, revenue):
     rows, rhs = helpers.reference_stability_rows(auction, catalog, assignment)
     c = [int(revenue)] * len(catalog.entries)
-    return solve_lp(c, rows, rhs)
+    return helpers.reference_solve_lp(c, rows, rhs)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

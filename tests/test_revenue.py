@@ -85,6 +85,13 @@ def test_shift_refuses_unstable_input():
         shift_prices(auction, bad, F(1))
 
 
+def test_shift_refuses_an_unknown_agent():
+    auction, out = _stable_single()
+    stray = Outcome(catalog=out.catalog, prices=out.prices, assignment={"zz": frozenset({0})})
+    with pytest.raises(InputError, match="assignment names unknown agent 'zz'"):
+        shift_prices(auction, stray, F(1))
+
+
 def test_ladder_frozen_values():
     auction, seed = generate("logn_revenue", n=4)
     result = maximize_revenue(auction, seed)

@@ -2,13 +2,30 @@ from fractions import Fraction
 
 import pytest
 
-from cwemarket import InputError
+from cwemarket import (
+    AdditiveValuation,
+    Agent,
+    Auction,
+    Catalog,
+    ExplicitValuation,
+    InputError,
+    Outcome,
+    SingleMindedValuation,
+    UnitDemandValuation,
+    XosValuation,
+    generate,
+    run_simple,
+    shift_prices,
+)
 from cwemarket.scalars import (
     common_granularity,
     format_scalar,
+    lattice_int,
     parse_scalar,
     rational_gcd,
 )
+
+F = Fraction
 
 
 def test_parse_int_and_strings():
@@ -56,3 +73,51 @@ def test_common_granularity():
     g = common_granularity([Fraction(1), Fraction(21, 10), Fraction(0)])
     assert g == Fraction(1, 10)
     assert common_granularity([Fraction(-1, 4), Fraction(1, 6)]) == Fraction(1, 12)
+
+
+def test_lattice_int_refuses_to_floor():
+    assert lattice_int(F(3, 4), 8) == 6
+    assert lattice_int(F(-5), 3) == -15
+    with pytest.raises(InputError, match="off the lattice"):
+        lattice_int(F(1, 3), 8)
+
+
+X = frozenset({"x"})
+
+
+def _held_x():
+    """One agent valuing item x at 2 (granularity 2), seeded with it."""
+    auction = Auction(items=("x",), agents=(Agent("a", AdditiveValuation(X, {"x": F(2)})),))
+    return auction, {"a": X}
+
+
+def _shifted(sigma):
+    auction, _ = _held_x()
+    outcome = Outcome(Catalog(entries=((0, X),)), {0: F(1)}, {"a": frozenset({0})})
+    return shift_prices(auction, outcome, sigma)
+
+
+ENTRY_POINTS = {
+    "explicit": lambda v: ExplicitValuation(X, {frozenset(): F(0), X: v}),
+    "from_entries": lambda v: ExplicitValuation.from_entries(X, {X: v}),
+    "unit_demand": lambda v: UnitDemandValuation(X, {"x": v}),
+    "additive": lambda v: AdditiveValuation(X, {"x": v}),
+    "xos": lambda v: XosValuation(X, [{"x": v}]),
+    "single_minded": lambda v: SingleMindedValuation(X, X, v),
+    "gap3": lambda v: generate("gap3", epsilon=v),
+    "item_pricing_um_sm": lambda v: generate("item_pricing_um_sm", m=2, epsilon=v),
+    "item_pricing_xos": lambda v: generate("item_pricing_xos", m=2, delta=v),
+    "run_simple": lambda v: run_simple(*_held_x(), v),
+    "shift_prices": _shifted,
+}
+
+
+@pytest.mark.parametrize("bad", [0.25, True])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_refuse_floats_and_bools(entry, bad):
+    """A float or a bool is refused where it enters the library, as in
+    a file, not stored as a binary fraction or as 1; an exact quarter
+    is taken."""
+    ENTRY_POINTS[entry](F(1, 4))
+    with pytest.raises(InputError, match="float scalar|not a scalar"):
+        ENTRY_POINTS[entry](bad)

@@ -8,8 +8,10 @@ from cwemarket import (
     Auction,
     Catalog,
     ExplicitValuation,
+    InputError,
     ResourceLimitError,
     SolverInvariantError,
+    Valuation,
     brute_force_optimal,
     generate,
     is_cwe,
@@ -279,3 +281,33 @@ def test_tampered_reallocation_witness_raises(monkeypatch, tamper, fault):
     monkeypatch.setattr(verifier, "_partition", tampered)
     with pytest.raises(SolverInvariantError, match=fault):
         supporting_prices(auction, catalog, {"B": frozenset({0})})
+
+
+class _Thirds(Valuation):
+    """Values in thirds of the item count, while its one parameter is a
+    half: a valuation whose values lie off the lattice of its parameters."""
+
+    kind = "thirds"
+
+    def __init__(self, items):
+        self.items = frozenset(items)
+
+    def _value(self, s):
+        return F(len(s), 3)
+
+    def parameter_values(self):
+        yield F(1, 2)
+
+    def validate(self):
+        return None
+
+
+def test_tables_refuse_values_off_the_lattice():
+    """The oracles read values on the auction's lattice (scale 4 here)
+    and raise on a third instead of flooring it."""
+    auction = Auction(items=("x", "y"), agents=(Agent("a", _Thirds({"x", "y"})),))
+    assert auction.lattice_scale == 4
+    with pytest.raises(InputError, match="1/3 is off the lattice of scale 4"):
+        verifier._tables(auction)
+    with pytest.raises(InputError, match="off the lattice"):
+        brute_force_optimal(auction)
