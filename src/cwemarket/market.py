@@ -396,9 +396,7 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
     the outcome's prices.  An assignment naming an agent outside the
     auction raises InputError.
     """
-    for name in outcome.assignment:
-        if name not in auction._index:
-            raise InputError(f"assignment names unknown agent {name!r}")
+    _check_agents(auction, outcome)
     market, scale = auction.on_lattice(*{p.denominator for p in outcome.prices.values()})
     prices = {bid: lattice_int(p, scale) for bid, p in outcome.prices.items()}
     return lattice_violation(market, scale, outcome, prices)
@@ -426,7 +424,14 @@ def is_cwe(auction: Auction, outcome: Outcome) -> bool:
     return find_violation(auction, outcome) is None
 
 
+def _check_agents(auction: Auction, outcome: Outcome) -> None:
+    for name in outcome.assignment:
+        if name not in auction._index:
+            raise InputError(f"assignment names unknown agent {name!r}")
+
+
 def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
+    _check_agents(auction, outcome)
     return allocation_welfare(
         auction, {name: outcome.assigned_items(name) for name in auction.agent_names}
     )
@@ -434,6 +439,7 @@ def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
 
 def revenue_of(auction: Auction, outcome: Outcome) -> Fraction:
     """Total price paid over assigned bundles."""
+    _check_agents(auction, outcome)
     held = [outcome.assignment.get(name, frozenset()) for name in auction.agent_names]
     return sum((outcome.prices[bid] for bids in held for bid in bids), Fraction(0))
 

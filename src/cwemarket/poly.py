@@ -26,7 +26,9 @@ Both run on an integer price lattice (README, "Solvers").
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Tuple
 
 from .errors import SolverInvariantError
@@ -42,6 +44,7 @@ from .market import (
     lattice_violation,
     merge_bundles,
     social_welfare,
+    tie_break_key,
     validate_initial_allocation,
 )
 # Unused here: bench/tracing.py wraps these names in every solver
@@ -214,6 +217,12 @@ class PolySolver(AscendingAuction):
         holder's price; the holder realizing that margin records its
         switch-to set and goes inactive.  Holders go inactive in the
         order later displacement chains must respect.
+
+        The catalog, the holdings and the prices of bundles no active
+        holder holds stay fixed, and each step releases one bundle at
+        its final price.  So each holder's `demand_fold` just takes the
+        released bundle; only explicit tables are asked again over the
+        whole catalog.  Each answer counts as one demand query.
         """
         members = [n for n in self.auction.agent_names if self.assignment.get(n)]
         if not members:
@@ -225,12 +234,16 @@ class PolySolver(AscendingAuction):
                 raise SolverInvariantError(
                     f"{i!r} holds {held} bundles in a price push, not one"
                 )
-        # the catalog and the holdings stay fixed during the push, and so
-        # does each holder's value for its own bundle
         own_value = {
             i: induced_value(self.market.valuation(i), self.catalog, self.assignment[i])
             for i in members
         }
+        # a holder's own bundle is never on offer to it, so one count of
+        # every holding ranks its ties as `select_demanded` does
+        holdings = Counter(bid for bids in self.assignment.values() for bid in bids)
+        key = partial(tie_break_key, held_elsewhere=holdings)
+        folds = {i: self.market.valuation(i).demand_fold(key) for i in members}
+        offers = [(bid, s) for bid, s in self.catalog.entries if bid not in holdings]
         active: List[str] = list(members)
         self.rank = {}
         step = 0
@@ -240,7 +253,13 @@ class PolySolver(AscendingAuction):
             excluded = frozenset().union(*(self.assignment[j] for j in active))
             for i in active:
                 (bid,) = self.assignment[i]
-                best, switches[i] = self._demand(i, excluded=excluded)
+                fold = folds[i]
+                if fold is None:
+                    best, switches[i] = self._demand(i, excluded=excluded)
+                else:
+                    fold.extend(offers, self.prices)
+                    self.trace.demand_queries += 1
+                    best, (switches[i],) = fold.answer()
                 margin = own_value[i] - self.prices[bid] - best
                 if margin < 0:
                     raise SolverInvariantError(
@@ -261,6 +280,7 @@ class PolySolver(AscendingAuction):
             self.rank[a] = step
             self.trace.add(FallbackRecord(agent=a, bundles=switches[a]))
             active.remove(a)
+            offers = [(bid, self.catalog.items_of(bid)) for bid in self.assignment[a]]
 
     def _finish(self) -> Outcome:
         n = len(self.auction.agents)

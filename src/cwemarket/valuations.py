@@ -13,8 +13,8 @@ explicit finite item universe.  Supported classes:
 found (None when the valuation is well formed).  `bundle_values()`
 tabulates the value of every union of a few disjoint bundles, one read
 per union.  `demand_candidates()` answers a demand query over priced
-disjoint bundles from per-bundle margins alone, in time linear in the
-number of bundles; explicit tables have no such rule.  `scaled(D)` is
+disjoint bundles from per-bundle margins, folding in a batch of bundles
+at a time (`demand_fold`); explicit tables have no such rule.  `scaled(D)` is
 the copy with int parameters that the solvers' lattice uses (README,
 "Solvers"), so its values are ints where all others are `Fraction`s.
 """
@@ -92,6 +92,8 @@ class Valuation:
 
     items: ItemSet
     kind: str = "abstract"
+    # the `DemandFold` subclass of the class's demand rule, if it has one
+    _fold: Optional[type] = None
     # the int 0 on a `scaled` copy, so its results stay ints
     zero: Fraction = Fraction(0)
 
@@ -144,18 +146,18 @@ class Valuation:
         maximizers, a candidate.  With a max of 0 the only candidate is
         the empty set.
 
-        A class without such a rule returns None; the caller then
-        enumerates `bundle_values`, which checks the bundles itself.
+        This runs the class's `demand_fold` over the offers; a class with
+        none returns None, and the caller enumerates `bundle_values`.
         """
-        found = self._demand_candidates(offers, prices)
-        if found is not None:
-            self._check_bundles([items for _, items in offers])
-        return found
+        fold = self.demand_fold()
+        if fold is None:
+            return None
+        fold.extend(offers, prices)
+        return fold.answer()
 
-    def _demand_candidates(
-        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
-    ) -> Optional[DemandAnswer]:
-        return None
+    def demand_fold(self, key=None) -> Optional["DemandFold"]:
+        """A demand query that takes offers in batches; None if it has none."""
+        return None if self._fold is None else self._fold(self, key)
 
     def parameter_values(self) -> Iterator[Fraction]:
         """All scalar parameters, for granularity computation."""
@@ -185,53 +187,95 @@ def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect
     return None
 
 
-def _best_of(
-    scored: Iterable[Tuple[Fraction, FrozenSet[Hashable]]], zero: Fraction
-) -> DemandAnswer:
-    """The max of `zero` and the scores, with every set that scores it;
-    the empty set alone when nothing scores above 0."""
-    best = zero
-    sets: List[FrozenSet[Hashable]] = [frozenset()]
-    for score, ids in scored:
-        if score > best:
-            best, sets = score, [ids]
-        elif score == best and score > 0:
-            sets.append(ids)
-    return best, sets
+class DemandFold:
+    """`demand_candidates` fed offers in batches (`extend`, through a
+    subclass's `_extend`) and read at any point (`answer`).  Given a `key` that
+    ranks sets before their strict supersets, it keeps the maximizer ranked first."""
+
+    def __init__(self, valuation: Valuation, key=None):
+        self.valuation, self.key = valuation, key
+
+    def extend(self, offers: Sequence[Offer], prices: Mapping) -> None:
+        """Add `offers`, disjoint (id, items) pairs priced by `prices`."""
+        self.valuation._check_bundles([items for _, items in offers])
+        self._extend(offers, prices)
 
 
-def _positive_part(
-    clause: Mapping[Item, Fraction],
-    offers: Sequence[Offer],
-    prices: Mapping[Hashable, Fraction],
-    zero: Fraction,
-) -> Tuple[Fraction, FrozenSet[Hashable]]:
-    """The sum of the positive margins under one additive clause and the
-    ids of their offers: the best an additive valuation does."""
-    total = zero
-    taken = []
-    for bid, items in offers:
-        margin = _weight_sum(clause, items) - prices[bid]
-        if margin > 0:
-            total += margin
-            taken.append(bid)
-    return total, frozenset(taken)
+class _BestBundle(DemandFold):
+    """Unit demand: a set is worth its best bundle but pays for all of
+    them, so that bundle alone does at least as well as the set."""
+
+    def __init__(self, valuation: Valuation, key=None):
+        super().__init__(valuation, key)
+        self.best, self.sets = valuation.zero, [frozenset()]
+
+    def _extend(self, offers, prices):
+        value, key = self.valuation._value, self.key
+        for bid, items in offers:
+            score = value(items) - prices[bid]
+            if score > self.best:
+                self.best, self.sets = score, [frozenset({bid})]
+            elif score == self.best and score > 0:
+                ids = frozenset({bid})
+                if key is None:
+                    self.sets.append(ids)
+                elif key(ids) < key(self.sets[0]):
+                    self.sets = [ids]
+
+    def answer(self) -> DemandAnswer:
+        return self.best, self.sets
 
 
-def _clause_demand(
-    clauses: Sequence[Mapping[Item, Fraction]],
-    offers: Sequence[Offer],
-    prices: Mapping[Hashable, Fraction],
-    zero: Fraction,
-) -> DemandAnswer:
-    """`demand_candidates` of the max of additive clauses.  Under one
-    clause margins add up, so its best set takes every positive margin
-    (a maximizer may add zero ones).  A maximizer of the max reaches it
-    under some clause and so holds all of that clause's positive-margin
-    offers."""
-    return _best_of(
-        (_positive_part(clause, offers, prices, zero) for clause in clauses), zero
-    )
+class _Cover(DemandFold):
+    """Single-minded: disjoint bundles cover the desired set exactly when
+    every bundle meeting it is taken and together they hold all of it;
+    any other bundle only adds to the price."""
+
+    def __init__(self, valuation: Valuation, key=None):
+        super().__init__(valuation, key)
+        self.need, self.covered, self.cost = [], 0, 0
+
+    def _extend(self, offers, prices):
+        desired = self.valuation.desired
+        for bid, items in offers:
+            met = len(items & desired)
+            if met:
+                self.need.append(bid)
+                self.covered += met
+                self.cost += prices[bid]
+
+    def answer(self) -> DemandAnswer:
+        v = self.valuation
+        if self.covered == len(v.desired) and v.weight > self.cost:
+            return v.weight - self.cost, [frozenset(self.need)]
+        return v.zero, [frozenset()]
+
+
+class _PositiveParts(DemandFold):
+    """The max of additive clauses.  Under one clause margins add up, so
+    its best set takes every positive margin (a maximizer may add zero
+    ones).  A maximizer of the max reaches it under some clause and so
+    holds all of that clause's positive-margin offers."""
+
+    def __init__(self, valuation: Valuation, key=None):
+        super().__init__(valuation, key)
+        self.parts = [[valuation.zero, []] for _ in valuation.clauses]
+
+    def _extend(self, offers, prices):
+        for clause, part in zip(self.valuation.clauses, self.parts):
+            for bid, items in offers:
+                margin = _weight_sum(clause, items) - prices[bid]
+                if margin > 0:
+                    part[0] += margin
+                    part[1].append(bid)
+
+    def answer(self) -> DemandAnswer:
+        zero = self.valuation.zero
+        best = max([zero] + [total for total, _ in self.parts])
+        if best == 0:
+            return zero, [frozenset()]
+        tied = [frozenset(taken) for total, taken in self.parts if total == best]
+        return best, tied if self.key is None else [min(tied, key=self.key)]
 
 
 class ExplicitValuation(Valuation):
@@ -350,6 +394,7 @@ def _replaced(valuation: Valuation, **fields) -> Valuation:
 
 class UnitDemandValuation(Valuation):
     kind = "unit_demand"
+    _fold = _BestBundle
 
     def __init__(self, items: Iterable[Item], weights: Mapping[Item, Fraction]):
         self.items = _itemset(items)
@@ -364,16 +409,6 @@ class UnitDemandValuation(Valuation):
                 best = self.weights[i]
         return best
 
-    def _demand_candidates(
-        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
-    ) -> DemandAnswer:
-        # a set is worth its best bundle but pays for all of them, so
-        # that bundle alone does at least as well as the set
-        return _best_of(
-            ((self._value(items) - prices[bid], frozenset({bid})) for bid, items in offers),
-            self.zero,
-        )
-
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self.weights.values())
 
@@ -386,6 +421,7 @@ class UnitDemandValuation(Valuation):
 
 class SingleMindedValuation(Valuation):
     kind = "single_minded"
+    _fold = _Cover
 
     def __init__(self, items: Iterable[Item], desired: Iterable[Item], weight: Fraction):
         self.items = _itemset(items)
@@ -396,24 +432,6 @@ class SingleMindedValuation(Valuation):
 
     def _value(self, s: ItemSet) -> Fraction:
         return self.weight if self.desired <= s else self.zero
-
-    def _demand_candidates(
-        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
-    ) -> DemandAnswer:
-        # disjoint bundles cover the desired set exactly when every bundle
-        # meeting it is taken and together those bundles hold all of it;
-        # any other bundle only adds to the price
-        need = []
-        reached: ItemSet = frozenset()
-        cost = 0
-        for bid, items in offers:
-            if items & self.desired:
-                need.append(bid)
-                reached |= items
-                cost += prices[bid]
-        if self.desired <= reached and self.weight > cost:
-            return self.weight - cost, [frozenset(need)]
-        return self.zero, [frozenset()]
 
     def parameter_values(self) -> Iterator[Fraction]:
         yield self.weight
@@ -439,6 +457,7 @@ class XosValuation(Valuation):
     """Max over additive clauses; value(S) = max_c sum_{i in S} c[i]."""
 
     kind = "xos"
+    _fold = _PositiveParts
 
     def __init__(
         self,
@@ -460,11 +479,6 @@ class XosValuation(Valuation):
             if total > best:
                 best = total
         return best
-
-    def _demand_candidates(
-        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
-    ) -> DemandAnswer:
-        return _clause_demand(self.clauses, offers, prices, self.zero)
 
     def parameter_values(self) -> Iterator[Fraction]:
         for clause in self.clauses:

@@ -22,7 +22,9 @@ from cwemarket import (
     generate,
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
+from cwemarket.market import induced_value
 from cwemarket.partitions import set_partitions
+from cwemarket.trace import FallbackRecord
 from cwemarket.valuations import subset_unions, subsets_of
 
 BundleSet = FrozenSet[int]
@@ -156,6 +158,59 @@ def recorded_pushes():
         yield reports
     finally:
         PolySolver.raise_prices = push
+
+
+def cold_raise_prices(solver) -> None:
+    """`PolySolver.raise_prices` asking every active holder again over
+    the whole available catalog at every step: the reference for the
+    warm-started push, which must match it event for event and query
+    for query.  Swap it in with
+    `patch.object(PolySolver, "raise_prices", cold_raise_prices)`.
+    """
+    members = [n for n in solver.auction.agent_names if solver.assignment.get(n)]
+    if not members:
+        solver.rank = {}
+        return
+    for i in members:
+        held = len(solver.assignment[i])
+        if held != 1:
+            raise SolverInvariantError(
+                f"{i!r} holds {held} bundles in a price push, not one"
+            )
+    own_value = {
+        i: induced_value(solver.market.valuation(i), solver.catalog, solver.assignment[i])
+        for i in members
+    }
+    active: List[str] = list(members)
+    solver.rank = {}
+    step = 0
+    while active:
+        margins: Dict[str, int] = {}
+        switches: Dict[str, BundleSet] = {}
+        excluded = frozenset().union(*(solver.assignment[j] for j in active))
+        for i in active:
+            (bid,) = solver.assignment[i]
+            best, switches[i] = solver._demand(i, excluded=excluded)
+            margin = own_value[i] - solver.prices[bid] - best
+            if margin < 0:
+                raise SolverInvariantError(
+                    f"held bundle of {i!r} is no longer demanded "
+                    f"before its price push"
+                )
+            margins[i] = margin
+        a = min(active, key=lambda i: (margins[i], solver.auction.agent_index(i)))
+        delta = margins[a]
+        if delta > 0:
+            for i in active:
+                (bid,) = solver.assignment[i]
+                old = solver.prices[bid]
+                solver.prices[bid] = old + delta
+                solver.trace.add(solver._raised(bid, old, old + delta))
+        step += 1
+        solver.fallback[a] = switches[a]
+        solver.rank[a] = step
+        solver.trace.add(FallbackRecord(agent=a, bundles=switches[a]))
+        active.remove(a)
 
 
 def sweep_raise_oracle(auction: Auction, report: RaiseReport):

@@ -27,6 +27,7 @@ CORPUS: List[Tuple[str, List[str], str]] = [
     ("gap3", ["gap3"], "1/20"),
     ("logn4", ["logn_revenue", "--n", "4"], "1/24"),
     ("logn9", ["logn_revenue", "--n", "9"], "1/5040"),
+    ("logn16", ["logn_revenue", "--n", "16"], "1/1441440"),
     ("um_sm3", ["item_pricing_um_sm", "--m", "3"], "1/20"),
     ("xos3", ["item_pricing_xos", "--m", "3"], "1/16"),
     ("explicit_m4_n3_s5", ["random_explicit", "--m", "4", "--n", "3", "--seed", "5"], "1/128"),
@@ -60,6 +61,14 @@ GOLDEN: Dict[str, str] = {
     'logn9: oracle max-cwe': 'c27610d8608a9c09',
     'logn9: oracle support': 'de9ba06b8e588472',
     'logn9: simple': '95d11dc8327ccff6',
+    'logn16: solve': 'a9e5bdbab0a57c86',
+    'logn16: verify': 'd57cba1569cc2ac4',
+    'logn16: revenue': '6ee1c73cc5262ac8',
+    'logn16: oracle optimal': 'abc90dfd1e961c7d',
+    'logn16: oracle lp-opt': '5c52b9bd7f04fce3',
+    'logn16: oracle max-cwe': 'a98056e84ede00c0',
+    'logn16: oracle support': '5c52b9bd7f04fce3',
+    'logn16: simple': '95d11dc8327ccff6',
     'um_sm3: solve': 'e427eb5c52acbc7a',
     'um_sm3: verify': 'd57cba1569cc2ac4',
     'um_sm3: revenue': 'adf935d5e1551e6f',

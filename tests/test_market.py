@@ -21,12 +21,14 @@ from cwemarket import (
     initial_market,
     is_cwe,
     merge_bundles,
+    revenue_of,
     social_welfare,
     utility,
     validate_initial_allocation,
 )
 from cwemarket import market
 from cwemarket.market import select_demanded
+from cwemarket.serialize import outcome_to_json
 
 F = Fraction
 
@@ -227,6 +229,22 @@ def test_find_violation_refuses_an_unknown_agent():
     for check in (find_violation, is_cwe):
         with pytest.raises(InputError, match="assignment names unknown agent 'zz'"):
             check(two_item_auction(), stray)
+
+
+def test_welfare_and_revenue_refuse_an_unknown_agent():
+    """A report on an outcome that sells a bundle at 5 to an agent
+    outside the auction must not read welfare 0 and revenue 0."""
+    auction, _ = generate("gap3")
+    stray = Outcome(
+        Catalog(entries=((0, frozenset({"1"})),)), {0: F(5)}, {"zz": frozenset({0})}
+    )
+    for measure in (
+        social_welfare,
+        revenue_of,
+        lambda auction, outcome: outcome_to_json(auction, outcome, None, 0, 0),
+    ):
+        with pytest.raises(InputError, match="assignment names unknown agent 'zz'"):
+            measure(auction, stray)
 
 
 def test_social_welfare_sums_assigned_values():

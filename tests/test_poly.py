@@ -1,14 +1,23 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwemarket import (
+    AdditiveValuation,
     Agent,
     Auction,
+    Catalog,
+    ExplicitValuation,
+    InputError,
     Outcome,
     PolySolver,
     SimpleSolver,
+    SingleMindedValuation,
     UnitDemandValuation,
+    XosValuation,
     find_violation,
     generate,
     is_cwe,
@@ -23,9 +32,12 @@ from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
 from .helpers import (
     check_push_matches_oracle,
     check_push_maximality,
+    cold_raise_prices,
     recorded_pushes,
     seed_instance,
+    unit_demand_violation,
 )
+from .test_demand_engine import KINDS, coarse, valuations
 
 F = Fraction
 
@@ -215,3 +227,157 @@ def test_final_check_on_the_run_lattice_agrees_with_find_violation():
                 assert lattice_violation(solver.market, solver.scale, moved, prices) == want
                 violations += want is not None
     assert violations > 0
+
+
+@st.composite
+def mixed_seeded_markets(draw):
+    """(auction, seed allocation): 3-6 items, one agent of each of the
+    five classes plus up to two more, values from the tie-heavy coarse
+    set."""
+    items = [f"i{k}" for k in range(draw(st.integers(3, 6)))]
+    universe = frozenset(items)
+    kinds = list(draw(st.permutations(KINDS)))
+    kinds += draw(st.lists(st.sampled_from(KINDS), max_size=2))
+    agents = tuple(
+        Agent(f"a{j}", draw(valuations(kind, universe, coarse)))
+        for j, kind in enumerate(kinds)
+    )
+    # items to agents of their own, one each, the rest to nobody
+    names = [a.name for a in agents]
+    owners = draw(st.lists(st.sampled_from(names), min_size=2, max_size=len(items), unique=True))
+    seed = {name: frozenset({item}) for item, name in zip(items, owners)}
+    return Auction(items=items, agents=agents), seed
+
+
+def _solved(auction, seed):
+    solver = PolySolver(auction, seed)
+    outcome = solver.run()
+    trace = solver.trace
+    return trace.events, trace.demand_queries, solver.fallback, solver.rank, outcome
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(market=mixed_seeded_markets())
+def test_warm_push_matches_the_cold_push_on_mixed_markets(market):
+    """The push extends each structured holder's answer by the released
+    bundle; the cold reference asks every holder again over the whole
+    available catalog.  Every push matches the breakpoint sweep, and the
+    whole run equals the cold one: events, queries, fallbacks, ranks
+    and outcome."""
+    auction, seed = market
+    with recorded_pushes() as reports:
+        warm = _solved(auction, seed)
+    for report in reports:
+        check_push_matches_oracle(auction, report)
+        check_push_maximality(auction, report)
+    with patch.object(PolySolver, "raise_prices", cold_raise_prices):
+        assert _solved(auction, seed) == warm
+
+
+def test_logn_revenue_push_work_is_pinned_by_count():
+    """`logn_revenue` ties every item for every agent.  The warm push
+    values each offer once per holder and push, not once per step, and
+    still counts every logical query."""
+    calls = [0]
+    value = UnitDemandValuation._value
+
+    def counted(valuation, items):
+        calls[0] += 1
+        return value(valuation, items)
+
+    auction, seed = generate("logn_revenue", n=32)
+    with patch.object(UnitDemandValuation, "_value", counted):
+        _, trace = run_poly(auction, seed)
+    assert calls[0] < 20_000  # 84,720 when every step asked the whole catalog
+    assert trace.demand_queries == 4_344
+    auction, seed = generate("logn_revenue", n=64)
+    outcome, trace = run_poly(auction, seed)
+    assert trace.demand_queries == 34_120
+    assert unit_demand_violation(auction, outcome) is None
+
+
+# worth 4 for {"x"}, over the universe {"x", "y"}
+ONLY_X = {
+    "explicit": lambda u: ExplicitValuation.from_entries(u, {frozenset({"x"}): F(4)}),
+    "additive": lambda u: AdditiveValuation(u, {"x": F(4)}),
+    "unit_demand": lambda u: UnitDemandValuation(u, {"x": F(4)}),
+    "single_minded": lambda u: SingleMindedValuation(u, {"x"}, F(4)),
+    "xos": lambda u: XosValuation(u, [{"x": F(4)}]),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_released_offer_outside_the_valuation_is_rejected(kind):
+    """B's bundle holds "zz", an item of B's universe but not of A's.
+    B leaves the push first, and A's answer must refuse the released
+    bundle, as a query over the whole catalog does."""
+    a_items, b_items = frozenset({"x", "y"}), frozenset({"x", "y", "zz"})
+    auction = Auction(
+        items=a_items,
+        agents=(
+            Agent("A", ONLY_X[kind](a_items)),
+            Agent("B", UnitDemandValuation(b_items, {"y": F(2)})),
+        ),
+    )
+    solver = PolySolver(auction, {"A": frozenset({"x"}), "B": frozenset({"y"})})
+    solver.catalog = Catalog(entries=((0, frozenset({"x"})), (1, frozenset({"y", "zz"}))))
+    solver.assignment = {"A": frozenset({0}), "B": frozenset({1})}
+    # margins: A 4 - 1 = 3, B 2 - 1 = 1, so B leaves first
+    solver.prices = {0: solver.scale, 1: solver.scale}
+    with pytest.raises(InputError, match=r"unknown item identifiers \['zz'\]"):
+        solver.raise_prices()
+    assert solver.rank == {"B": 1}
+
+
+def test_warm_push_matches_the_cold_push_on_paper_instances():
+    """The paper's structured families, `logn_revenue` (every item alike
+    to each agent) up to n = 12 among them: each whole run equals the
+    run with the cold push."""
+    corpus = [generate("logn_revenue", n=n) for n in range(2, 13)]
+    corpus += [generate("item_pricing_um_sm", m=m) for m in (2, 3, 4)]
+    corpus += [generate("item_pricing_xos", m=m) for m in (2, 3, 4)]
+    for auction, seed in corpus:
+        warm = _solved(auction, seed)
+        with patch.object(PolySolver, "raise_prices", cold_raise_prices):
+            assert _solved(auction, seed) == warm
+
+
+# worth 10 for "z" and 2 for any one of "w", "y" and "x"; the XOS
+# clauses list "w", "y" and "x" in the order opposite to their ids
+TIED_HOLDER = {
+    "unit_demand": lambda u: UnitDemandValuation(u, {"x": F(2), "y": F(2), "z": F(10), "w": F(2)}),
+    "xos": lambda u: XosValuation(u, [{i: F(2), "z": F(10)} for i in "wyx"]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TIED_HOLDER))
+@pytest.mark.parametrize("unheld, switch", [(False, 0), (True, 3)])
+def test_push_ties_go_to_the_smallest_key_in_any_release_order(kind, unheld, switch):
+    """B leaves the push before A, so H is offered B's bundle 1 before
+    A's bundle 0, both at 1 and both worth 2 to H; so is the unheld
+    bundle 3 when it is on sale.  H records the tied bundle with the
+    smallest `tie_break_key`: the one nobody holds, else the lower id."""
+    items = frozenset("xyzw")
+    auction = Auction(
+        items=items,
+        agents=(
+            Agent("A", UnitDemandValuation(items, {"x": F(1)})),
+            Agent("B", UnitDemandValuation(items, {"y": F(1)})),
+            Agent("H", TIED_HOLDER[kind](items)),
+        ),
+    )
+    entries = ((0, frozenset("x")), (1, frozenset("y")), (2, frozenset("z")))
+    if unheld:
+        entries += ((3, frozenset("w")),)
+    pushes = []
+    for push in (PolySolver.raise_prices, cold_raise_prices):
+        solver = PolySolver(auction, {name: frozenset(i) for name, i in zip("ABH", "xyz")})
+        solver.catalog = Catalog.selling(items, entries)
+        solver.assignment = {"A": frozenset({0}), "B": frozenset({1}), "H": frozenset({2})}
+        # margins before any release: A 1, B 1/2, H 10
+        solver.prices = {0: 0, 1: solver.scale // 2, 2: 0, 3: solver.scale}
+        push(solver)
+        pushes.append((solver.rank, solver.fallback, solver.trace.events))
+    assert pushes[0] == pushes[1]
+    assert pushes[0][0] == {"B": 1, "A": 2, "H": 3}
+    assert pushes[0][1]["H"] == frozenset({switch})
