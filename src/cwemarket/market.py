@@ -373,6 +373,40 @@ def in_demand(
     return utility(auction, agent, bundle_set, catalog, prices) == best
 
 
+def top_price(
+    auction: Auction,
+    agent: str,
+    catalog: Catalog,
+    prices: Mapping[BundleId, Fraction],
+    bid: BundleId,
+) -> Optional[Fraction]:
+    """The highest price of bundle `bid`, every other price as given, at
+    which `agent` demands {bid}; None if it does not demand {bid} now.
+
+    Raising the price of `bid` lowers every set holding it alike and no
+    other set.  So {bid}, demanded now, stays demanded exactly while its
+    utility is at least A, the best utility over the catalog without
+    `bid` (0 at least): up to price value({bid}) - A.  Not demanded now,
+    it never is at a higher price.  Items are checked as by `in_demand`.
+    """
+    catalog.items_of(bid)  # an id outside the catalog raises InputError
+    valuation = auction.valuation(agent)
+    found = valuation.demand_candidates(catalog.entries, prices)
+    if found is None:
+        ids, utils = _utilities(auction, agent, catalog, prices)
+        bit = 1 << ids.index(bid)
+        if utils[bit] < max(utils):
+            return None
+        # the masks without bid's bit: runs of `bit` entries, every 2 * bit
+        rest = max([max(utils[j : j + bit]) for j in range(0, len(utils), 2 * bit)])
+        return prices[bid] + utils[bit] - rest
+    own = utility(auction, agent, {bid}, catalog, prices)
+    if own < found[0]:
+        return None
+    others = [(b, items) for b, items in catalog.entries if b != bid]
+    return prices[bid] + own - valuation.demand_candidates(others, prices)[0]
+
+
 @dataclass(frozen=True)
 class CweViolation:
     agent: str

@@ -238,12 +238,14 @@ class PolySolver(AscendingAuction):
             i: induced_value(self.market.valuation(i), self.catalog, self.assignment[i])
             for i in members
         }
-        # a holder's own bundle is never on offer to it, so one count of
-        # every holding ranks its ties as `select_demanded` does
-        holdings = Counter(bid for bids in self.assignment.values() for bid in bids)
-        key = partial(tie_break_key, held_elsewhere=holdings)
-        folds = {i: self.market.valuation(i).demand_fold(key) for i in members}
-        offers = [(bid, s) for bid, s in self.catalog.entries if bid not in holdings]
+        folds, offers = {}, []
+        if any(self.market.valuation(i)._fold for i in members):
+            # a holder's own bundle is never on offer to it, so one count
+            # of every holding ranks its ties as `select_demanded` does
+            holdings = Counter(bid for bids in self.assignment.values() for bid in bids)
+            key = partial(tie_break_key, held_elsewhere=holdings)
+            folds = {i: self.market.valuation(i).demand_fold(key) for i in members}
+            offers = [(bid, s) for bid, s in self.catalog.entries if bid not in holdings]
         active: List[str] = list(members)
         self.rank = {}
         step = 0
@@ -253,7 +255,7 @@ class PolySolver(AscendingAuction):
             excluded = frozenset().union(*(self.assignment[j] for j in active))
             for i in active:
                 (bid,) = self.assignment[i]
-                fold = folds[i]
+                fold = folds.get(i)
                 if fold is None:
                     best, switches[i] = self._demand(i, excluded=excluded)
                 else:

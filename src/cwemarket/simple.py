@@ -22,8 +22,8 @@ from .market import (
     InitialAllocation,
     Outcome,
     demand_correspondence,
-    in_demand,
     select_demanded,
+    top_price,
 )
 
 # Unused here: bench/tracing.py wraps these names in every solver
@@ -97,20 +97,20 @@ class SimpleSolver(AscendingAuction):
         if len(chosen) > 1:
             self.blocked.clear()  # the catalog moved
 
-    def _in_demand(self, agent: str, bundles: BundleSet) -> bool:
-        self.trace.demand_queries += 1
-        return in_demand(self.market, agent, self.catalog, self.prices, bundles)
-
     def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
-        """Escalate the price of the contested bundle until one side
-        quits.
+        """Escalate the price of the contested bundle in epsilon steps
+        until one side quits.
 
-        Each side is asked once per price level.  At the starting price
-        only the incumbent is asked: `_take` merges nothing for a
-        singleton claim, so the catalog and prices are those the
-        claimant's own demand query just answered, and the set it chose
-        is demanded there.  After each trial step both are asked; the
-        two answers settle the step and stand for the next level.
+        Only that price moves, so `market.top_price` reads once per
+        contest the highest price at which each side still demands the
+        bundle, and each step compares the trial price with the two.
+        `demand_queries` counts the logical queries, one per side and
+        price level.  At the starting price only the incumbent is asked:
+        `_take` merges nothing for a singleton claim, so the catalog and
+        prices are those the claimant's own demand query just answered,
+        and the set it chose is demanded there.  After each trial step
+        both are asked; the two answers settle the step and stand for
+        the next level.
 
         If a single step would push the bundle out of both demand
         correspondences at once, the two parties are exactly
@@ -123,19 +123,24 @@ class SimpleSolver(AscendingAuction):
         is what keeps chains of exact ties from cycling.
         """
         (bid,) = bundles
-        a_wants, b_wants = True, self._in_demand(owner, bundles)
+        self.trace.demand_queries += 1
+        b_top, a_top = (
+            top_price(self.market, x, self.catalog, self.prices, bid) for x in (owner, a)
+        )
+        a_wants, b_wants = True, b_top is not None
         while a_wants and b_wants:
             old = self.prices[bid]
-            self.prices[bid] = old + self.epsilon
-            a_wants = self._in_demand(a, bundles)
-            b_wants = self._in_demand(owner, bundles)
+            new = old + self.epsilon
+            self.trace.demand_queries += 2
+            a_wants = new <= a_top
+            b_wants = new <= b_top
             if not (a_wants or b_wants):
                 # both would drop: undo the trial step, hand over the set
-                self.prices[bid] = old
                 self._repool(owner)
                 self.blocked.setdefault(owner, set()).add(bundles)
                 return
-            self.trace.add(self._raised(bid, old, old + self.epsilon))
+            self.prices[bid] = new
+            self.trace.add(self._raised(bid, old, new))
             self.blocked.clear()
         self._repool(owner if a_wants else a)
 

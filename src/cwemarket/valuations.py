@@ -208,19 +208,24 @@ class _BestBundle(DemandFold):
     def __init__(self, valuation: Valuation, key=None):
         super().__init__(valuation, key)
         self.best, self.sets = valuation.zero, [frozenset()]
+        self.rank = None  # key of the kept tie, once a later tie asks for it
 
     def _extend(self, offers, prices):
         value, key = self.valuation._value, self.key
         for bid, items in offers:
             score = value(items) - prices[bid]
             if score > self.best:
-                self.best, self.sets = score, [frozenset({bid})]
+                self.best, self.sets, self.rank = score, [frozenset({bid})], None
             elif score == self.best and score > 0:
                 ids = frozenset({bid})
                 if key is None:
                     self.sets.append(ids)
-                elif key(ids) < key(self.sets[0]):
-                    self.sets = [ids]
+                    continue
+                if self.rank is None:
+                    self.rank = key(self.sets[0])
+                rank = key(ids)
+                if rank < self.rank:
+                    self.sets, self.rank = [ids], rank
 
     def answer(self) -> DemandAnswer:
         return self.best, self.sets

@@ -22,7 +22,7 @@ from cwemarket import (
     generate,
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
-from cwemarket.market import induced_value
+from cwemarket.market import in_demand, induced_value
 from cwemarket.partitions import set_partitions
 from cwemarket.trace import FallbackRecord
 from cwemarket.valuations import subset_unions, subsets_of
@@ -211,6 +211,35 @@ def cold_raise_prices(solver) -> None:
         solver.rank[a] = step
         solver.trace.add(FallbackRecord(agent=a, bundles=switches[a]))
         active.remove(a)
+
+
+def stepwise_contest(solver, bundles: BundleSet, a: str, owner: str) -> None:
+    """`SimpleSolver._contest` asking each side `in_demand` again at every
+    price level: the reference for the top-price contest, which must
+    match it event for event and query for query.  Each call here is
+    one counted demand query.  Swap it in with
+    `patch.object(SimpleSolver, "_contest", stepwise_contest)`.
+    """
+
+    def wants(agent: str) -> bool:
+        solver.trace.demand_queries += 1
+        return in_demand(solver.market, agent, solver.catalog, solver.prices, bundles)
+
+    (bid,) = bundles
+    a_wants, b_wants = True, wants(owner)
+    while a_wants and b_wants:
+        old = solver.prices[bid]
+        solver.prices[bid] = old + solver.epsilon
+        a_wants = wants(a)
+        b_wants = wants(owner)
+        if not (a_wants or b_wants):
+            solver.prices[bid] = old
+            solver._repool(owner)
+            solver.blocked.setdefault(owner, set()).add(bundles)
+            return
+        solver.trace.add(solver._raised(bid, old, old + solver.epsilon))
+        solver.blocked.clear()
+    solver._repool(owner if a_wants else a)
 
 
 def sweep_raise_oracle(auction: Auction, report: RaiseReport):

@@ -39,7 +39,7 @@ from cwemarket import (
     run_simple,
 )
 from cwemarket import market
-from cwemarket.market import select_demanded
+from cwemarket.market import select_demanded, top_price
 from cwemarket.scalars import lattice_int
 from cwemarket.valuations import subset_unions, subsets_of
 
@@ -88,12 +88,14 @@ def valuations(draw, kind, universe, values=scalars):
 
 
 @st.composite
-def markets(draw, kind):
-    """(auction with one agent "a", catalog, prices, excluded)."""
+def markets(draw, kind, values=None):
+    """(auction with one agent "a", catalog, prices, excluded), with
+    values from `values`, else from `scalars` or `coarse`."""
     top = EXPLICIT_MAX_ITEMS if kind == "explicit" else MAX_ITEMS
     items = [f"i{k}" for k in range(draw(st.integers(1, top)))]
     universe = frozenset(items)
-    values = draw(st.sampled_from((scalars, coarse)))
+    if values is None:
+        values = draw(st.sampled_from((scalars, coarse)))
     valuation = draw(valuations(kind, universe, values))
     auction = Auction(items=universe, agents=(Agent("a", valuation),))
     # each item goes to one of up to five bundles or is withheld (-1)
@@ -184,6 +186,32 @@ def test_narrow_demand_matches_the_references(kind, data):
     for subset in subsets_of(frozenset(catalog.ids)):
         demanded = in_demand(auction, "a", catalog, prices, subset)
         assert demanded == (subset in everywhere)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_top_price_is_the_last_epsilon_step_still_demanded(kind, data):
+    """Stepping one bundle's price up from its own by epsilon, every other
+    price fixed, `top_price` is the last price at which `in_demand` holds
+    for that bundle alone, and None exactly when it does not hold at the
+    start: in `Fraction`s and on a lattice copy, whose explicit table is
+    kept between queries.  Int values and prices put every top price on
+    the epsilon = 1/2 grid."""
+    auction, catalog, prices, _ = data.draw(markets(kind, coarse))
+    if not catalog.entries:
+        return
+    bid = data.draw(st.sampled_from(catalog.ids))
+    lattice, scale = auction.on_lattice()
+    assert scale == 2  # int parameters: a lattice step of 1 is 1/2
+    on_lattice = {b: lattice_int(p, scale) for b, p in prices.items()}
+    for source, quotes, epsilon in ((auction, prices, F(1, 2)), (lattice, on_lattice, 1)):
+        top = top_price(source, "a", catalog, quotes, bid)
+        stepped, last = dict(quotes), None
+        while in_demand(source, "a", catalog, stepped, frozenset({bid})):
+            last = stepped[bid]
+            stepped[bid] += epsilon
+        assert top == last
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

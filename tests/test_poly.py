@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -25,9 +26,11 @@ from cwemarket import (
     run_poly,
     social_welfare,
 )
+from cwemarket import poly
 from cwemarket.errors import SolverDeadlockError
-from cwemarket.market import lattice_violation
+from cwemarket.market import lattice_violation, tie_break_key
 from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
+from cwemarket.valuations import Valuation
 
 from .helpers import (
     check_push_matches_oracle,
@@ -276,24 +279,69 @@ def test_warm_push_matches_the_cold_push_on_mixed_markets(market):
 
 def test_logn_revenue_push_work_is_pinned_by_count():
     """`logn_revenue` ties every item for every agent.  The warm push
-    values each offer once per holder and push, not once per step, and
-    still counts every logical query."""
-    calls = [0]
+    values each offer once per holder and push, not once per step, ranks
+    each tied offer once against the kept tie's cached rank, and still
+    counts every logical query."""
+    calls = {"value": 0, "key": 0}
     value = UnitDemandValuation._value
 
     def counted(valuation, items):
-        calls[0] += 1
+        calls["value"] += 1
         return value(valuation, items)
 
+    def counted_key(*args, **kwargs):
+        calls["key"] += 1
+        return tie_break_key(*args, **kwargs)
+
     auction, seed = generate("logn_revenue", n=32)
-    with patch.object(UnitDemandValuation, "_value", counted):
+    with patch.object(UnitDemandValuation, "_value", counted), patch.object(
+        poly, "tie_break_key", counted_key
+    ):
         _, trace = run_poly(auction, seed)
-    assert calls[0] < 20_000  # 84,720 when every step asked the whole catalog
+    assert calls["value"] < 20_000  # 84,720 when every step asked the whole catalog
+    # 4,280: one per tied offer and one per fold that meets a tie; 7,700
+    # when the kept tie was ranked again at every tied offer
+    assert calls["key"] < 4_400
     assert trace.demand_queries == 4_344
     auction, seed = generate("logn_revenue", n=64)
     outcome, trace = run_poly(auction, seed)
     assert trace.demand_queries == 34_120
     assert unit_demand_violation(auction, outcome) is None
+
+
+def test_all_explicit_push_skips_the_warm_start_set_up():
+    """Explicit tables have no fold, so a push whose holders are all
+    explicit builds no held-count map and asks for no keyed fold, and
+    each run equals the run with the cold push."""
+    built = {"holdings": 0, "folds": 0}
+    fold = Valuation.demand_fold
+
+    def keyed(valuation, key=None):
+        built["folds"] += key is not None
+        return fold(valuation, key)
+
+    def counter(*args):
+        built["holdings"] += 1
+        return Counter(*args)
+
+    def solved(auction, seed):
+        with patch.object(Valuation, "demand_fold", keyed), patch.object(
+            poly, "Counter", counter
+        ):
+            return _solved(auction, seed)
+
+    pushes = 0
+    for s in range(16):
+        auction, seed = seed_instance(s)
+        with recorded_pushes() as reports:
+            run = solved(auction, seed)
+        pushes += len(reports)
+        with patch.object(PolySolver, "raise_prices", cold_raise_prices):
+            assert _solved(auction, seed) == run
+    assert pushes > 0
+    assert built == {"holdings": 0, "folds": 0}
+    solved(*generate("logn_revenue", n=3))  # unit-demand holders do build them
+    assert built["holdings"] > 0 and built["folds"] > 0
 
 
 # worth 4 for {"x"}, over the universe {"x", "y"}

@@ -1,12 +1,17 @@
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwemarket import (
     AdditiveValuation,
     Agent,
     Auction,
+    Catalog,
     InputError,
+    SimpleSolver,
     SolverDeadlockError,
     brute_force_optimal,
     generate,
@@ -17,10 +22,14 @@ from cwemarket import (
     social_welfare,
 )
 from cwemarket import poly, simple
+from cwemarket.market import in_demand, top_price
 from cwemarket.simple import check_epsilon
 from cwemarket.trace import Assign, PoolAdd, PriceRaise, Reject, Unassign
 
-from .helpers import seed_instance, seed_welfare
+from . import helpers
+from .helpers import seed_instance, seed_welfare, stepwise_contest
+from .test_demand_engine import KINDS
+from .test_poly import ONLY_X, mixed_seeded_markets
 
 F = Fraction
 
@@ -140,7 +149,10 @@ def test_three_agent_merge_run_frozen():
 def test_demand_queries_count_every_demand_call(monkeypatch):
     # every call a solver makes to the demand layer, the enumeration of
     # a barred tie-broken set included, is one counted query; seeds 25
-    # and 29 reach that enumeration
+    # and 29 reach that enumeration.  The simple solver's contest reads
+    # each side's top price once and counts the logical queries, one
+    # per side and price level, so its calls are counted on the
+    # stepwise reference, whose count the contest must report too.
     calls = {}
 
     def counted(module, name):
@@ -153,17 +165,87 @@ def test_demand_queries_count_every_demand_call(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(poly, "demand")
-    counted(simple, "in_demand")
+    counted(helpers, "in_demand")
     counted(simple, "demand_correspondence")
     barred = 0
     for s in range(20, 40):
         auction, seed = seed_instance(s)
-        for solve in (run_poly, lambda a, x: run_simple(a, x, a.granularity() / 2)):
-            calls.clear()
-            _, trace = solve(auction, seed)
-            assert trace.demand_queries == sum(calls.values()), (s, calls)
-            barred += calls.get("demand_correspondence", 0)
+        calls.clear()
+        _, trace = run_poly(auction, seed)
+        assert trace.demand_queries == sum(calls.values()), (s, calls)
+        epsilon = auction.granularity() / 2
+        calls.clear()
+        with patch.object(SimpleSolver, "_contest", stepwise_contest):
+            _, trace = run_simple(auction, seed, epsilon)
+        assert trace.demand_queries == sum(calls.values()), (s, calls)
+        barred += calls.get("demand_correspondence", 0)
+        assert run_simple(auction, seed, epsilon)[1].demand_queries == trace.demand_queries
     assert barred > 0
+
+
+def _simple_run(auction, seed, epsilon):
+    """Events, demand queries and the outcome, or the deadlock message."""
+    solver = SimpleSolver(auction, seed, epsilon)
+    try:
+        result = solver.run()
+    except SolverDeadlockError as exc:
+        result = str(exc)
+    return solver.trace.events, solver.trace.demand_queries, result
+
+
+def _same_as_stepwise(auction, seed, epsilon):
+    """Runs the top-price contest and the stepwise reference and asserts
+    they agree; returns the run."""
+    run = _simple_run(auction, seed, epsilon)
+    with patch.object(SimpleSolver, "_contest", stepwise_contest):
+        assert _simple_run(auction, seed, epsilon) == run
+    return run
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(market=mixed_seeded_markets(), quarter=st.booleans())
+def test_top_price_contest_matches_the_stepwise_contest_on_mixed_markets(market, quarter):
+    """All five classes with tie-heavy values, at epsilon g/2 or g/4:
+    the whole run equals the run that asks both sides at every step."""
+    auction, seed = market
+    g = auction.granularity() or F(1)
+    _same_as_stepwise(auction, seed, g / (4 if quarter else 2))
+
+
+def test_top_price_contest_matches_the_stepwise_contest_on_random_explicit():
+    for s in range(600):
+        auction, seed = seed_instance(s)
+        g = auction.granularity()
+        _same_as_stepwise(auction, seed, g / (4 if s % 2 else 2))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_top_price_contest_matches_the_stepwise_contest_on_logn_revenue(n):
+    """Both contests stop on the same deadlocks with the same message."""
+    auction, seed = generate("logn_revenue", n=n)
+    g = auction.granularity()
+    for epsilon in (g / 2, g / 4):
+        _, _, result = _same_as_stepwise(auction, seed, epsilon)
+        if n in (3, 4, 6, 8):
+            assert "only blocked demand sets" in result
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_top_price_refuses_an_item_outside_the_valuation(kind):
+    """The contested bundle holds "zz", outside A's universe: `top_price`
+    refuses it as `in_demand` does, in Fractions and on a lattice, and
+    refuses a bundle id outside the catalog."""
+    universe = frozenset({"x", "y"})
+    auction = Auction(items=universe, agents=(Agent("A", ONLY_X[kind](universe)),))
+    lattice, scale = auction.on_lattice()
+    catalog = Catalog(entries=((0, frozenset({"x", "zz"})), (1, frozenset({"y"}))))
+    for source, prices in ((auction, {0: F(1), 1: F(0)}), (lattice, {0: scale, 1: 0})):
+        with pytest.raises(InputError, match=r"unknown item identifiers \['zz'\]"):
+            in_demand(source, "A", catalog, prices, frozenset({0}))
+        with pytest.raises(InputError, match=r"unknown item identifiers \['zz'\]"):
+            top_price(source, "A", catalog, prices, 0)
+        with pytest.raises(InputError, match="^no bundle with id 7$"):
+            top_price(source, "A", Catalog(entries=((1, frozenset({"y"})),)), prices, 7)
 
 
 def test_exact_tie_lattice_regression():

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import partial
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from cwemarket import (
     XosValuation,
 )
 from cwemarket import valuations
+from cwemarket.market import tie_break_key
 from cwemarket.valuations import EXPLICIT_ITEM_CAP, subsets_of
 
 from .helpers import reference_from_entries
@@ -180,3 +183,20 @@ def test_bundle_values_rejects_overlap_and_unknown_items():
         v.bundle_values([["1"], ["1", "2"]])
     with pytest.raises(InputError, match="unknown item"):
         v.bundle_values([["1"], ["9"]])
+
+
+def test_unit_demand_fold_keeps_the_smallest_key_tie_in_any_order():
+    """The unit-demand fold caches the key of the tie it keeps.  Fed the
+    offers one at a time in every order, it keeps the smallest-key
+    bundle among those of the best margin: two tied at 2, four at 3,
+    whose keys run 3 < 4 < 5 < 2 (bundle 2 is held by another agent)."""
+    items = frozenset("abcdef")
+    valuation = UnitDemandValuation(items, dict(zip("abcdef", map(F, (2, 2, 3, 3, 3, 3)))))
+    key = partial(tie_break_key, held_elsewhere={2: 1})
+    offers = [(bid, frozenset(item)) for bid, item in enumerate("abcdef")]
+    prices = dict.fromkeys(range(6), F(0))
+    for order in permutations(offers):
+        fold = valuation.demand_fold(key)
+        for offer in order:
+            fold.extend([offer], prices)
+        assert fold.answer() == (F(3), [frozenset({3})])
