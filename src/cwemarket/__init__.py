@@ -35,7 +35,6 @@ from .market import (
     demand,
     demand_correspondence,
     find_violation,
-    in_demand,
     induced_value,
     initial_market,
     is_cwe,
@@ -51,7 +50,7 @@ from .revenue import (
     maximize_revenue,
     shift_prices,
 )
-from .scalars import Scalar, common_granularity, format_scalar, parse_scalar
+from .scalars import common_granularity, format_scalar, parse_scalar
 from .poly import PolySolver, run_poly
 from .simple import SimpleSolver, run_simple
 from .trace import Trace, replay
@@ -65,17 +64,13 @@ from .valuations import (
 )
 from .verifier import (
     brute_force_optimal,
-    brute_force_optimal_over_catalog,
     config_lp_fractional_opt,
     max_cwe_revenue,
     max_cwe_welfare,
-    max_stable_singleton_items_sold,
-    max_stable_singleton_welfare,
     revenue_maximizing_prices,
     singleton_catalog,
     stable_singleton_outcomes,
     supporting_prices,
-    supporting_prices_exist,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +89,6 @@ __all__ = [
     "PolySolver",
     "ResourceLimitError",
     "RevenueResult",
-    "Scalar",
     "SimpleSolver",
     "SingleMindedValuation",
     "SolverDeadlockError",
@@ -104,7 +98,6 @@ __all__ = [
     "Valuation",
     "XosValuation",
     "brute_force_optimal",
-    "brute_force_optimal_over_catalog",
     "common_granularity",
     "config_lp_fractional_opt",
     "demand",
@@ -113,7 +106,6 @@ __all__ = [
     "format_scalar",
     "gap3",
     "generate",
-    "in_demand",
     "induced_value",
     "initial_market",
     "instance_names",
@@ -123,8 +115,6 @@ __all__ = [
     "logn_revenue",
     "max_cwe_revenue",
     "max_cwe_welfare",
-    "max_stable_singleton_items_sold",
-    "max_stable_singleton_welfare",
     "maximize_revenue",
     "merge_bundles",
     "parse_scalar",
@@ -139,7 +129,6 @@ __all__ = [
     "social_welfare",
     "stable_singleton_outcomes",
     "supporting_prices",
-    "supporting_prices_exist",
     "utility",
     "validate_initial_allocation",
 ]

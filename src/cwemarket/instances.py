@@ -180,16 +180,18 @@ def instance_names() -> Tuple[str, ...]:
 
 
 def generate(name: str, **params) -> Built:
-    """Build a named benchmark, validating parameter names and that
-    every required one is given."""
+    """Build a named benchmark, validating parameter names, that every
+    required one is given, and that counts and seeds are ints, not bools."""
     if name not in _BUILDERS:
         known = ", ".join(instance_names())
         raise InputError(f"unknown instance {name!r}; expected one of {known}")
     builder = _BUILDERS[name]
     accepted = inspect.signature(builder).parameters
-    for key in params:
+    for key, value in params.items():
         if key not in accepted:
             raise InputError(f"instance {name!r} does not take parameter {key!r}")
+        if key in ("m", "n", "seed", "denominator") and type(value) is not int:
+            raise InputError(f"parameter {key!r} must be an int, got {value!r}")
     missing = [k for k, p in accepted.items() if p.default is p.empty and k not in params]
     if missing:
         raise InputError(f"instance {name!r} needs parameter(s) {', '.join(missing)}")

@@ -165,10 +165,6 @@ class Catalog:
         except KeyError:
             raise InputError(f"no bundle with id {bid}") from None
 
-    def as_dict(self) -> Dict[BundleId, ItemSet]:
-        """A fresh id -> items dict, safe for the caller to change."""
-        return dict(self._items)
-
     def union_items(self, bundle_ids: Iterable[BundleId]) -> ItemSet:
         table = self._items
         out: FrozenSet[str] = frozenset()
@@ -200,7 +196,8 @@ PriceMap = Dict[BundleId, Fraction]
 
 
 def check_prices(catalog: Catalog, prices: Mapping[BundleId, Fraction]) -> None:
-    """Every bundle's price is a nonnegative int or Fraction, not a bool."""
+    """Every bundle's price is a nonnegative int or Fraction, not a bool,
+    and no id outside the catalog has one."""
     for bid, _ in catalog.entries:
         if bid not in prices:
             raise InputError(f"bundle {bid} has no price")
@@ -209,6 +206,9 @@ def check_prices(catalog: Catalog, prices: Mapping[BundleId, Fraction]) -> None:
             raise InputError(f"bundle {bid} has price {price!r}, not an int or a Fraction")
         if price < 0:
             raise InputError(f"bundle {bid} has negative price {price}")
+    if len(prices) > len(catalog.entries):  # every catalog id is priced: a stray key
+        stray = next(bid for bid in prices if bid not in catalog._items)
+        raise InputError(f"price given for bundle {stray!r}, which is not in the catalog")
 
 
 @dataclass(frozen=True)
@@ -357,22 +357,6 @@ def demand(
     return best, select_demanded(candidates, agent, others)
 
 
-def in_demand(
-    auction: Auction,
-    agent: str,
-    catalog: Catalog,
-    prices: Mapping[BundleId, Fraction],
-    bundle_set: BundleSet,
-) -> bool:
-    """Whether `bundle_set` is demanded: its utility is the max over the
-    catalog, which explicit tables take over all 2^k unions without
-    listing the maximizers.  Prices are ints or `Fraction`s, as for
-    `demand`; an id outside the catalog raises InputError."""
-    found = auction.valuation(agent).demand_candidates(catalog.entries, prices)
-    best = max(_utilities(auction, agent, catalog, prices)[1]) if found is None else found[0]
-    return utility(auction, agent, bundle_set, catalog, prices) == best
-
-
 def top_price(
     auction: Auction,
     agent: str,
@@ -387,7 +371,7 @@ def top_price(
     other set.  So {bid}, demanded now, stays demanded exactly while its
     utility is at least A, the best utility over the catalog without
     `bid` (0 at least): up to price value({bid}) - A.  Not demanded now,
-    it never is at a higher price.  Items are checked as by `in_demand`.
+    it never is at a higher price.  Items are checked as by `demand`.
     """
     catalog.items_of(bid)  # an id outside the catalog raises InputError
     valuation = auction.valuation(agent)

@@ -14,8 +14,6 @@ from typing import Iterable, Optional, Union
 
 from .errors import InputError
 
-Scalar = Fraction
-
 RawScalar = Union[int, str, Fraction]
 
 

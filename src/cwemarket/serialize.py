@@ -246,6 +246,8 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
             _expect(idx, int, "bundle index")
             if not 0 <= idx < len(entries):
                 raise InputError(f"bundle index {idx} out of range")
+            if idx in held:
+                raise InputError(f"bundle index {idx} listed twice for {name!r}")
             held.add(idx)
         assignment[name] = frozenset(held)
     return Outcome(catalog=catalog, prices=prices, assignment=assignment)

@@ -123,19 +123,6 @@ def _members(labels: Sequence, mask: int) -> List:
     return [label for j, label in enumerate(labels) if mask >> j & 1]
 
 
-def _best_partition(
-    auction: Auction, units: Sequence[ItemSet], labels: Sequence
-) -> Tuple[Fraction, Dict[str, frozenset]]:
-    """`_partition` of every unit: (welfare, agent name -> the labels of
-    its units), where unit j has label labels[j]."""
-    tables, den = _tables(auction, units)
-    welfare, shares = _partition(tables, (1 << len(units)) - 1)
-    won = {
-        a.name: frozenset(_members(labels, got)) for a, got in zip(auction.agents, shares) if got
-    }
-    return Fraction(welfare, den), won
-
-
 def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]:
     """Exact welfare-maximizing allocation of individual items.
 
@@ -147,7 +134,12 @@ def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]
     _cap(len(auction.items), BRUTE_MAX_ITEMS, "item count")
     _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
     items = auction.items
-    welfare, allocation = _best_partition(auction, [frozenset({it}) for it in items], items)
+    tables, den = _tables(auction)
+    scaled, shares = _partition(tables, (1 << len(items)) - 1)
+    welfare = Fraction(scaled, den)
+    allocation = {
+        a.name: frozenset(_members(items, got)) for a, got in zip(auction.agents, shares) if got
+    }
     leftover = auction.item_set.difference(*allocation.values())
     if leftover and auction.agents:
         first = auction.agents[0].name
@@ -155,15 +147,6 @@ def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]
         if allocation_welfare(auction, allocation) != welfare:
             raise SolverInvariantError("absorbing leftovers changed the optimum")
     return welfare, allocation
-
-
-def brute_force_optimal_over_catalog(
-    auction: Auction, catalog: Catalog
-) -> Tuple[Fraction, Dict[str, BundleSet]]:
-    """Exact welfare maximum when only whole catalog bundles may move."""
-    _cap(len(catalog.entries), BRUTE_MAX_ITEMS, "bundle count")
-    _cap(len(auction.agents), BRUTE_MAX_AGENTS, "agent count")
-    return _best_partition(auction, [items for _, items in catalog.entries], catalog.ids)
 
 
 def config_lp_fractional_opt(auction: Auction, catalog: Catalog) -> Fraction:
@@ -293,14 +276,6 @@ def supporting_prices(
     return None if got is None else got[1]
 
 
-def supporting_prices_exist(
-    auction: Auction,
-    catalog: Catalog,
-    assignment: Dict[str, BundleSet],
-) -> bool:
-    return supporting_prices(auction, catalog, assignment) is not None
-
-
 def revenue_maximizing_prices(
     auction: Auction,
     catalog: Catalog,
@@ -344,16 +319,6 @@ def stable_singleton_outcomes(
                 yield allocation, dict(enumerate(got[1]))
 
     return scan()
-
-
-def max_stable_singleton_welfare(auction: Auction) -> Fraction:
-    outcomes = stable_singleton_outcomes(auction)
-    return max((allocation_welfare(auction, a) for a, _ in outcomes), default=Fraction(0))
-
-
-def max_stable_singleton_items_sold(auction: Auction) -> int:
-    outcomes = stable_singleton_outcomes(auction)
-    return max((sum(map(len, alloc.values())) for alloc, _ in outcomes), default=0)
 
 
 Pairs = Tuple[Tuple[str, Tuple[str, ...]], ...]

@@ -22,7 +22,7 @@ from cwemarket import (
     generate,
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
-from cwemarket.market import in_demand, induced_value
+from cwemarket.market import demand, induced_value, utility
 from cwemarket.partitions import set_partitions
 from cwemarket.trace import FallbackRecord
 from cwemarket.valuations import subset_unions, subsets_of
@@ -214,16 +214,19 @@ def cold_raise_prices(solver) -> None:
 
 
 def stepwise_contest(solver, bundles: BundleSet, a: str, owner: str) -> None:
-    """`SimpleSolver._contest` asking each side `in_demand` again at every
-    price level: the reference for the top-price contest, which must
-    match it event for event and query for query.  Each call here is
-    one counted demand query.  Swap it in with
+    """`SimpleSolver._contest` asking each side again at every price
+    level whether `bundles` is demanded, its utility the max: the
+    reference for the top-price contest, which must match it event for
+    event and query for query.  Each `demand` call here is one counted
+    demand query.  Swap it in with
     `patch.object(SimpleSolver, "_contest", stepwise_contest)`.
     """
 
     def wants(agent: str) -> bool:
         solver.trace.demand_queries += 1
-        return in_demand(solver.market, agent, solver.catalog, solver.prices, bundles)
+        market, catalog, prices = solver.market, solver.catalog, solver.prices
+        best, _ = demand(market, agent, catalog, prices)
+        return utility(market, agent, bundles, catalog, prices) == best
 
     (bid,) = bundles
     a_wants, b_wants = True, wants(owner)

@@ -169,6 +169,20 @@ def test_verify_names_a_malformed_solution_file(tmp_path, capsys):
     assert "instance" not in err
 
 
+def test_verify_refuses_a_bundle_index_listed_twice(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "gap3")
+    code, out, _ = _run(capsys, "solve", "--input", inst)
+    report = json.loads(out)
+    holder = next(name for name, held in report["assignment"].items() if held)
+    report["assignment"][holder] *= 2
+    sol = tmp_path / "sol.json"
+    sol.write_text(dumps(report))
+    code, out, err = _run(capsys, "verify", "--input", inst, "--solution", str(sol))
+    assert code == 2
+    assert out == ""
+    assert f"listed twice for {holder!r}" in err
+
+
 def test_oracle_reports(tmp_path, capsys):
     inst = _emit(tmp_path, capsys, "gap3")
     code, out, err = _run(capsys, "oracle", "optimal", "--input", inst)

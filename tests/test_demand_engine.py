@@ -1,13 +1,13 @@
 """The integer bitmask demand engine against exhaustive `Fraction`
 enumeration (`helpers.best_avoiding`) on generated catalogs, for every
 valuation class, and the narrow demand queries (`market.demand`,
-`market.in_demand`) against both.
+`market.top_price`) against both.
 
 Values and prices mix denominators, and some prices equal bundle values
 so that zero-margin ties occur; the engine must return the same maximum
 and the same members in the same canonical order, and the narrow
-queries the same maximum, the same tie-broken set and the same
-membership answers.
+queries the same maximum, the same tie-broken set and the same top
+prices.
 """
 import copy
 from fractions import Fraction
@@ -32,11 +32,11 @@ from cwemarket import (
     demand,
     demand_correspondence,
     find_violation,
-    in_demand,
     is_cwe,
     maximize_revenue,
     run_poly,
     run_simple,
+    utility,
 )
 from cwemarket import market
 from cwemarket.market import select_demanded, top_price
@@ -182,9 +182,9 @@ def test_narrow_demand_matches_the_references(kind, data):
     got = demand(auction, "a", catalog, prices, excluded, others)
     assert got == (best, select_demanded(members, "a", others))
     assert got == (ref_best, pick_preferred(ref_members, "a", others or {}))
-    _, everywhere = demand_correspondence(auction, "a", catalog, prices)
+    top, everywhere = demand_correspondence(auction, "a", catalog, prices)
     for subset in subsets_of(frozenset(catalog.ids)):
-        demanded = in_demand(auction, "a", catalog, prices, subset)
+        demanded = utility(auction, "a", subset, catalog, prices) == top
         assert demanded == (subset in everywhere)
 
 
@@ -193,8 +193,8 @@ def test_narrow_demand_matches_the_references(kind, data):
 @given(data=st.data())
 def test_top_price_is_the_last_epsilon_step_still_demanded(kind, data):
     """Stepping one bundle's price up from its own by epsilon, every other
-    price fixed, `top_price` is the last price at which `in_demand` holds
-    for that bundle alone, and None exactly when it does not hold at the
+    price fixed, `top_price` is the last price at which that bundle alone
+    is demanded, and None exactly when it is not demanded at the
     start: in `Fraction`s and on a lattice copy, whose explicit table is
     kept between queries.  Int values and prices put every top price on
     the epsilon = 1/2 grid."""
@@ -208,35 +208,12 @@ def test_top_price_is_the_last_epsilon_step_still_demanded(kind, data):
     for source, quotes, epsilon in ((auction, prices, F(1, 2)), (lattice, on_lattice, 1)):
         top = top_price(source, "a", catalog, quotes, bid)
         stepped, last = dict(quotes), None
-        while in_demand(source, "a", catalog, stepped, frozenset({bid})):
+        while utility(source, "a", {bid}, catalog, stepped) == demand(
+            source, "a", catalog, stepped
+        )[0]:
             last = stepped[bid]
             stepped[bid] += epsilon
         assert top == last
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(data=st.data())
-def test_explicit_membership_matches_the_exhaustive_reference(data):
-    """`in_demand` on an explicit table compares one set's utility with
-    the max over every set.  It must answer as membership among the
-    exhaustive maximizers (`helpers.best_avoiding`), in `Fraction`s and
-    on a lattice copy that keeps its table between the queries.  Coarse
-    values and prices, and equal margins, make ties common."""
-    auction, catalog, prices, _ = data.draw(markets("explicit"))
-    if data.draw(st.booleans()):
-        prices = {bid: data.draw(coarse) for bid in catalog.ids}
-    value = auction.valuation("a").value
-    worth = {bid: value(items) for bid, items in catalog.entries}
-    if any(worth.values()) and data.draw(st.booleans()):
-        slack = min(w for w in worth.values() if w > 0)
-        prices = {bid: max(F(0), w - slack) for bid, w in worth.items()}
-    _, maximizers = best_avoiding(auction, "a", catalog, prices, frozenset())
-    lattice, scale = auction.on_lattice(*[p.denominator for p in prices.values()])
-    on_lattice = {bid: lattice_int(p, scale) for bid, p in prices.items()}
-    for subset in subsets_of(frozenset(catalog.ids)):
-        want = subset in maximizers
-        assert in_demand(auction, "a", catalog, prices, subset) == want
-        assert in_demand(lattice, "a", catalog, on_lattice, subset) == want
 
 
 def test_lattice_copy_never_serves_a_stale_table():

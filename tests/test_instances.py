@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,29 @@ def test_parameter_bounds_are_enforced():
         generate("random_explicit", m=7, n=2, seed=0)
     with pytest.raises(InputError, match="positive"):
         generate("random_explicit", m=2, n=2, seed=0, denominator=0)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("logn_revenue", {"n": 2.5}),
+        ("logn_revenue", {"n": True}),
+        ("item_pricing_um_sm", {"m": "2"}),
+        ("item_pricing_xos", {"m": False}),
+        ("random_explicit", {"m": 2, "n": 2, "seed": "7"}),
+        ("random_explicit", {"m": 2, "n": 2, "seed": 1.0}),
+        ("random_explicit", {"m": 2, "n": 2, "seed": 0, "denominator": True}),
+        ("random_explicit", {"m": 2, "n": 2, "seed": 0, "denominator": F(64)}),
+    ],
+)
+def test_counts_and_seeds_must_be_ints(name, params):
+    """A bool, a float, a string or a Fraction for m, n, seed or
+    denominator is bad input naming the parameter, not a TypeError or a
+    bool read as 0 or 1."""
+    key, value = list(params.items())[-1]
+    message = f"parameter {key!r} must be an int, got {value!r}"
+    with pytest.raises(InputError, match=re.escape(message)):
+        generate(name, **params)
 
 
 def test_unknown_names_and_parameters_rejected():

@@ -16,12 +16,12 @@ from cwemarket import (
     demand_correspondence,
     find_violation,
     generate,
-    in_demand,
     induced_value,
     initial_market,
     is_cwe,
     merge_bundles,
     revenue_of,
+    run_poly,
     social_welfare,
     utility,
     validate_initial_allocation,
@@ -120,7 +120,7 @@ def test_merge_bundles():
     catalog = cat2()
     merged, new_id = merge_bundles(catalog, [0, 1])
     assert new_id == 2
-    assert merged.as_dict() == {2: frozenset({"1", "2"})}
+    assert dict(merged.entries) == {2: frozenset({"1", "2"})}
     with pytest.raises(InputError):
         merge_bundles(catalog, [0])
     with pytest.raises(InputError):
@@ -199,6 +199,16 @@ def test_outcome_rejects_prices_that_are_not_ints_or_fractions(price):
     is bad input naming its bundle, not a crash in a later check."""
     with pytest.raises(InputError, match=f"bundle 1 has price {price!r}"):
         Outcome(cat2(), {0: F(1, 2), 1: price}, {"a": frozenset({0})})
+
+
+def test_outcome_rejects_a_price_for_a_bundle_outside_its_catalog():
+    """A stray price key is bad input naming the key, not an
+    AttributeError in a later `find_violation` or `shift_prices`."""
+    auction, seed = generate("gap3")
+    out, _ = run_poly(auction, seed)
+    for stray in (99, "x"):
+        with pytest.raises(InputError, match=f"bundle {stray!r}, which is not in the catalog"):
+            Outcome(out.catalog, {**out.prices, stray: F(1, 2)}, out.assignment)
 
 
 def test_find_violation_and_is_cwe():
@@ -291,22 +301,3 @@ def test_auction_valuation_universe_must_match():
             items=items,
             agents=(Agent("a", AdditiveValuation(frozenset({"x"}), {"x": F(1)})),),
         )
-
-
-def test_in_demand_refuses_an_unknown_bundle_id_in_every_class():
-    """A bundle id outside the catalog is an input error, whether the
-    agent's table is enumerated (explicit) or answered from margins."""
-    items = ["1", "2"]
-    auction = Auction(
-        items=frozenset(items),
-        agents=(
-            Agent("e", ExplicitValuation.from_entries(items, {frozenset({"1"}): F(1)})),
-            Agent("u", UnitDemandValuation(items, {"1": F(1), "2": F(2)})),
-        ),
-    )
-    catalog = Catalog(entries=((0, frozenset({"1"})), (1, frozenset({"2"}))))
-    prices = {0: F(0), 1: F(1)}
-    for agent in ("e", "u"):
-        assert in_demand(auction, agent, catalog, prices, frozenset({0}))
-        with pytest.raises(InputError, match="^no bundle with id 7$"):
-            in_demand(auction, agent, catalog, prices, frozenset({7}))

@@ -16,7 +16,8 @@ import pytest
 import cwemarket
 
 PACKAGE = Path(cwemarket.__file__).resolve().parent
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "bench" / "tracing.py"
 
 
 @pytest.mark.parametrize("module", ["cwemarket", "cwemarket.cli"])
@@ -34,6 +35,19 @@ def test_python_dash_m_prints_usage(module):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: cwemarket solve")
+
+
+def test_benchmark_smoke_passes():
+    """Every workload builds, runs and passes its checker on a small
+    slice, with the package as it is in `src/`."""
+    done = subprocess.run(
+        [sys.executable, "bench/smoke.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def _raises_assertion_error(node):

@@ -170,7 +170,7 @@ def test_never_taken_seed_bundle_keeps_half_value_price():
     # anyone and stays at half of B's value for it
     assert out.assignment == {"B": frozenset({0})}
     assert out.prices == {0: F(7), 1: F(1)}
-    assert out.catalog.as_dict()[1] == frozenset({"y"})
+    assert dict(out.catalog.entries)[1] == frozenset({"y"})
     assert is_cwe(auction, out)
 
 

@@ -22,7 +22,7 @@ from cwemarket import (
     social_welfare,
 )
 from cwemarket import poly, simple
-from cwemarket.market import in_demand, top_price
+from cwemarket.market import demand, top_price
 from cwemarket.simple import check_epsilon
 from cwemarket.trace import Assign, PoolAdd, PriceRaise, Reject, Unassign
 
@@ -165,7 +165,7 @@ def test_demand_queries_count_every_demand_call(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(poly, "demand")
-    counted(helpers, "in_demand")
+    counted(helpers, "demand")
     counted(simple, "demand_correspondence")
     barred = 0
     for s in range(20, 40):
@@ -233,7 +233,7 @@ def test_top_price_contest_matches_the_stepwise_contest_on_logn_revenue(n):
 @pytest.mark.parametrize("kind", KINDS)
 def test_top_price_refuses_an_item_outside_the_valuation(kind):
     """The contested bundle holds "zz", outside A's universe: `top_price`
-    refuses it as `in_demand` does, in Fractions and on a lattice, and
+    refuses it as `demand` does, in Fractions and on a lattice, and
     refuses a bundle id outside the catalog."""
     universe = frozenset({"x", "y"})
     auction = Auction(items=universe, agents=(Agent("A", ONLY_X[kind](universe)),))
@@ -241,7 +241,7 @@ def test_top_price_refuses_an_item_outside_the_valuation(kind):
     catalog = Catalog(entries=((0, frozenset({"x", "zz"})), (1, frozenset({"y"}))))
     for source, prices in ((auction, {0: F(1), 1: F(0)}), (lattice, {0: scale, 1: 0})):
         with pytest.raises(InputError, match=r"unknown item identifiers \['zz'\]"):
-            in_demand(source, "A", catalog, prices, frozenset({0}))
+            demand(source, "A", catalog, prices)
         with pytest.raises(InputError, match=r"unknown item identifiers \['zz'\]"):
             top_price(source, "A", catalog, prices, 0)
         with pytest.raises(InputError, match="^no bundle with id 7$"):

@@ -33,7 +33,7 @@ def test_replay_reproduces_simple_run_exactly():
     rebuilt = replay(auction, seed, trace)
     assert rebuilt.prices == out.prices
     assert rebuilt.assignment == out.assignment
-    assert rebuilt.catalog.as_dict() == out.catalog.as_dict()
+    assert dict(rebuilt.catalog.entries) == dict(out.catalog.entries)
     assert rebuilt.catalog.withheld == out.catalog.withheld
 
 
@@ -43,7 +43,7 @@ def test_replay_reproduces_poly_run_exactly():
     rebuilt = replay(auction, seed, trace)
     assert rebuilt.prices == out.prices
     assert rebuilt.assignment == out.assignment
-    assert rebuilt.catalog.as_dict() == out.catalog.as_dict()
+    assert dict(rebuilt.catalog.entries) == dict(out.catalog.entries)
 
 
 def tiny(n_agents=2, n_items=2):
@@ -216,7 +216,7 @@ def test_replay_merge_checks():
         IterationEnd(2),
     ]))
     assert out.assignment == {"A": frozenset({2})}
-    assert out.catalog.as_dict() == {2: frozenset({"0", "1"})}
+    assert dict(out.catalog.entries) == {2: frozenset({"0", "1"})}
     assert out.prices == {2: F(2)}  # two seed prices of 1, summed
 
 
