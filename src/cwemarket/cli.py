@@ -211,7 +211,7 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
     verified: Optional[bool] = None
     if not args.no_verify:
         # level 0 is run_poly's outcome, which its own stability check passed
-        verified = all(is_cwe(auction, level.outcome) for level in result.levels[1:])
+        verified = is_cwe(auction, *(level.outcome for level in result.levels[1:]))
     return _report(
         args,
         auction,

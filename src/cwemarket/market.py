@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, ResourceLimitError
 from .scalars import lattice_int
@@ -414,10 +414,20 @@ def find_violation(auction: Auction, outcome: Outcome) -> Optional[CweViolation]
     the outcome's prices.  An assignment naming an agent outside the
     auction raises InputError.
     """
-    _check_agents(auction, outcome)
-    market, scale = auction.on_lattice(*{p.denominator for p in outcome.prices.values()})
-    prices = {bid: lattice_int(p, scale) for bid, p in outcome.prices.items()}
-    return lattice_violation(market, scale, outcome, prices)
+    return next(_violations(auction, (outcome,)))
+
+
+def _violations(auction: Auction, outcomes: Sequence[Outcome]) -> Iterator[Optional[CweViolation]]:
+    """`lattice_violation` of each outcome, all on one lattice copy that
+    holds every outcome's prices."""
+    for outcome in outcomes:
+        _check_agents(auction, outcome)
+    market, scale = auction.on_lattice(
+        *{p.denominator for outcome in outcomes for p in outcome.prices.values()}
+    )
+    for outcome in outcomes:
+        prices = {bid: lattice_int(p, scale) for bid, p in outcome.prices.items()}
+        yield lattice_violation(market, scale, outcome, prices)
 
 
 def lattice_violation(
@@ -438,8 +448,10 @@ def lattice_violation(
     return None
 
 
-def is_cwe(auction: Auction, outcome: Outcome) -> bool:
-    return find_violation(auction, outcome) is None
+def is_cwe(auction: Auction, *outcomes: Outcome) -> bool:
+    """Whether every outcome is stable (`find_violation`), checked on one
+    lattice copy; stops at the first unstable one."""
+    return all(v is None for v in _violations(auction, outcomes))
 
 
 def _check_agents(auction: Auction, outcome: Outcome) -> None:
@@ -480,7 +492,7 @@ def validate_initial_allocation(auction: Auction, allocation: InitialAllocation)
     norm: Dict[str, ItemSet] = {}
     used: set = set()
     for name in allocation:
-        if name not in auction.agent_names:
+        if name not in auction._index:
             raise InputError(f"initial allocation names unknown agent {name!r}")
     for name in auction.agent_names:
         items = frozenset(allocation.get(name, frozenset()))

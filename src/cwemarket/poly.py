@@ -35,22 +35,19 @@ from .errors import SolverInvariantError
 from .market import (
     Auction,
     BundleSet,
+    Catalog,
     InitialAllocation,
     Outcome,
-    allocation_welfare,
     demand,
     induced_value,
-    initial_market,
     lattice_violation,
     merge_bundles,
-    social_welfare,
     tie_break_key,
     validate_initial_allocation,
 )
 # Unused here: bench/tracing.py wraps these names in every solver
 # module, and its install fails if one is missing.
 from .market import demand_correspondence, is_cwe  # noqa: F401
-from .scalars import lattice_int
 from .trace import (
     Assign,
     FallbackRecord,
@@ -74,11 +71,17 @@ class AscendingAuction:
 
     def __init__(self, auction: Auction, allocation: InitialAllocation, *dens: int):
         self.auction = auction
-        self.seed = validate_initial_allocation(auction, allocation)
+        seed = validate_initial_allocation(auction, allocation)
         # `dens` join the lattice's scale, so quantities over them are ints
         self.market, self.scale = auction.on_lattice(*dens)
-        self.catalog, prices = initial_market(auction, allocation)
-        self.prices = {bid: lattice_int(p, self.scale) for bid, p in prices.items()}
+        # `initial_market` on the lattice, where every value is even
+        self.catalog = Catalog.selling(auction.item_set, enumerate(seed.values()))
+        values = [self.market.valuation(n).value(items) for n, items in seed.items()]
+        if any(v % 2 for v in values):
+            raise SolverInvariantError("a seed value is odd on the price lattice")
+        self.prices = {bid: v // 2 for bid, v in enumerate(values)}
+        self.seed_welfare = sum(values)
+        self._fractions: Dict[int, Tuple[int, Fraction]] = {}  # bid -> a price and its Fraction
         self.assignment: Dict[str, BundleSet] = {}
         self.pool: List[str] = list(auction.agent_names)
         self.trace = Trace()
@@ -94,10 +97,16 @@ class AscendingAuction:
             self.market, agent, self.catalog, self.prices, excluded, self.assignment
         )
 
+    def _fraction(self, bid: int, price: int) -> Fraction:
+        """`price` over the scale, made once: a raise starts where its bundle's last ended."""
+        known = self._fractions.get(bid)
+        if known is None or known[0] != price:
+            known = self._fractions[bid] = (price, Fraction(price, self.scale))
+        return known[1]
+
     def _raised(self, bid: int, old: int, new: int) -> PriceRaise:
         """The trace event of a raise from `old` to `new`, in Fractions."""
-        scale = self.scale
-        return PriceRaise(bundle=bid, old=Fraction(old, scale), new=Fraction(new, scale))
+        return PriceRaise(bundle=bid, old=self._fraction(bid, old), new=self._fraction(bid, new))
 
     def run(self) -> Outcome:
         while self.pool:
@@ -159,16 +168,17 @@ class AscendingAuction:
     def _finish(self) -> Outcome:
         outcome = Outcome(
             catalog=self.catalog,
-            prices={bid: Fraction(p, self.scale) for bid, p in self.prices.items()},
+            prices={bid: self._fraction(bid, p) for bid, p in self.prices.items()},
             assignment=dict(self.assignment),
         )
         if lattice_violation(self.market, self.scale, outcome, self.prices) is not None:
             raise SolverInvariantError("final outcome is not stable")
-        sw = social_welfare(self.auction, outcome)
-        seed_sw = allocation_welfare(self.auction, self.seed)
-        if 2 * sw < seed_sw:
+        value = self.market.valuation
+        sw = sum(induced_value(value(a), self.catalog, s) for a, s in self.assignment.items())
+        if 2 * sw < self.seed_welfare:
             raise SolverInvariantError(
-                f"welfare {sw} fell below half the seed welfare {seed_sw}"
+                f"welfare {Fraction(sw, self.scale)} fell below half the seed "
+                f"welfare {Fraction(self.seed_welfare, self.scale)}"
             )
         return outcome
 

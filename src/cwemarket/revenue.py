@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from math import lcm
+from typing import Tuple
 
 from .errors import InputError, SolverInvariantError
 from .market import (
@@ -27,11 +28,9 @@ from .market import (
     Outcome,
     allocation_welfare,
     find_violation,
-    revenue_of,
-    social_welfare,
 )
 from .poly import run_poly
-from .scalars import parse_scalar
+from .scalars import lattice_int, parse_scalar
 from .trace import Trace
 
 
@@ -59,11 +58,6 @@ def shift_prices(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome
             f"price shift applied to an unstable outcome "
             f"(agent {violation.agent!r} prefers another set)"
         )
-    return _shift(auction, outcome, sigma)
-
-
-def _shift(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome:
-    """`shift_prices` without its checks, for outcomes known to pass them."""
     prices = {bid: price + sigma for bid, price in outcome.prices.items()}
     assignment = {}
     for name, held in outcome.assignment.items():
@@ -116,65 +110,62 @@ class RevenueResult:
         return self.chosen.rev
 
 
-def _survivors(auction: Auction, outcome: Outcome) -> Tuple[str, ...]:
-    return tuple(
-        name
-        for name in auction.agent_names
-        if outcome.assignment.get(name, frozenset())
-    )
-
-
 def maximize_revenue(auction: Auction, allocation: InitialAllocation) -> RevenueResult:
     """Solve, then scan the surcharge ladder and pick the best level.
 
     The ladder has levels 0..ell+1, with ell = (2k - 1).bit_length()
     doubling steps, or level 0 alone when k = 0.  The best level's
     revenue is checked against sw0 / (8 * ell) and against the seed
-    allocation's welfare over 16 * ell.
+    allocation's welfare over 16 * ell.  The scan runs in ints on one
+    scale that holds the base prices, each holder's value for its one
+    bundle and the first surcharge sw0 / (2k), which level t shifts
+    left by t - 1; each level's Fractions are built once.
     """
     # run_poly validates the seed, so bad seeds get the solver's message
     base, trace = run_poly(auction, allocation)
     seed_welfare = allocation_welfare(auction, allocation)
-    k = len(_survivors(auction, base))
-    sw0 = social_welfare(auction, base)
+    held = {}  # holder -> (its one bundle, its value for it), in agent order
+    for name in auction.agent_names:
+        if base.assignment.get(name):
+            (bid,) = base.assignment[name]
+            held[name] = (bid, auction.valuation(name).value(base.catalog.items_of(bid)))
+    k = len(held)
+    sw0 = sum((v for _, v in held.values()), Fraction(0))
     if k and sw0 <= 0:
         raise SolverInvariantError("assigned agents with nonpositive welfare")
-    levels: List[LadderLevel] = []
+    first = sw0 / (2 * k) if k else Fraction(0)
+    scale = lcm(first.denominator, *[x.denominator for x in base.prices.values()],
+                *[v.denominator for _, v in held.values()])
+    prices = {bid: lattice_int(p, scale) for bid, p in base.prices.items()}
+    owned = {n: (prices[bid], lattice_int(v, scale)) for n, (bid, v) in held.items()}
+    first, total = lattice_int(first, scale), lattice_int(sw0, scale)
+    levels, revs, survivors = [], [], tuple(owned)
     for t in range((2 * k - 1).bit_length() + 2 if k else 1):
-        sigma = Fraction(2) ** (t - 1) * sw0 / (2 * k) if t else Fraction(0)
-        # the solver's outcome passed its stability check and gives each holder one
-        # bundle, so the shift needs none of shift_prices' checks
-        outcome = _shift(auction, base, sigma) if t else base
-        survivors = _survivors(auction, outcome)
-        if levels and not set(survivors) <= set(levels[-1].survivors):
+        sigma = first << (t - 1) if t else 0
+        # level 0 passed the solver's stability check, so it keeps every holder
+        kept = tuple(n for n, (p, v) in owned.items() if v >= p + sigma)
+        if not set(kept) <= set(survivors):
             raise SolverInvariantError("survivor set grew as the surcharge rose")
-        levels.append(
-            LadderLevel(
-                t=t,
-                sigma=sigma,
-                outcome=outcome,
-                survivors=survivors,
-                sw=social_welfare(auction, outcome),
-                rev=revenue_of(auction, outcome),
-            )
+        survivors = kept
+        revs.append(sum(owned[n][0] + sigma for n in survivors))
+        outcome = base if not t else Outcome(
+            catalog=base.catalog,
+            prices={bid: Fraction(p + sigma, scale) for bid, p in prices.items()},
+            assignment={n: b for n, b in base.assignment.items() if n in survivors},
         )
-    result = RevenueResult(
-        base=base,
-        trace=trace,
-        levels=tuple(levels),
-        t_star=max(levels, key=lambda level: level.rev).t,
-        seed_welfare=seed_welfare,
-    )
+        sw = Fraction(sum(owned[n][1] for n in survivors), scale)
+        levels.append(LadderLevel(
+            t, Fraction(sigma, scale), outcome, survivors, sw, Fraction(revs[-1], scale)
+        ))
     # with k = 0 the one level has no survivors and sw0 = 0, and the solver
     # keeps the seed welfare at most 2 * sw0, so every check below passes
-    top = levels[-1]
-    for name in top.survivors:
-        (bid,) = top.outcome.assignment[name]
-        if top.outcome.prices[bid] < sw0:
-            raise SolverInvariantError(
-                "top surcharge left a survivor paying less than the base welfare"
-            )
-    if result.max_revenue * 8 * result.ell < sw0:
+    if any(owned[n][0] + sigma < total for n in survivors):
+        raise SolverInvariantError(
+            "top surcharge left a survivor paying less than the base welfare"
+        )
+    t_star = max(range(len(revs)), key=revs.__getitem__)
+    result = RevenueResult(base, trace, tuple(levels), t_star, seed_welfare)
+    if revs[t_star] * 8 * result.ell < total:
         raise SolverInvariantError("revenue fell below the welfare ratio bound")
     if result.max_revenue * 16 * result.ell < seed_welfare:
         raise SolverInvariantError("revenue fell below the seed welfare bound")

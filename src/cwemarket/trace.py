@@ -129,15 +129,14 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     """Rebuild the final outcome from a trace, checking invariants.
 
     The removal-order checks run when the trace contains FallbackRecord
-    events.  Raises SolverInvariantError on any violation.
+    events.  Raises SolverInvariantError on any violation, and
+    InputError on an object that is no trace event.
     """
-    poly = any(isinstance(ev, FallbackRecord) for ev in trace.events)
+    poly = FallbackRecord in map(type, trace.events)
     n = len(auction.agents)
 
     catalog, start_prices = initial_market(auction, allocation)
-    table: Dict[BundleId, FrozenSet[str]] = {
-        bid: items for bid, items in catalog.entries
-    }
+    table: Dict[BundleId, FrozenSet[str]] = dict(catalog.entries)
     prices: Dict[BundleId, Fraction] = dict(start_prices)
     assignment: Dict[str, BundleSet] = {}
     pool: List[str] = []
@@ -148,104 +147,111 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     iteration_count = 0
     chain = 0
 
-    def rank_of(name: str) -> int:
-        return rank.get(name, unranked)
+    def merge(ev: Merge) -> None:
+        ids = frozenset(ev.sources)
+        if len(ids) < 2:
+            raise SolverInvariantError("merge with fewer than two sources")
+        for bid in ids:
+            if bid not in table:
+                raise SolverInvariantError(f"merge references unknown bundle {bid}")
+        if ev.new_id in table:
+            raise SolverInvariantError(f"merge reuses live id {ev.new_id}")
+        for name, held in assignment.items():
+            if held & ids:
+                raise SolverInvariantError(f"merge consumed bundles still assigned to {name!r}")
+        union: FrozenSet[str] = frozenset()
+        price = Fraction(0)
+        for bid in sorted(ids):
+            union |= table.pop(bid)
+            price += prices.pop(bid)
+        table[ev.new_id] = union
+        prices[ev.new_id] = price
+        if allocated & ids:
+            allocated.difference_update(ids)
+            allocated.add(ev.new_id)
 
+    def price_raise(ev: PriceRaise) -> None:
+        if ev.bundle not in table:
+            raise SolverInvariantError(f"price raise on unknown bundle {ev.bundle}")
+        if prices[ev.bundle] != ev.old:
+            raise SolverInvariantError(f"price raise old value mismatch on bundle {ev.bundle}")
+        if ev.new < ev.old:
+            raise SolverInvariantError("price decreased")
+        prices[ev.bundle] = ev.new
+
+    def pool_add(ev: PoolAdd) -> None:
+        if ev.agent in pool:
+            raise SolverInvariantError(f"pool add of pooled agent {ev.agent!r}")
+        pool.append(ev.agent)
+
+    def pool_remove(ev: PoolRemove) -> None:
+        if ev.agent not in pool:
+            raise SolverInvariantError(f"pool remove of absent agent {ev.agent!r}")
+        pool.remove(ev.agent)
+
+    def reject(ev: Reject) -> None:
+        if ev.agent in assignment:
+            raise SolverInvariantError(f"reject of {ev.agent!r}, who holds bundles")
+
+    def unassign(ev: Unassign) -> None:
+        if assignment.pop(ev.agent, None) is None:
+            raise SolverInvariantError(f"unassign of {ev.agent!r}, who holds nothing")
+
+    def assign(ev: Assign) -> None:
+        nonlocal chain
+        for bid in ev.bundles:
+            if bid not in table:
+                raise SolverInvariantError(f"assignment references unknown bundle {bid}")
+        holders = [b for b, held in assignment.items() if b != ev.agent and held & ev.bundles]
+        if poly and holders:
+            chain += 1
+            if chain > n:
+                raise SolverInvariantError(f"displacement chain exceeded {n} hops")
+            for b in holders:
+                if not rank.get(b, unranked) < rank.get(ev.agent, unranked):
+                    raise SolverInvariantError(
+                        f"{ev.agent!r} displaced {b!r} without moving "
+                        f"earlier in the removal order"
+                    )
+        assignment[ev.agent] = ev.bundles
+        allocated.update(ev.bundles)
+
+    def iteration_end(ev: IterationEnd) -> None:
+        nonlocal chain, iteration_count, pending_rank, rank, unranked
+        iteration_count += 1
+        chain = 0
+        if pending_rank:
+            rank = {name: k for k, name in enumerate(pending_rank)}
+            unranked = len(pending_rank)
+            pending_rank = []
+        if poly and iteration_count > n * n:
+            raise SolverInvariantError(f"more than {n * n} iterations in trace")
+        held: set = set()
+        for name, bundles in assignment.items():
+            dup = held & bundles
+            if dup:
+                raise SolverInvariantError(
+                    f"bundles {sorted(dup)} doubly assigned at "
+                    f"iteration {ev.index}"
+                )
+            held |= bundles
+        orphaned = allocated - held
+        if orphaned:
+            raise SolverInvariantError(
+                f"bundles {sorted(orphaned)} were sold but have no "
+                f"holder at iteration {ev.index}"
+            )
+
+    steps = {
+        Merge: merge, PriceRaise: price_raise, PoolAdd: pool_add, PoolRemove: pool_remove,
+        Reject: reject, Assign: assign, Unassign: unassign, IterationEnd: iteration_end,
+        FallbackRecord: lambda ev: pending_rank.append(ev.agent),
+    }
     for ev in trace.events:
-        if isinstance(ev, Merge):
-            ids = frozenset(ev.sources)
-            if len(ids) < 2:
-                raise SolverInvariantError("merge with fewer than two sources")
-            for bid in ids:
-                if bid not in table:
-                    raise SolverInvariantError(f"merge references unknown bundle {bid}")
-            if ev.new_id in table:
-                raise SolverInvariantError(f"merge reuses live id {ev.new_id}")
-            for name, held in assignment.items():
-                if held & ids:
-                    raise SolverInvariantError(
-                        f"merge consumed bundles still assigned to {name!r}"
-                    )
-            union: FrozenSet[str] = frozenset()
-            price = Fraction(0)
-            for bid in sorted(ids):
-                union |= table.pop(bid)
-                price += prices.pop(bid)
-            table[ev.new_id] = union
-            prices[ev.new_id] = price
-            if allocated & ids:
-                allocated -= ids
-                allocated.add(ev.new_id)
-        elif isinstance(ev, PriceRaise):
-            if ev.bundle not in table:
-                raise SolverInvariantError(f"price raise on unknown bundle {ev.bundle}")
-            if prices[ev.bundle] != ev.old:
-                raise SolverInvariantError(
-                    f"price raise old value mismatch on bundle {ev.bundle}"
-                )
-            if ev.new < ev.old:
-                raise SolverInvariantError("price decreased")
-            prices[ev.bundle] = ev.new
-        elif isinstance(ev, PoolAdd):
-            if ev.agent not in pool:
-                pool.append(ev.agent)
-        elif isinstance(ev, PoolRemove):
-            if ev.agent not in pool:
-                raise SolverInvariantError(f"pool remove of absent agent {ev.agent!r}")
-            pool.remove(ev.agent)
-        elif isinstance(ev, (Reject, Unassign)):
-            assignment.pop(ev.agent, None)
-        elif isinstance(ev, Assign):
-            for bid in ev.bundles:
-                if bid not in table:
-                    raise SolverInvariantError(
-                        f"assignment references unknown bundle {bid}"
-                    )
-            holders = [
-                b
-                for b, held in assignment.items()
-                if b != ev.agent and held & ev.bundles
-            ]
-            if poly and holders:
-                chain += 1
-                if chain > n:
-                    raise SolverInvariantError(f"displacement chain exceeded {n} hops")
-                for b in holders:
-                    if not rank_of(b) < rank_of(ev.agent):
-                        raise SolverInvariantError(
-                            f"{ev.agent!r} displaced {b!r} without moving "
-                            f"earlier in the removal order"
-                        )
-            assignment[ev.agent] = ev.bundles
-            allocated |= ev.bundles
-        elif isinstance(ev, FallbackRecord):
-            pending_rank.append(ev.agent)
-        elif isinstance(ev, IterationEnd):
-            iteration_count += 1
-            chain = 0
-            if pending_rank:
-                rank = {name: k for k, name in enumerate(pending_rank)}
-                unranked = len(pending_rank)
-                pending_rank = []
-            if poly and iteration_count > n * n:
-                raise SolverInvariantError(f"more than {n * n} iterations in trace")
-            held: set = set()
-            for name, bundles in assignment.items():
-                dup = held & bundles
-                if dup:
-                    raise SolverInvariantError(
-                        f"bundles {sorted(dup)} doubly assigned at "
-                        f"iteration {ev.index}"
-                    )
-                held |= bundles
-            orphaned = allocated - held
-            if orphaned:
-                raise SolverInvariantError(
-                    f"bundles {sorted(orphaned)} were sold but have no "
-                    f"holder at iteration {ev.index}"
-                )
-        else:
+        step = steps.get(type(ev))
+        if step is None:
             raise InputError(f"unknown trace event {ev!r}")
+        step(ev)
 
     return Outcome(
         catalog=Catalog.selling(auction.item_set, sorted(table.items())),

@@ -20,6 +20,8 @@ from cwemarket import (
     SolverInvariantError,
     brute_force_optimal,
     generate,
+    revenue_of,
+    social_welfare,
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
 from cwemarket.market import demand, induced_value, utility
@@ -304,6 +306,43 @@ def check_push_maximality(auction: Auction, report: RaiseReport) -> None:
             auction, agent, report.catalog, report.prices_after, frozenset(own)
         )
         assert u_own == best, (agent, u_own, best)
+
+
+def reference_shift(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome:
+    """Every price raised by sigma in Fractions; each holder of one bundle
+    keeps it while its value still covers the new price."""
+    prices = {bid: price + sigma for bid, price in outcome.prices.items()}
+    assignment = {}
+    for name, held in outcome.assignment.items():
+        if not held:
+            continue
+        (bid,) = held
+        value = auction.valuation(name).value(outcome.catalog.items_of(bid))
+        if value >= prices[bid]:
+            assignment[name] = held
+    return Outcome(catalog=outcome.catalog, prices=prices, assignment=assignment)
+
+
+def reference_ladder(auction: Auction, base: Outcome) -> list:
+    """The surcharge ladder over a solved base, level by level in
+    Fractions: (t, sigma, outcome, survivors, sw, rev), with each level
+    shifted from the base by `reference_shift` and read back with
+    `social_welfare` and `revenue_of`."""
+
+    def survivors(outcome):
+        return tuple(n for n in auction.agent_names if outcome.assignment.get(n))
+
+    k = len(survivors(base))
+    sw0 = social_welfare(auction, base)
+    levels = []
+    for t in range((2 * k - 1).bit_length() + 2 if k else 1):
+        sigma = Fraction(2) ** (t - 1) * sw0 / (2 * k) if t else Fraction(0)
+        outcome = reference_shift(auction, base, sigma) if t else base
+        levels.append((
+            t, sigma, outcome, survivors(outcome),
+            social_welfare(auction, outcome), revenue_of(auction, outcome),
+        ))
+    return levels
 
 
 def brute_stability_violation(auction: Auction, outcome) -> Optional[str]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -244,21 +245,58 @@ def test_revenue_command_ladder(tmp_path, capsys):
 
 def test_revenue_checks_only_the_shifted_levels(tmp_path, capsys, monkeypatch):
     """Level 0 is the solver's outcome, which the solver's own final
-    check has passed; `cwe` still covers every level."""
-    calls = []
-    checked = cli.is_cwe
+    check has passed; the shifted levels all go to one shared check, so
+    `cwe` still covers every level."""
+    calls, results = [], []
+    checked, solved = cli.is_cwe, cli.maximize_revenue
 
-    def counting(auction, outcome):
-        calls.append(outcome)
-        return checked(auction, outcome)
+    def counting(auction, *outcomes):
+        calls.append(outcomes)
+        return checked(auction, *outcomes)
+
+    def recording(auction, allocation):
+        results.append(solved(auction, allocation))
+        return results[-1]
 
     monkeypatch.setattr(cli, "is_cwe", counting)
+    monkeypatch.setattr(cli, "maximize_revenue", recording)
     inst = _emit(tmp_path, capsys, "logn_revenue", "--n", "4")
     code, out, err = _run(capsys, "revenue", "--input", inst)
     assert code == 0, err
     report = json.loads(out)
     assert report["cwe"] is True
-    assert len(calls) == len(report["ladder"]) - 1
+    (outcomes,) = calls
+    assert len(outcomes) == len(report["ladder"]) - 1
+    (result,) = results
+    assert all(got is level.outcome for got, level in zip(outcomes, result.levels[1:]))
+
+
+def test_revenue_exits_4_when_one_shifted_level_is_unstable(tmp_path, capsys, monkeypatch):
+    """A middle level priced above its survivor's value fails the shared
+    check, which must look at every shifted level, not the first or the
+    last alone."""
+    solved = cli.maximize_revenue
+
+    def broken(auction, allocation):
+        result = solved(auction, allocation)
+        level = result.levels[2]
+        (name,) = level.survivors
+        (bid,) = level.outcome.assignment[name]
+        prices = {**level.outcome.prices, bid: F(100)}
+        bad = dataclasses.replace(
+            level, outcome=dataclasses.replace(level.outcome, prices=prices)
+        )
+        return dataclasses.replace(
+            result, levels=result.levels[:2] + (bad,) + result.levels[3:]
+        )
+
+    monkeypatch.setattr(cli, "maximize_revenue", broken)
+    inst = _emit(tmp_path, capsys, "logn_revenue", "--n", "4")
+    code, out, err = _run(capsys, "revenue", "--input", inst)
+    assert code == 4, err
+    report = json.loads(out)
+    assert report["cwe"] is False
+    assert len(report["ladder"]) == 5
 
 
 def test_solve_takes_the_verdict_from_the_solver(tmp_path, capsys, monkeypatch):

@@ -21,14 +21,15 @@ from cwemarket import (
     XosValuation,
     find_violation,
     generate,
+    initial_market,
     is_cwe,
     replay,
     run_poly,
     social_welfare,
 )
 from cwemarket import poly
-from cwemarket.errors import SolverDeadlockError
-from cwemarket.market import lattice_violation, tie_break_key
+from cwemarket.errors import SolverDeadlockError, SolverInvariantError
+from cwemarket.market import allocation_welfare, lattice_violation, tie_break_key
 from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
 from cwemarket.valuations import Valuation
 
@@ -195,6 +196,38 @@ def _verdict_corpus():
         yield generate("item_pricing_xos", m=m)
     for seed in range(64):
         yield seed_instance(seed)
+
+
+@pytest.mark.parametrize("simple", [False, True], ids=["poly", "simple"])
+def test_seed_market_on_the_lattice_equals_initial_market(simple):
+    """The solvers price each seed bundle at half its lattice value; the
+    catalog, the prices and the seed welfare equal `initial_market` and
+    `allocation_welfare` in Fractions, also on the epsilon solver's finer
+    lattice."""
+    for auction, seed in _verdict_corpus():
+        g = auction.granularity() or F(1)
+        solver = SimpleSolver(auction, seed, g / 4) if simple else PolySolver(auction, seed)
+        catalog, prices = initial_market(auction, seed)
+        assert solver.catalog == catalog
+        assert {bid: F(p, solver.scale) for bid, p in solver.prices.items()} == prices
+        assert F(solver.seed_welfare, solver.scale) == allocation_welfare(auction, seed)
+
+
+def test_seed_pricing_refuses_an_odd_lattice_value():
+    items = frozenset({"x"})
+    auction = Auction(items=items, agents=(Agent("A", AdditiveValuation(items, {"x": F(3)})),))
+    auction.__dict__["_grid"] = (1, 1)  # a lattice without the factor 2 of `on_lattice`
+    with pytest.raises(SolverInvariantError, match="odd"):
+        PolySolver(auction, {"A": items})
+
+
+def test_final_welfare_check_reports_fractions():
+    auction, seed = generate("gap3")
+    solver = PolySolver(auction, seed)
+    solver.seed_welfare = 10 * solver.scale
+    with pytest.raises(SolverInvariantError) as caught:
+        solver.run()
+    assert str(caught.value) == "welfare 21/10 fell below half the seed welfare 10"
 
 
 def test_final_check_on_the_run_lattice_agrees_with_find_violation():

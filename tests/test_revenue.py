@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from cwemarket import (
     AdditiveValuation,
@@ -17,6 +18,9 @@ from cwemarket import (
     shift_prices,
     social_welfare,
 )
+
+from .helpers import reference_ladder, seed_instance
+from .test_poly import mixed_seeded_markets
 
 F = Fraction
 
@@ -167,3 +171,34 @@ def test_bad_seed_gets_the_solver_message(seed):
         maximize_revenue(auction, seed)
     assert str(revenue.value) == str(solver.value)
     assert "initial allocation" in str(solver.value)
+
+
+def _same_as_reference(auction, seed):
+    """Every level of the int ladder equals the Fraction reference: each
+    field, each outcome with its dict order, and every number a Fraction."""
+    result = maximize_revenue(auction, seed)
+    want = reference_ladder(auction, result.base)
+    assert len(result.levels) == len(want)
+    for level, (t, sigma, outcome, survivors, sw, rev) in zip(result.levels, want):
+        assert level.outcome == outcome
+        got = (level.t, level.sigma, level.survivors, level.sw, level.rev,
+               list(level.outcome.prices.items()), list(level.outcome.assignment.items()))
+        assert repr(got) == repr((t, sigma, survivors, sw, rev,
+                                  list(outcome.prices.items()), list(outcome.assignment.items())))
+    assert result.t_star == max(want, key=lambda level: level[5])[0]
+
+
+@pytest.mark.parametrize("s", range(48))
+def test_ladder_matches_the_fraction_reference_on_seeded_instances(s):
+    _same_as_reference(*seed_instance(s))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ladder_matches_the_fraction_reference_on_logn_revenue(n):
+    _same_as_reference(*generate("logn_revenue", n=n))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(market=mixed_seeded_markets())
+def test_ladder_matches_the_fraction_reference_on_mixed_markets(market):
+    _same_as_reference(*market)

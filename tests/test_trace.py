@@ -6,6 +6,7 @@ from cwemarket import (
     AdditiveValuation,
     Agent,
     Auction,
+    InputError,
     SolverInvariantError,
     Trace,
     generate,
@@ -21,6 +22,7 @@ from cwemarket.trace import (
     PoolAdd,
     PoolRemove,
     PriceRaise,
+    Reject,
     Unassign,
 )
 
@@ -44,6 +46,24 @@ def test_replay_reproduces_poly_run_exactly():
     assert rebuilt.prices == out.prices
     assert rebuilt.assignment == out.assignment
     assert dict(rebuilt.catalog.entries) == dict(out.catalog.entries)
+
+
+def test_each_raise_starts_from_the_fraction_the_last_one_ended_on():
+    """The solvers turn each int price into a Fraction once per run: a
+    raise's `old` is the previous raise's `new` of its bundle, and the
+    outcome's price is the last raise's `new`."""
+    auction, seed = generate("gap3")
+    for out, trace in (run_simple(auction, seed, F(1, 20)), run_poly(auction, seed)):
+        last = {}
+        for ev in trace.events:
+            if isinstance(ev, PriceRaise):
+                if ev.bundle in last:
+                    assert ev.old is last[ev.bundle]
+                last[ev.bundle] = ev.new
+        assert len(last) > 0
+        for bid, price in last.items():
+            if bid in out.prices:
+                assert out.prices[bid] is price
 
 
 def tiny(n_agents=2, n_items=2):
@@ -225,3 +245,24 @@ def test_replay_rejects_pool_remove_of_absent_agent():
     t = make_trace([PoolRemove("A")])
     with pytest.raises(SolverInvariantError, match="absent"):
         replay(auction, seed_for(auction), t)
+
+
+@pytest.mark.parametrize(
+    "events, match",
+    [
+        ([PoolAdd("A"), PoolAdd("A")], "pool add of pooled agent 'A'"),
+        ([Unassign("A")], "unassign of 'A', who holds nothing"),
+        ([Assign("A", frozenset({0})), Reject("A")], "reject of 'A', who holds bundles"),
+    ],
+    ids=["pool_add_twice", "unassign_empty_handed", "reject_a_holder"],
+)
+def test_replay_refuses_pool_and_holding_events_no_solver_makes(events, match):
+    auction = tiny()
+    with pytest.raises(SolverInvariantError, match=match):
+        replay(auction, seed_for(auction), make_trace(events))
+
+
+def test_replay_refuses_an_object_that_is_no_event():
+    auction = tiny()
+    with pytest.raises(InputError, match="unknown trace event"):
+        replay(auction, seed_for(auction), make_trace(["merge"]))
