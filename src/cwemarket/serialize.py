@@ -31,7 +31,6 @@ from .valuations import (
     UnitDemandValuation,
     Valuation,
     XosValuation,
-    subsets_of,
 )
 
 
@@ -105,8 +104,8 @@ def valuation_to_json(valuation: Valuation) -> Dict[str, Any]:
         return {
             "type": "explicit",
             "values": [
-                {"items": sorted(s), "value": format_scalar(valuation.table[s])}
-                for s in subsets_of(valuation.items)
+                {"items": items, "value": format_scalar(value)}
+                for items, value in valuation.rows()
             ],
         }
     if isinstance(valuation, (AdditiveValuation, UnitDemandValuation)):

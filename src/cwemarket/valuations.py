@@ -3,7 +3,8 @@
 Every valuation is monotone with value(empty) == 0, defined over an
 explicit finite item universe.  Supported classes:
 
-  explicit       full table over all subsets of the universe
+  explicit       full table over all subsets of the universe, one list of
+                 values indexed by item mask (bit j: the j-th sorted item)
   additive       per-item weights, value = sum (XOS with one clause)
   unit_demand    per-item weights, value = max
   single_minded  a desired set and a weight
@@ -12,9 +13,10 @@ explicit finite item universe.  Supported classes:
 `validate()` checks the class constraints and returns the first defect
 found (None when the valuation is well formed).  `bundle_values()`
 tabulates the value of every union of a few disjoint bundles, one read
-per union.  `demand_candidates()` answers a demand query over priced
-disjoint bundles from per-bundle margins, folding in a batch of bundles
-at a time (`demand_fold`); explicit tables have no such rule.  `scaled(D)` is
+per union (on an explicit table, one list entry per union mask).
+`demand_candidates()` answers a demand query over priced disjoint
+bundles from per-bundle margins, folding in a batch of bundles at a
+time (`demand_fold`); explicit tables have no such rule.  `scaled(D)` is
 the copy with int parameters that the solvers' lattice uses (README,
 "Solvers"), so its values are ints where all others are `Fraction`s.
 """
@@ -23,7 +25,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import (
     Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
     Tuple,
@@ -284,29 +288,38 @@ class _PositiveParts(DemandFold):
 
 
 class ExplicitValuation(Valuation):
-    """Valuation given by a full subset table."""
+    """Valuation given by a full subset table, held as one list of values
+    indexed by item mask: bit j stands for the j-th item of sorted(items)."""
 
     kind = "explicit"
-    # (bundles, table) of the last `bundle_values` call, kept on a
-    # `scaled` copy only: a solver run reuses it while the catalog stands.
-    # The key is a list, as a fresh tuple per query piled up in free lists.
-    _last: Optional[Tuple[List[ItemSet], List[int]]] = None
 
     def __init__(self, items: Iterable[Item], table: Mapping[ItemSet, Fraction]):
+        values = self._listed(items, table)
+        missing = [mask for mask in _mask_order(len(self._bit)) if values[mask] is None]
+        if missing:
+            raise InputError(
+                f"explicit table missing {len(missing)} subsets, "
+                f"first {self._names(missing[0])!r}"
+            )
+        self._values: List[Fraction] = values
+
+    def _listed(
+        self, items: Iterable[Item], table: Mapping[ItemSet, Fraction]
+    ) -> List[Optional[Fraction]]:
+        """Set the universe and return the stated values by mask, None
+        where a subset is not listed."""
         self.items = self._universe(items)
-        tab: Dict[ItemSet, Fraction] = {}
+        self._bit = _item_bits(tuple(sorted(self.items)))
+        values: List[Optional[Fraction]] = [None] * (1 << len(self.items))
         for s, v in table.items():
             key = frozenset(s)
             if not key <= self.items:
                 raise InputError(f"table key {sorted(key)!r} outside item universe")
-            tab[key] = parse_scalar(v)
-        missing = [s for s in subsets_of(self.items) if s not in tab]
-        if missing:
-            raise InputError(
-                f"explicit table missing {len(missing)} subsets, "
-                f"first {sorted(missing[0])!r}"
-            )
-        self.table: Dict[ItemSet, Fraction] = tab
+            mask = self._mask(key)
+            if values[mask] is not None:
+                raise InputError(f"duplicate explicit entry for {sorted(key)!r}")
+            values[mask] = parse_scalar(v)
+        return values
 
     @staticmethod
     def _universe(items: Iterable[Item]) -> ItemSet:
@@ -332,58 +345,113 @@ class ExplicitValuation(Valuation):
         gets the minimal monotone completion max{v(T) : listed T <= S}
         (0 when no listed subset fits).  A listed pair that violates
         monotonicity is preserved as stated and will fail validate(); a
-        listed subset outside the universe raises InputError.
+        listed subset outside the universe, or listed twice, raises
+        InputError.
         """
-        universe = cls._universe(items)
-        listed = {frozenset(s): parse_scalar(v) for s, v in entries.items()}
-        subsets = list(subsets_of(universe))
-        table = {s: listed[s] for s in subsets if s in listed}
-        if len(table) < len(subsets):
+        valuation = cls.__new__(cls)
+        values = valuation._listed(items, entries)
+        if None in values:
             # below[S]: the max of 0 and the listed values at or below S,
-            # from the one-item-smaller subsets, which come first
-            table, below = {}, {}
-            for s in subsets:
-                carried = max([below[s - {i}] for i in s], default=Fraction(0))
-                table[s] = listed.get(s, carried)
-                below[s] = max(carried, table[s])
-        return cls(universe, {**table, **listed})  # cls refuses stray keys
+            # from the one-item-smaller subsets, which have smaller masks
+            below: List[Fraction] = []
+            for mask, stated in enumerate(values):
+                carried = max(
+                    [below[mask ^ bit] for bit in valuation._bit.values() if mask & bit],
+                    default=Fraction(0),
+                )
+                values[mask] = carried if stated is None else stated
+                below.append(max(carried, values[mask]))
+        valuation._values = values
+        return valuation
+
+    def _mask(self, s: Iterable[Item]) -> int:
+        bit, mask = self._bit, 0
+        for i in s:
+            mask |= bit[i]
+        return mask
+
+    def _names(self, mask: int) -> List[Item]:
+        """The sorted items of `mask`."""
+        return [i for i, bit in self._bit.items() if mask & bit]
+
+    @property
+    def table(self) -> Dict[ItemSet, Fraction]:
+        """The values by subset, in `subsets_of` order; a fresh dict."""
+        return {frozenset(names): v for names, v in self.rows()}
+
+    def rows(self) -> Iterator[Tuple[List[Item], Fraction]]:
+        """(sorted items, value) of every subset, in `subsets_of` order."""
+        for mask in _mask_order(len(self._bit)):
+            yield self._names(mask), self._values[mask]
 
     def _value(self, s: ItemSet) -> Fraction:
-        return self.table[s]
+        return self._values[self._mask(s)]
 
     def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> List[Fraction]:
-        """As `Valuation.bundle_values`; a `scaled` copy returns one list
-        while the bundles stay the same, so callers must not change it."""
-        if self._last is None:
-            return super().bundle_values(bundles)
-        sets = list(map(frozenset, bundles))
-        if self._last[0] != sets:
-            self._last = (sets, super().bundle_values(sets))
-        return self._last[1]
+        """As `Valuation.bundle_values`: one list read per union mask."""
+        masks, union = [], 0
+        try:
+            for b in bundles:
+                mask = self._mask(b)
+                if mask & union:
+                    break
+                masks.append(mask)
+                union |= mask
+        except KeyError:
+            pass
+        if len(masks) < len(bundles):
+            self._check_bundles([frozenset(b) for b in bundles])  # raises
+        values = self._values
+        return [values[u] for u in subset_sums(masks)]
 
     def parameter_values(self) -> Iterator[Fraction]:
-        return iter(self.table.values())
+        return iter(self._values)
 
     def scaled(self, scale: int) -> Valuation:
-        return _replaced(self, table=_scaled_map(self.table, scale), _last=(None, None))
+        try:
+            ints = [lattice_int(v, scale) for v in self._values]
+        except InputError:
+            for _, v in self.rows():  # refuse the first entry in `subsets_of` order
+                lattice_int(v, scale)
+            raise
+        return _replaced(self, _values=ints)
 
     def validate(self) -> Optional[ValuationDefect]:
-        empty = frozenset()
-        if self.table[empty] != 0:
+        values = self._values
+        if values[0] != 0:
             return ValuationDefect(
                 kind="normalization",
-                detail=f"value of the empty set is {self.table[empty]}, not 0",
+                detail=f"value of the empty set is {values[0]}, not 0",
             )
-        # single-item extension steps imply full monotonicity
-        for s in subsets_of(self.items):
-            for extra in sorted(self.items - s):
-                t = s | {extra}
-                if self.table[t] < self.table[s]:
+        # single-item extension steps imply full monotonicity, compared as
+        # ints over one denominator; the first drop is named in `subsets_of` order
+        den = lcm(*[v.denominator for v in values])
+        ints = [lattice_int(v, den) for v in values]
+        bits = self._bit.values()
+        for mask in _mask_order(len(bits)):
+            for bit in bits:
+                if not mask & bit and ints[mask | bit] < ints[mask]:
                     return ValuationDefect(
                         kind="monotonicity",
-                        detail=f"value drops from {sorted(s)!r} to {sorted(t)!r}",
+                        detail=f"value drops from {self._names(mask)!r} "
+                        f"to {self._names(mask | bit)!r}",
                     )
         return None
+
+
+@lru_cache(maxsize=64)
+def _item_bits(order: Tuple[Item, ...]) -> Dict[Item, int]:
+    """Bit j for the j-th item of a sorted universe, shared by every table
+    over it."""
+    return {item: 1 << j for j, item in enumerate(order)}
+
+
+@lru_cache(maxsize=None)
+def _mask_order(m: int) -> Tuple[int, ...]:
+    """The 2^m item masks in `subsets_of` order."""
+    return tuple(
+        sum(1 << j for j in combo) for k in range(m + 1) for combo in combinations(range(m), k)
+    )
 
 
 def _scaled_map(weights: Mapping[Hashable, Fraction], scale: int) -> Dict[Hashable, int]:

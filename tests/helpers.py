@@ -5,6 +5,7 @@ enumeration, deliberately avoiding the library's demand and pricing
 helpers, so that agreement between the two is evidence rather than
 tautology.
 """
+import copy
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,6 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from cwemarket import (
     Auction,
     Catalog,
+    ExplicitValuation,
     InputError,
     Outcome,
     PolySolver,
@@ -26,8 +28,9 @@ from cwemarket import (
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
 from cwemarket.market import demand, induced_value, utility
 from cwemarket.partitions import set_partitions
+from cwemarket.scalars import lattice_int, parse_scalar
 from cwemarket.trace import FallbackRecord
-from cwemarket.valuations import subset_unions, subsets_of
+from cwemarket.valuations import Valuation, ValuationDefect, subset_unions, subsets_of
 
 BundleSet = FrozenSet[int]
 
@@ -601,6 +604,84 @@ def reference_from_entries(items, entries) -> Dict[FrozenSet[str], Fraction]:
                 best = v
         table[s] = best
     return table
+
+
+class ReferenceExplicitValuation(Valuation):
+    """`ExplicitValuation` as a dict keyed by one frozenset per subset, as
+    it was before its values became one list indexed by item mask: every
+    read hashes a subset, and `bundle_values` is the base class's, which
+    builds each union as a frozenset."""
+
+    kind = "explicit"
+
+    def __init__(self, items, table):
+        self.items = frozenset(items)
+        self.table: Dict[FrozenSet[str], Fraction] = {}
+        for s, v in table.items():
+            key = frozenset(s)
+            if not key <= self.items:
+                raise InputError(f"table key {sorted(key)!r} outside item universe")
+            self.table[key] = parse_scalar(v)
+        missing = [s for s in subsets_of(self.items) if s not in self.table]
+        if missing:
+            raise InputError(
+                f"explicit table missing {len(missing)} subsets, "
+                f"first {sorted(missing[0])!r}"
+            )
+
+    @classmethod
+    def from_entries(cls, items, entries) -> "ReferenceExplicitValuation":
+        # the listed entries go in again so that a stray key is refused
+        return cls(items, {**reference_from_entries(items, entries), **entries})
+
+    def _value(self, s):
+        return self.table[s]
+
+    def parameter_values(self):
+        return iter(self.table.values())
+
+    def scaled(self, scale: int) -> "ReferenceExplicitValuation":
+        out = copy.copy(self)
+        out.table = {s: lattice_int(v, scale) for s, v in self.table.items()}
+        out.zero = 0
+        return out
+
+    def validate(self) -> Optional[ValuationDefect]:
+        if self.table[frozenset()] != 0:
+            return ValuationDefect(
+                kind="normalization",
+                detail=f"value of the empty set is {self.table[frozenset()]}, not 0",
+            )
+        for s in subsets_of(self.items):
+            for extra in sorted(self.items - s):
+                t = s | {extra}
+                if self.table[t] < self.table[s]:
+                    return ValuationDefect(
+                        kind="monotonicity",
+                        detail=f"value drops from {sorted(s)!r} to {sorted(t)!r}",
+                    )
+        return None
+
+
+def count_table_reads(monkeypatch) -> List[int]:
+    """Patch `ExplicitValuation` to append the number of table entries
+    each read returns: the length of every `bundle_values` table and 1
+    per `_value` call.  Their sum is the number of entries read."""
+    reads: List[int] = []
+    tabulate, value = ExplicitValuation.bundle_values, ExplicitValuation._value
+
+    def counted_tabulate(valuation, bundles):
+        table = tabulate(valuation, bundles)
+        reads.append(len(table))
+        return table
+
+    def counted_value(valuation, s):
+        reads.append(1)
+        return value(valuation, s)
+
+    monkeypatch.setattr(ExplicitValuation, "bundle_values", counted_tabulate)
+    monkeypatch.setattr(ExplicitValuation, "_value", counted_value)
+    return reads
 
 
 # -- references for the exhaustive oracles ------------------------------

@@ -201,13 +201,9 @@ def test_lazy_candidate_order_matches_on_ties(auction):
 def test_max_cwe_revenue_reads_each_subset_value_once(monkeypatch):
     auction, _ = generate("random_explicit", m=4, n=3, seed=11)
     ref = helpers.reference_max_cwe_revenue(auction)
-    calls = []
-    value = ExplicitValuation._value
-    monkeypatch.setattr(
-        ExplicitValuation, "_value", lambda v, s: calls.append(1) or value(v, s)
-    )
+    reads = helpers.count_table_reads(monkeypatch)
     assert max_cwe_revenue(auction) == ref
-    assert 0 < len(calls) <= len(auction.agents) * 2 ** len(auction.items)
+    assert 0 < sum(reads) <= len(auction.agents) * 2 ** len(auction.items)
 
 
 def _reference_lp(auction, catalog, assignment, revenue):

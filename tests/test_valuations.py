@@ -1,6 +1,9 @@
+import gc
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +11,20 @@ from hypothesis import strategies as st
 
 from cwemarket import (
     AdditiveValuation,
+    Agent,
+    Auction,
     ExplicitValuation,
     InputError,
     SingleMindedValuation,
     UnitDemandValuation,
     XosValuation,
+    generate,
 )
 from cwemarket import valuations
 from cwemarket.market import tie_break_key
 from cwemarket.valuations import EXPLICIT_ITEM_CAP, subsets_of
 
-from .helpers import reference_from_entries
+from .helpers import ReferenceExplicitValuation, reference_from_entries
 
 F = Fraction
 
@@ -200,3 +206,115 @@ def test_unit_demand_fold_keeps_the_smallest_key_tie_in_any_order():
         for offer in order:
             fold.extend([offer], prices)
         assert fold.answer() == (F(3), [frozenset({3})])
+
+
+@pytest.mark.parametrize("build", [ExplicitValuation, ExplicitValuation.from_entries])
+def test_a_subset_listed_twice_is_refused(build):
+    """Two keys naming one subset in different orders are refused, not
+    resolved by whichever comes last."""
+    table = {(): 0, ("a",): 1, ("b",): 1, ("a", "b"): 2, ("b", "a"): 3}
+    with pytest.raises(InputError, match=r"duplicate explicit entry for \['a', 'b'\]"):
+        build(["a", "b"], table)
+
+
+# names whose sorted order is neither their numeric nor their listed order
+NAMES = ("b", "a10", "a2", "z", "c", "m1")
+
+
+def _outcome(call):
+    """What call() returns with its type (a list's entry types), or the
+    InputError it raises with its message."""
+    try:
+        got = call()
+    except InputError as exc:
+        return InputError, str(exc)
+    return got, [type(x) for x in got] if isinstance(got, list) else type(got)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mask_table_matches_the_frozenset_reference(data):
+    """The mask list answers as the frozenset-keyed table did: values and
+    their types, each tabulation, the lattice copy, the first defect in
+    `subsets_of` order, the completion, and every refusal's message."""
+    items = data.draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=5))
+    universe = frozenset(items)
+    subsets = list(subsets_of(universe))
+    values = st.builds(F, st.integers(-1, 9), st.sampled_from((1, 2, 3, 4)))
+    table = {}
+    monotone = data.draw(st.booleans())
+    for s in subsets:
+        v = data.draw(values)
+        table[s] = max([v] + [table[s - {x}] for x in s]) if monotone and s else v
+    if monotone and data.draw(st.booleans()):
+        table[frozenset()] = F(0)
+    got, ref = ExplicitValuation(items, table), ReferenceExplicitValuation(items, table)
+    assert list(got.table.items()) == list(ref.table.items())
+    assert got.validate() == ref.validate()
+    for s in subsets:
+        assert _outcome(lambda: got.value(s)) == _outcome(lambda: ref.value(s))
+
+    # disjoint bundles in a drawn order, then one stray item and one overlap
+    slots = data.draw(st.lists(st.integers(-1, 2), min_size=len(items), max_size=len(items)))
+    bundles = [[i for i, k in zip(items, slots) if k == b] for b in range(3)]
+    lcm_den = lcm(*[v.denominator for v in table.values()])
+    scale = lcm_den * data.draw(st.integers(1, 3))
+    cases = [bundles, bundles + [["zz"]], bundles + [items[:1]], [items[:1], ["zz"], items[:1]]]
+    for view in (lambda v: v, lambda v: v.scaled(scale)):
+        for case in cases:
+            assert _outcome(lambda: view(got).bundle_values(case)) == _outcome(
+                lambda: view(ref).bundle_values(case)
+            )
+    assert list(got.scaled(scale).table.items()) == list(ref.scaled(scale).table.items())
+    assert sorted(got.parameter_values()) == sorted(ref.parameter_values())
+    if lcm_den > 1:
+        off = lcm_den // data.draw(st.sampled_from([p for p in (2, 3) if lcm_den % p == 0]))
+        assert _outcome(lambda: got.scaled(off)) == _outcome(lambda: ref.scaled(off))
+
+    # some subsets listed in a drawn order: completed by `from_entries`,
+    # refused as incomplete by the constructor unless all are there
+    order = data.draw(st.permutations(subsets))
+    entries = {s: table[s] for s in order[:data.draw(st.integers(0, len(order)))]}
+    for build, reference in (
+        (ExplicitValuation.from_entries, ReferenceExplicitValuation.from_entries),
+        (ExplicitValuation, ReferenceExplicitValuation),
+    ):
+        got_part = _outcome(lambda: list(build(items, entries).table.items()))
+        ref_part = _outcome(lambda: sorted(
+            reference(items, entries).table.items(), key=lambda kv: subsets.index(kv[0])))
+        assert got_part == ref_part
+
+
+def _kept_bytes(build, seeds) -> int:
+    """Bytes still allocated, as `tracemalloc` counts them in this process,
+    after `build(seed)` for every seed, with the results held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        held = [build(seed) for seed in seeds]
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        del held
+        return kept
+    finally:
+        tracemalloc.stop()
+
+
+def test_mask_tables_keep_at_most_60_percent_of_the_frozenset_layout():
+    """Random explicit auctions (m = 5, n = 5) hold their tables as value
+    lists; the same auctions with frozenset-keyed tables hold much more."""
+
+    def masks(seed):
+        return generate("random_explicit", m=5, n=5, seed=seed)[0]
+
+    def frozensets(seed):
+        auction = masks(seed)
+        return Auction(auction.items, [
+            Agent(a.name, ReferenceExplicitValuation(a.valuation.items, a.valuation.table))
+            for a in auction.agents
+        ])
+
+    seeds = range(1, 41)
+    assert frozensets(1).agents[0].valuation.table == masks(1).agents[0].valuation.table
+    mask_bytes, frozenset_bytes = _kept_bytes(masks, seeds), _kept_bytes(frozensets, seeds)
+    assert mask_bytes <= 0.6 * frozenset_bytes, (mask_bytes, frozenset_bytes)

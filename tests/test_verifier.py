@@ -7,7 +7,6 @@ from cwemarket import (
     AdditiveValuation,
     Auction,
     Catalog,
-    ExplicitValuation,
     InputError,
     ResourceLimitError,
     SolverInvariantError,
@@ -67,13 +66,9 @@ def test_brute_optimum_awards_every_item():
 
 def test_brute_optimum_reads_each_subset_value_once(monkeypatch):
     auction, _ = generate("random_explicit", m=5, n=5, seed=3)
-    calls = []
-    value = ExplicitValuation._value
-    monkeypatch.setattr(
-        ExplicitValuation, "_value", lambda v, s: calls.append(1) or value(v, s)
-    )
+    reads = helpers.count_table_reads(monkeypatch)
     sw, alloc = brute_force_optimal(auction)
-    assert 0 < len(calls) <= len(auction.agents) * 2 ** len(auction.items)
+    assert 0 < sum(reads) <= len(auction.agents) * 2 ** len(auction.items)
     assert sw == F(261, 64)
     # the first-found maximum, scanning agents in order
     assert alloc == {
