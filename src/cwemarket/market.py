@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from .errors import InputError, ResourceLimitError
 from .scalars import lattice_int
-from .valuations import Item, ItemSet, Valuation, subset_sums
+from .valuations import Item, ItemSet, Valuation, members, subset_sums
 
 BundleId = int
 BundleSet = FrozenSet[BundleId]
@@ -51,7 +53,6 @@ class Auction:
         self.items: Tuple[Item, ...] = tuple(items)
         self.item_set: ItemSet = frozenset(items)
         self.agents: Tuple[Agent, ...] = tuple(agents)
-        self._by_name = {a.name: a for a in agents}
         self._index = {a.name: k for k, a in enumerate(agents)}
         for agent in agents:
             if not self.item_set <= agent.valuation.items:
@@ -70,10 +71,7 @@ class Auction:
         return [a.name for a in self.agents]
 
     def valuation(self, name: str) -> Valuation:
-        try:
-            return self._by_name[name].valuation
-        except KeyError:
-            raise InputError(f"unknown agent {name!r}") from None
+        return self.agents[self.agent_index(name)].valuation
 
     def agent_index(self, name: str) -> int:
         try:
@@ -105,7 +103,6 @@ class Auction:
         market.agents = tuple(
             Agent(a.name, a.valuation.scaled(scale)) for a in self.agents
         )
-        market._by_name = {a.name: a for a in market.agents}
         return market, scale
 
     def granularity(self) -> Optional[Fraction]:
@@ -166,13 +163,7 @@ class Catalog:
             raise InputError(f"no bundle with id {bid}") from None
 
     def union_items(self, bundle_ids: Iterable[BundleId]) -> ItemSet:
-        table = self._items
-        out: FrozenSet[str] = frozenset()
-        for bid in bundle_ids:
-            if bid not in table:
-                raise InputError(f"no bundle with id {bid}")
-            out |= table[bid]
-        return out
+        return frozenset().union(*[self.items_of(bid) for bid in bundle_ids])
 
     def fresh_id(self) -> BundleId:
         return max((bid for bid, _ in self.entries), default=-1) + 1
@@ -193,6 +184,25 @@ def merge_bundles(catalog: Catalog, bundle_ids: Iterable[BundleId]) -> Tuple[Cat
 
 
 PriceMap = Dict[BundleId, Fraction]
+
+
+def check_agents(names: Collection[str], assignment: Mapping[str, BundleSet]) -> None:
+    """Every agent the assignment names is one of `names`."""
+    for name in assignment:
+        if name not in names:
+            raise InputError(f"assignment names unknown agent {name!r}")
+
+
+def check_assignment(catalog: Catalog, assignment: Mapping[str, BundleSet]) -> None:
+    """Every assigned bundle is in the catalog, and none has two holders."""
+    ids = frozenset(catalog.ids)
+    held: set = set()
+    for name, bundles in assignment.items():
+        if not bundles <= ids:
+            raise InputError(f"assignment of {name!r} references unknown bundles")
+        if held & bundles:
+            raise InputError("a bundle is assigned to two agents")
+        held |= bundles
 
 
 def check_prices(catalog: Catalog, prices: Mapping[BundleId, Fraction]) -> None:
@@ -221,14 +231,7 @@ class Outcome:
 
     def __post_init__(self):
         check_prices(self.catalog, self.prices)
-        ids = frozenset(self.catalog.ids)
-        held: set = set()
-        for name, bundles in self.assignment.items():
-            if not bundles <= ids:
-                raise InputError(f"assignment of {name!r} references unknown bundles")
-            if held & bundles:
-                raise InputError("a bundle is assigned to two agents")
-            held |= bundles
+        check_assignment(self.catalog, self.assignment)
 
     def assigned_items(self, name: str) -> ItemSet:
         return self.catalog.union_items(self.assignment.get(name, frozenset()))
@@ -295,12 +298,8 @@ def demand_correspondence(
     """
     ids, utils = _utilities(auction, agent, catalog, prices, excluded)
     best = max(utils)
-    members = (
-        frozenset(ids[i] for i in range(len(ids)) if mask >> i & 1)
-        for mask, u in enumerate(utils)
-        if u == best
-    )
-    return best, sorted(members, key=lambda s: (len(s), sorted(s)))
+    maximizers = [frozenset(members(ids, mask)) for mask, u in enumerate(utils) if u == best]
+    return best, sorted(maximizers, key=lambda s: (len(s), sorted(s)))
 
 
 def tie_break_key(
@@ -421,7 +420,7 @@ def _violations(auction: Auction, outcomes: Sequence[Outcome]) -> Iterator[Optio
     """`lattice_violation` of each outcome, all on one lattice copy that
     holds every outcome's prices."""
     for outcome in outcomes:
-        _check_agents(auction, outcome)
+        check_agents(auction._index, outcome.assignment)
     market, scale = auction.on_lattice(
         *{p.denominator for outcome in outcomes for p in outcome.prices.values()}
     )
@@ -454,14 +453,8 @@ def is_cwe(auction: Auction, *outcomes: Outcome) -> bool:
     return all(v is None for v in _violations(auction, outcomes))
 
 
-def _check_agents(auction: Auction, outcome: Outcome) -> None:
-    for name in outcome.assignment:
-        if name not in auction._index:
-            raise InputError(f"assignment names unknown agent {name!r}")
-
-
 def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
-    _check_agents(auction, outcome)
+    check_agents(auction._index, outcome.assignment)
     return allocation_welfare(
         auction, {name: outcome.assigned_items(name) for name in auction.agent_names}
     )
@@ -469,7 +462,7 @@ def social_welfare(auction: Auction, outcome: Outcome) -> Fraction:
 
 def revenue_of(auction: Auction, outcome: Outcome) -> Fraction:
     """Total price paid over assigned bundles."""
-    _check_agents(auction, outcome)
+    check_agents(auction._index, outcome.assignment)
     held = [outcome.assignment.get(name, frozenset()) for name in auction.agent_names]
     return sum((outcome.prices[bid] for bids in held for bid in bids), Fraction(0))
 

@@ -12,13 +12,12 @@ solver's outcome itself; level t >= 1 shifts it by 2**(t-1) * sw0 / (2k),
 where sw0 is its welfare and k counts its assigned agents.  Keeping the
 best level guarantees revenue within a logarithmic factor of sw0, hence
 of the optimum.  `RevenueResult` reads sw0, k and the number of doubling
-steps off its levels.
+steps off its levels.  The scan runs in ints (README, "Solvers").
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Tuple
 
 from .errors import InputError, SolverInvariantError
@@ -116,10 +115,10 @@ def maximize_revenue(auction: Auction, allocation: InitialAllocation) -> Revenue
     The ladder has levels 0..ell+1, with ell = (2k - 1).bit_length()
     doubling steps, or level 0 alone when k = 0.  The best level's
     revenue is checked against sw0 / (8 * ell) and against the seed
-    allocation's welfare over 16 * ell.  The scan runs in ints on one
-    scale that holds the base prices, each holder's value for its one
-    bundle and the first surcharge sw0 / (2k), which level t shifts
-    left by t - 1; each level's Fractions are built once.
+    allocation's welfare over 16 * ell.  The base prices and the values
+    are ints over the auction's lattice scale D, so on 2k * D the first
+    surcharge sw0 / (2k), which level t shifts left by t - 1, is an int
+    too; each level's Fractions are built once.
     """
     # run_poly validates the seed, so bad seeds get the solver's message
     base, trace = run_poly(auction, allocation)
@@ -133,12 +132,11 @@ def maximize_revenue(auction: Auction, allocation: InitialAllocation) -> Revenue
     sw0 = sum((v for _, v in held.values()), Fraction(0))
     if k and sw0 <= 0:
         raise SolverInvariantError("assigned agents with nonpositive welfare")
-    first = sw0 / (2 * k) if k else Fraction(0)
-    scale = lcm(first.denominator, *[x.denominator for x in base.prices.values()],
-                *[v.denominator for _, v in held.values()])
+    scale = 2 * max(k, 1) * auction.lattice_scale
     prices = {bid: lattice_int(p, scale) for bid, p in base.prices.items()}
     owned = {n: (prices[bid], lattice_int(v, scale)) for n, (bid, v) in held.items()}
-    first, total = lattice_int(first, scale), lattice_int(sw0, scale)
+    total = lattice_int(sw0, scale)
+    first = total // (2 * k) if k else 0
     levels, revs, survivors = [], [], tuple(owned)
     for t in range((2 * k - 1).bit_length() + 2 if k else 1):
         sigma = first << (t - 1) if t else 0

@@ -2,11 +2,13 @@
 
 Scalars travel as "p/q" strings or bare integers; floats are rejected
 at the parser level so no inexact value can slip into the exact
-arithmetic.  Field names are part of the tool's contract.
+arithmetic.  Field names are part of the tool's contract.  A trace is
+written event by event (`event_to_json`).
 """
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -17,12 +19,13 @@ from .market import (
     Catalog,
     InitialAllocation,
     Outcome,
+    check_agents,
     revenue_of,
     social_welfare,
     validate_initial_allocation,
 )
 from .scalars import format_scalar, parse_scalar
-from .trace import Trace, event_to_json
+from .trace import Event, Trace
 from .valuations import (
     AdditiveValuation,
     ExplicitValuation,
@@ -235,10 +238,9 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
                 "withheld list disagrees with items absent from the catalog"
             )
     assignment_obj = _expect(obj.get("assignment"), dict, "assignment")
+    check_agents(auction.agent_names, assignment_obj)
     assignment = {}
     for name, indices in assignment_obj.items():
-        if name not in auction.agent_names:
-            raise InputError(f"assignment names unknown agent {name!r}")
         _expect(indices, list, "assignment bundle list")
         held = set()
         for idx in indices:
@@ -250,6 +252,21 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
             held.add(idx)
         assignment[name] = frozenset(held)
     return Outcome(catalog=catalog, prices=prices, assignment=assignment)
+
+
+def event_to_json(event: Event) -> Dict[str, Any]:
+    """Wire form of one trace event: its tag under "type", then its fields
+    in declaration order.  Bundle collections become sorted lists and
+    prices "p/q" strings."""
+    obj: Dict[str, Any] = {"type": event.kind}
+    for f in fields(event):
+        value = getattr(event, f.name)
+        if isinstance(value, (tuple, frozenset)):
+            value = sorted(value)
+        elif isinstance(value, Fraction):
+            value = format_scalar(value)
+        obj[f.name] = value
+    return obj
 
 
 def trace_to_json(trace: Trace) -> Dict[str, Any]:

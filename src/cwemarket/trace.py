@@ -15,13 +15,13 @@ breakpoint removal order of each price push).  For those, replay
 additionally checks that every displacement hands the bundle to an
 agent later in the removal order than its victim, that displacement
 chains stay within n hops, and that the main loop stays within n*n
-iterations.
+iterations.  An event's JSON form is `serialize.event_to_json`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, ClassVar, Dict, FrozenSet, List, Tuple
+from typing import ClassVar, Dict, FrozenSet, List, Tuple
 
 from .errors import InputError, SolverInvariantError
 from .market import (
@@ -33,7 +33,6 @@ from .market import (
     Outcome,
     initial_market,
 )
-from .scalars import format_scalar
 
 
 @dataclass(frozen=True)
@@ -98,21 +97,6 @@ class IterationEnd:
 
 
 Event = object
-
-
-def event_to_json(event: Event) -> Dict[str, Any]:
-    """Wire form of one event: its tag under "type", then its fields in
-    declaration order.  Bundle collections become sorted lists and
-    prices "p/q" strings."""
-    obj: Dict[str, Any] = {"type": event.kind}
-    for f in fields(event):
-        value = getattr(event, f.name)
-        if isinstance(value, (tuple, frozenset)):
-            value = sorted(value)
-        elif isinstance(value, Fraction):
-            value = format_scalar(value)
-        obj[f.name] = value
-    return obj
 
 
 @dataclass

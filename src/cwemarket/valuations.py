@@ -54,12 +54,15 @@ def _itemset(items: Iterable[Item]) -> ItemSet:
     return s
 
 
+def members(labels: Sequence, mask: int) -> List:
+    """The labels whose bit is set in `mask`: bit j stands for labels[j]."""
+    return [label for j, label in enumerate(labels) if mask >> j & 1]
+
+
 def subsets_of(items: ItemSet) -> Iterator[ItemSet]:
     """All subsets, by increasing size then sorted-lexicographic order."""
-    order = sorted(items)
-    for k in range(len(order) + 1):
-        for combo in combinations(order, k):
-            yield frozenset(combo)
+    unions = subset_unions([frozenset({i}) for i in sorted(items)])
+    return (unions[mask] for mask in _mask_order(len(items)))
 
 
 def subset_unions(bundles: Sequence[ItemSet]) -> List[ItemSet]:
@@ -103,17 +106,15 @@ class Valuation:
 
     def value(self, bundle: Iterable[Item]) -> Fraction:
         s = frozenset(bundle)
-        unknown = s - self.items
-        if unknown:
-            raise InputError(
-                f"unknown item identifiers {sorted(unknown)!r} for this valuation"
-            )
+        if not s <= self.items:
+            self._check_bundles((s,))  # raises
         return self._value(s)
 
     def _value(self, s: ItemSet) -> Fraction:
         raise NotImplementedError
 
     def _check_bundles(self, sets: Sequence[ItemSet]) -> None:
+        """Refuse items outside the universe first, then overlapping sets."""
         union = frozenset().union(*sets)
         unknown = union - self.items
         if unknown:
@@ -299,7 +300,7 @@ class ExplicitValuation(Valuation):
         if missing:
             raise InputError(
                 f"explicit table missing {len(missing)} subsets, "
-                f"first {self._names(missing[0])!r}"
+                f"first {members(sorted(self.items), missing[0])!r}"
             )
         self._values: List[Fraction] = values
 
@@ -370,19 +371,11 @@ class ExplicitValuation(Valuation):
             mask |= bit[i]
         return mask
 
-    def _names(self, mask: int) -> List[Item]:
-        """The sorted items of `mask`."""
-        return [i for i, bit in self._bit.items() if mask & bit]
-
-    @property
-    def table(self) -> Dict[ItemSet, Fraction]:
-        """The values by subset, in `subsets_of` order; a fresh dict."""
-        return {frozenset(names): v for names, v in self.rows()}
-
     def rows(self) -> Iterator[Tuple[List[Item], Fraction]]:
         """(sorted items, value) of every subset, in `subsets_of` order."""
-        for mask in _mask_order(len(self._bit)):
-            yield self._names(mask), self._values[mask]
+        order = sorted(self.items)
+        for mask in _mask_order(len(order)):
+            yield members(order, mask), self._values[mask]
 
     def _value(self, s: ItemSet) -> Fraction:
         return self._values[self._mask(s)]
@@ -427,14 +420,14 @@ class ExplicitValuation(Valuation):
         # ints over one denominator; the first drop is named in `subsets_of` order
         den = lcm(*[v.denominator for v in values])
         ints = [lattice_int(v, den) for v in values]
-        bits = self._bit.values()
+        bits, order = self._bit.values(), sorted(self.items)
         for mask in _mask_order(len(bits)):
             for bit in bits:
                 if not mask & bit and ints[mask | bit] < ints[mask]:
                     return ValuationDefect(
                         kind="monotonicity",
-                        detail=f"value drops from {self._names(mask)!r} "
-                        f"to {self._names(mask | bit)!r}",
+                        detail=f"value drops from {members(order, mask)!r} "
+                        f"to {members(order, mask | bit)!r}",
                     )
         return None
 

@@ -32,13 +32,16 @@ import itertools
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .errors import InputError, ResourceLimitError, SolverInvariantError
+from .errors import ResourceLimitError, SolverInvariantError
 from .lp import INFEASIBLE, OPTIMAL, LpSolution, solve_lp
-from .market import Auction, BundleId, BundleSet, Catalog, Outcome, allocation_welfare
+from .market import (
+    Auction, BundleId, BundleSet, Catalog, Outcome, allocation_welfare, check_agents,
+    check_assignment,
+)
 # Unused here: bench/tracing.py counts partitions through this name.
 from .partitions import set_partitions  # noqa: F401
 from .scalars import lattice_int
-from .valuations import ItemSet, subset_sums
+from .valuations import ItemSet, members, subset_sums
 
 BRUTE_MAX_ITEMS = 8
 BRUTE_MAX_AGENTS = 6
@@ -118,11 +121,6 @@ def _partition(tables: Tables, full: int) -> Tuple[int, List[int]]:
     return best[0][full], shares
 
 
-def _members(labels: Sequence, mask: int) -> List:
-    """The labels whose bit is set in `mask`."""
-    return [label for j, label in enumerate(labels) if mask >> j & 1]
-
-
 def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]:
     """Exact welfare-maximizing allocation of individual items.
 
@@ -138,7 +136,7 @@ def brute_force_optimal(auction: Auction) -> Tuple[Fraction, Dict[str, ItemSet]]
     scaled, shares = _partition(tables, (1 << len(items)) - 1)
     welfare = Fraction(scaled, den)
     allocation = {
-        a.name: frozenset(_members(items, got)) for a, got in zip(auction.agents, shares) if got
+        a.name: frozenset(members(items, got)) for a, got in zip(auction.agents, shares) if got
     }
     leftover = auction.item_set.difference(*allocation.values())
     if leftover and auction.agents:
@@ -242,19 +240,13 @@ def _catalog_prices(
     stable, with one such map; None when there is none."""
     _cap(len(catalog.entries), LP_MAX_BUNDLES, "bundle count")
     _cap(len(auction.agents), LP_MAX_AGENTS, "agent count")
-    pos = {bid: j for j, (bid, _) in enumerate(catalog.entries)}
     owns = dict.fromkeys(auction.agent_names, 0)  # held masks
-    held: set = set()
+    check_agents(owns, assignment)
+    check_assignment(catalog, assignment)
+    pos = {bid: j for j, (bid, _) in enumerate(catalog.entries)}
     for name, bundles in assignment.items():
-        if name not in owns:
-            raise InputError(f"assignment names unknown agent {name!r}")
-        for bid in bundles:
-            if bid not in pos:
-                raise InputError(f"assignment references unknown bundle {bid}")
-            if bid in held:
-                raise InputError("a bundle is assigned twice")
-            held.add(bid)
-            owns[name] |= 1 << pos[bid]
+        owns[name] = sum(1 << pos[bid] for bid in bundles)
+    held = set().union(*assignment.values())
     tables, den = _tables(auction, [items for _, items in catalog.entries])
     c = [1 if revenue and bid in held else 0 for bid in pos]
     got = _stable_prices(tables, den, list(owns.values()), c)
@@ -314,7 +306,7 @@ def stable_singleton_outcomes(
             if got is not None:
                 # agents in the order of their first item
                 allocation = {
-                    names[w - 1]: frozenset(_members(items, owns[w])) for w in combo if w
+                    names[w - 1]: frozenset(members(items, owns[w])) for w in combo if w
                 }
                 yield allocation, dict(enumerate(got[1]))
 
@@ -362,7 +354,7 @@ def _bundled_candidates(auction: Auction) -> Tuple[Tables, int, Iterator[Candida
         for neg_sw in sorted(levels):
             owned = [tuple((i, x) for i, x in zip(order, masks) if x) for masks in levels[neg_sw]]
             yield from sorted(
-                (neg_sw, tuple((names[i], tuple(sorted(_members(items, x)))) for i, x in o), o)
+                (neg_sw, tuple((names[i], tuple(sorted(members(items, x)))) for i, x in o), o)
                 for o in owned
             )
 

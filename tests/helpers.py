@@ -663,6 +663,12 @@ class ReferenceExplicitValuation(Valuation):
         return None
 
 
+def table_of(valuation: ExplicitValuation) -> Dict[FrozenSet[str], Fraction]:
+    """An explicit valuation's values by subset, in `subsets_of` order,
+    built from `rows()`."""
+    return {frozenset(items): value for items, value in valuation.rows()}
+
+
 def count_table_reads(monkeypatch) -> List[int]:
     """Patch `ExplicitValuation` to append the number of table entries
     each read returns: the length of every `bundle_values` table and 1

@@ -471,3 +471,53 @@ def test_one_process_reuses_the_parser(tmp_path, capsys):
     assert [code for code, _, _ in alone] == [0, 2, 0]
     assert "invalid choice: 'fastest'" in alone[1][2]
     assert [outcome(argv) for argv in commands] == alone
+
+
+def test_a_bad_epsilon_is_a_usage_error(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "gap3")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["solve", "--input", inst, "--alg", "simple", "--epsilon", "1/0"])
+    assert exc.value.code == 2
+    assert "argument --epsilon: bad scalar '1/0'" in capsys.readouterr().err
+
+
+def test_solve_needs_a_seed_from_the_file_or_the_flag(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "random_explicit", "--m", "2", "--n", "2", "--seed", "1")
+    code, out, err = _run(capsys, "solve", "--input", inst)
+    assert (code, out) == (2, "")
+    assert err == "error: instance file has no initial_allocation; pass --initial\n"
+    code, out, err = _run(capsys, "solve", "--input", inst, "--initial", f"file:{inst}")
+    assert (code, out) == (2, "")
+    assert err == f"error: {inst!r} has no initial_allocation\n"
+
+
+@pytest.mark.parametrize("flag", ["-o", "--trace-out"])
+def test_writing_into_a_missing_directory_exits_2(tmp_path, capsys, flag):
+    target = str(tmp_path / "absent" / "out.json")
+    if flag == "-o":
+        argv = ["paper-instance", "gap3", "-o", target]
+    else:
+        argv = ["solve", "--input", _emit(tmp_path, capsys, "gap3"), "--trace-out", target]
+    code, _, err = _run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target!r}: ")
+
+
+def test_an_unreadable_solution_file_exits_2(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "gap3")
+    code, out, err = _run(
+        capsys, "verify", "--input", inst, "--solution", str(tmp_path / "absent.json")
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read solution file: ")
+
+
+def test_verify_names_an_unknown_agent_before_a_bad_index(tmp_path, capsys):
+    inst = _emit(tmp_path, capsys, "gap3")
+    report = json.loads(_run(capsys, "solve", "--input", inst)[1])
+    report["assignment"] = {"a1": [9], "zz": [0]}
+    sol = tmp_path / "sol.json"
+    sol.write_text(dumps(report))
+    code, out, err = _run(capsys, "verify", "--input", inst, "--solution", str(sol))
+    assert (code, out) == (2, "")
+    assert err == "error: assignment names unknown agent 'zz'\n"

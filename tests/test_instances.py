@@ -67,6 +67,13 @@ def test_parameter_bounds_are_enforced():
         generate("random_explicit", m=7, n=2, seed=0)
     with pytest.raises(InputError, match="positive"):
         generate("random_explicit", m=2, n=2, seed=0, denominator=0)
+    with pytest.raises(InputError, match="^epsilon must be positive$"):
+        generate("gap3", epsilon=F(0))
+    with pytest.raises(InputError, match="^m must be at least 2$"):
+        generate("item_pricing_xos", m=1)
+    for m, n in ((0, 2), (2, 0)):
+        with pytest.raises(InputError, match="^m and n must be at least 1$"):
+            generate("random_explicit", m=m, n=n, seed=0)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -301,3 +302,26 @@ def test_auction_valuation_universe_must_match():
             items=items,
             agents=(Agent("a", AdditiveValuation(frozenset({"x"}), {"x": F(1)})),),
         )
+
+
+def test_auction_refuses_duplicate_items_and_an_invalid_valuation():
+    valuation = AdditiveValuation(frozenset({"x"}), {"x": F(1)})
+    with pytest.raises(InputError, match="^duplicate item identifiers$"):
+        Auction(items=("x", "x"), agents=(Agent("a", valuation),))
+    negative = AdditiveValuation(frozenset({"x"}), {"x": F(-1)})
+    message = "valuation of 'a' invalid (negative_weight): weight of item 'x' is -1"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Auction(items=("x",), agents=(Agent("a", negative),))
+
+
+def test_agent_lookups_refuse_an_unknown_agent():
+    auction = two_item_auction()
+    for lookup in (auction.valuation, auction.agent_index):
+        with pytest.raises(InputError, match="^unknown agent 'zz'$"):
+            lookup("zz")
+    # the lattice copy looks names up in its own, scaled agents
+    lattice, scale = auction.on_lattice()
+    assert lattice.valuation("a") is lattice.agents[0].valuation
+    assert lattice.valuation("a").value({"2"}) == 2 * scale
+    with pytest.raises(InputError, match="^unknown agent 'zz'$"):
+        lattice.valuation("zz")

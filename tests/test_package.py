@@ -122,3 +122,21 @@ def test_every_import_is_used(path):
     """An import kept only for the benchmark's tracer carries `# noqa: F401`."""
     unused = _unused_imports(path)
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_every_private_definition_is_used():
+    """Every single-underscore function, class or method defined in the
+    package is named somewhere in it besides its definition, so that a
+    helper left behind by a consolidation shows up."""
+    defined, named = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = sorted(where for name, where in defined.items() if name not in named)
+    assert not unused, f"private definitions never named: {unused}"

@@ -54,6 +54,9 @@ def test_shift_keeps_on_exact_tie():
     assert kept.assignment == {"A": frozenset({0})}
     dropped = shift_prices(auction, out, F(7, 2))
     assert dropped.assignment == {}
+    # an agent listed with no bundles drops out of the assignment
+    unsold = Outcome(catalog=out.catalog, prices={0: F(5)}, assignment={"A": frozenset()})
+    assert shift_prices(auction, unsold, F(1)).assignment == {}
 
 
 def test_shift_rejects_negative_sigma():

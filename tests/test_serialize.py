@@ -9,6 +9,7 @@ from cwemarket import (
     InputError,
     Trace,
     UnitDemandValuation,
+    Valuation,
     generate,
     maximize_revenue,
     run_poly,
@@ -130,6 +131,18 @@ def test_duplicate_explicit_row_rejected():
 def test_unknown_valuation_type_rejected():
     with pytest.raises(InputError, match="unknown valuation type"):
         valuation_from_json(frozenset({"a"}), {"type": "budget_additive"})
+
+
+def test_instance_writer_refuses_an_unknown_valuation_class():
+    class Opaque(Valuation):
+        items = frozenset({"x"})
+
+        def validate(self):
+            return None
+
+    auction = Auction(items=("x",), agents=(Agent("a", Opaque()),))
+    with pytest.raises(InputError, match="^cannot serialize valuation of type Opaque$"):
+        instance_to_json(auction)
 
 
 def test_seed_rejects_duplicates_and_strangers():

@@ -31,7 +31,7 @@ from cwemarket.errors import SolverDeadlockError
 from cwemarket.scalars import common_granularity
 from cwemarket.trace import PriceRaise
 
-from .helpers import brute_stability_violation, seed_welfare
+from .helpers import brute_stability_violation, seed_welfare, table_of
 
 F = Fraction
 
@@ -128,7 +128,7 @@ def times(valuation, c):
     """The same valuation class with every parameter multiplied by c."""
     items = valuation.items
     if isinstance(valuation, ExplicitValuation):
-        return ExplicitValuation(items, {s: v * c for s, v in valuation.table.items()})
+        return ExplicitValuation(items, {s: v * c for s, v in table_of(valuation).items()})
     if isinstance(valuation, SingleMindedValuation):
         return SingleMindedValuation(items, valuation.desired, valuation.weight * c)
     if isinstance(valuation, UnitDemandValuation):

@@ -116,6 +116,19 @@ def test_replay_rejects_stale_price_in_raise():
         replay(auction, seed_for(auction), t)
 
 
+@pytest.mark.parametrize(
+    "event, message",
+    [
+        (PriceRaise(bundle=9, old=F(0), new=F(1)), "price raise on unknown bundle 9"),
+        (Assign("A", frozenset({0, 9})), "assignment references unknown bundle 9"),
+    ],
+)
+def test_replay_refuses_an_event_on_an_unknown_bundle(event, message):
+    auction = tiny()
+    with pytest.raises(SolverInvariantError, match=f"^{message}$"):
+        replay(auction, seed_for(auction), make_trace([event]))
+
+
 def test_replay_rejects_orphaned_bundle():
     # a sold bundle whose holder vanishes without anyone taking over
     auction = tiny()

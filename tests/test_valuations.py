@@ -24,7 +24,7 @@ from cwemarket import valuations
 from cwemarket.market import tie_break_key
 from cwemarket.valuations import EXPLICIT_ITEM_CAP, subsets_of
 
-from .helpers import ReferenceExplicitValuation, reference_from_entries
+from .helpers import ReferenceExplicitValuation, reference_from_entries, table_of
 
 F = Fraction
 
@@ -90,7 +90,7 @@ def test_from_entries_matches_the_scan_of_every_listed_subset(data):
     keys = st.frozensets(st.sampled_from(items)) if items else st.just(frozenset())
     values = st.builds(F, st.integers(-2, 12), st.sampled_from((1, 2, 3, 4)))
     entries = data.draw(st.dictionaries(keys, values, max_size=40))
-    got = ExplicitValuation.from_entries(items, entries).table
+    got = table_of(ExplicitValuation.from_entries(items, entries))
     want = reference_from_entries(items, entries)
     assert list(got.items()) == list(want.items())
     assert all(type(v) is F for v in got.values())
@@ -140,6 +140,8 @@ def test_unit_demand():
     assert v.value(["x", "y"]) == 5
     assert v.value([]) == 0
     assert v.validate() is None
+    with pytest.raises(InputError, match="^weight map mentions items outside the universe$"):
+        UnitDemandValuation(["x"], {"x": F(1), "y": F(2)})
 
 
 def test_single_minded():
@@ -149,9 +151,22 @@ def test_single_minded():
     assert v.value(["x", "y", "z"]) == 7
     assert v.validate() is None
     assert SingleMindedValuation(["x"], [], F(1)).validate().kind == "empty_desired"
+    # a negative weight is reported first
+    negative = SingleMindedValuation(["x"], [], F(-1)).validate()
+    assert (negative.kind, negative.detail) == ("negative_weight", "weight is -1")
     assert SingleMindedValuation(["x"], [], F(0)).validate() is None
     with pytest.raises(InputError):
         SingleMindedValuation(["x"], ["y"], F(1))
+
+
+def test_item_identifiers_must_be_strings():
+    for build in (
+        lambda: AdditiveValuation(["x", 1], {}),
+        lambda: SingleMindedValuation(["x"], [2], F(1)),
+        lambda: ExplicitValuation.from_entries(["x", None], {}),
+    ):
+        with pytest.raises(InputError, match="^item identifiers must be strings$"):
+            build()
 
 
 def test_xos():
@@ -249,7 +264,7 @@ def test_mask_table_matches_the_frozenset_reference(data):
     if monotone and data.draw(st.booleans()):
         table[frozenset()] = F(0)
     got, ref = ExplicitValuation(items, table), ReferenceExplicitValuation(items, table)
-    assert list(got.table.items()) == list(ref.table.items())
+    assert list(table_of(got).items()) == list(ref.table.items())
     assert got.validate() == ref.validate()
     for s in subsets:
         assert _outcome(lambda: got.value(s)) == _outcome(lambda: ref.value(s))
@@ -265,7 +280,7 @@ def test_mask_table_matches_the_frozenset_reference(data):
             assert _outcome(lambda: view(got).bundle_values(case)) == _outcome(
                 lambda: view(ref).bundle_values(case)
             )
-    assert list(got.scaled(scale).table.items()) == list(ref.scaled(scale).table.items())
+    assert list(table_of(got.scaled(scale)).items()) == list(ref.scaled(scale).table.items())
     assert sorted(got.parameter_values()) == sorted(ref.parameter_values())
     if lcm_den > 1:
         off = lcm_den // data.draw(st.sampled_from([p for p in (2, 3) if lcm_den % p == 0]))
@@ -279,7 +294,7 @@ def test_mask_table_matches_the_frozenset_reference(data):
         (ExplicitValuation.from_entries, ReferenceExplicitValuation.from_entries),
         (ExplicitValuation, ReferenceExplicitValuation),
     ):
-        got_part = _outcome(lambda: list(build(items, entries).table.items()))
+        got_part = _outcome(lambda: list(table_of(build(items, entries)).items()))
         ref_part = _outcome(lambda: sorted(
             reference(items, entries).table.items(), key=lambda kv: subsets.index(kv[0])))
         assert got_part == ref_part
@@ -310,11 +325,11 @@ def test_mask_tables_keep_at_most_60_percent_of_the_frozenset_layout():
     def frozensets(seed):
         auction = masks(seed)
         return Auction(auction.items, [
-            Agent(a.name, ReferenceExplicitValuation(a.valuation.items, a.valuation.table))
+            Agent(a.name, ReferenceExplicitValuation(a.valuation.items, table_of(a.valuation)))
             for a in auction.agents
         ])
 
     seeds = range(1, 41)
-    assert frozensets(1).agents[0].valuation.table == masks(1).agents[0].valuation.table
+    assert frozensets(1).agents[0].valuation.table == table_of(masks(1).agents[0].valuation)
     mask_bytes, frozenset_bytes = _kept_bytes(masks, seeds), _kept_bytes(frozensets, seeds)
     assert mask_bytes <= 0.6 * frozenset_bytes, (mask_bytes, frozenset_bytes)

@@ -202,6 +202,22 @@ def test_price_lps_cap_the_agent_count():
         config_lp_fractional_opt(auction, catalog)
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ({"a1": frozenset(), "zz": frozenset({0})}, "assignment names unknown agent 'zz'"),
+        ({"a1": frozenset({0, 7})}, "assignment of 'a1' references unknown bundles"),
+        ({"a1": frozenset({0}), "a2": frozenset({1, 0})}, "a bundle is assigned to two agents"),
+    ],
+)
+def test_price_lps_refuse_a_bad_assignment(gap3, assignment, message):
+    """The price LPs refuse with `Outcome`'s messages."""
+    catalog = singleton_catalog(gap3)
+    for oracle in (supporting_prices, revenue_maximizing_prices):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            oracle(gap3, catalog, assignment)
+
+
 @pytest.fixture
 def lp_calls(monkeypatch):
     calls = []
