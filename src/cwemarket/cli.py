@@ -31,8 +31,7 @@ from .serialize import (
     instance_to_json,
     ladder_to_json,
     load_instance,
-    loads,
-    outcome_from_json,
+    load_solution,
     outcome_to_json,
     trace_to_json,
 )
@@ -225,18 +224,9 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
     )
 
 
-def _load_solution(auction: Auction, path: str) -> Outcome:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            solution = loads(fh.read(), "solution")
-    except OSError as exc:
-        raise InputError(f"cannot read solution file: {exc}") from None
-    return outcome_from_json(auction, solution)
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     auction, _ = load_instance(args.input)
-    outcome = _load_solution(auction, args.solution)
+    outcome = load_solution(auction, args.solution)
     violation = find_violation(auction, outcome)
     if violation is None:
         sys.stdout.write(dumps({"cwe": True}))
@@ -298,7 +288,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return 0
     if args.solution is None:
         raise InputError("oracle support requires --solution")
-    outcome = _load_solution(auction, args.solution)
+    outcome = load_solution(auction, args.solution)
     prices = supporting_prices(auction, outcome.catalog, outcome.assignment)
     if prices is None:
         sys.stdout.write(dumps({"supported": False}))

@@ -198,6 +198,8 @@ def check_assignment(catalog: Catalog, assignment: Mapping[str, BundleSet]) -> N
     ids = frozenset(catalog.ids)
     held: set = set()
     for name, bundles in assignment.items():
+        if not isinstance(bundles, (set, frozenset)):
+            raise InputError(f"assignment of {name!r} must be a set, got {type(bundles).__name__}")
         if not bundles <= ids:
             raise InputError(f"assignment of {name!r} references unknown bundles")
         if held & bundles:

@@ -65,8 +65,8 @@ class AscendingAuction:
     """State, main loop and final checks shared by both solvers.
 
     A subclass settles a claim on a singleton someone else holds in
-    `_contest`; it may also pass over the tie-broken demand set in
-    `_choose` and act at the end of every iteration in `_end_iteration`.
+    `_contest`; it may also act at the end of every iteration in
+    `_end_iteration`.
     """
 
     def __init__(self, auction: Auction, allocation: InitialAllocation, *dens: int):
@@ -81,7 +81,6 @@ class AscendingAuction:
             raise SolverInvariantError("a seed value is odd on the price lattice")
         self.prices = {bid: v // 2 for bid, v in enumerate(values)}
         self.seed_welfare = sum(values)
-        self._fractions: Dict[int, Tuple[int, Fraction]] = {}  # bid -> a price and its Fraction
         self.assignment: Dict[str, BundleSet] = {}
         self.pool: List[str] = list(auction.agent_names)
         self.trace = Trace()
@@ -97,16 +96,9 @@ class AscendingAuction:
             self.market, agent, self.catalog, self.prices, excluded, self.assignment
         )
 
-    def _fraction(self, bid: int, price: int) -> Fraction:
-        """`price` over the scale, made once: a raise starts where its bundle's last ended."""
-        known = self._fractions.get(bid)
-        if known is None or known[0] != price:
-            known = self._fractions[bid] = (price, Fraction(price, self.scale))
-        return known[1]
-
     def _raised(self, bid: int, old: int, new: int) -> PriceRaise:
         """The trace event of a raise from `old` to `new`, in Fractions."""
-        return PriceRaise(bundle=bid, old=self._fraction(bid, old), new=self._fraction(bid, new))
+        return PriceRaise(bundle=bid, old=Fraction(old, self.scale), new=Fraction(new, self.scale))
 
     def run(self) -> Outcome:
         while self.pool:
@@ -117,12 +109,9 @@ class AscendingAuction:
             if a in self.assignment:
                 raise SolverInvariantError(f"pooled agent {a!r} already holds bundles")
             best, chosen = self._demand(a)
-            self._take(a, self._choose(a, chosen) if best > 0 else frozenset())
+            self._take(a, chosen if best > 0 else frozenset())
             self._end_iteration()
         return self._finish()
-
-    def _choose(self, agent: str, chosen: BundleSet) -> BundleSet:
-        return chosen
 
     def _take(self, a: str, chosen: BundleSet) -> None:
         """Give `a` the set `chosen`.  The empty set means `a` walks
@@ -168,7 +157,7 @@ class AscendingAuction:
     def _finish(self) -> Outcome:
         outcome = Outcome(
             catalog=self.catalog,
-            prices={bid: self._fraction(bid, p) for bid, p in self.prices.items()},
+            prices={bid: Fraction(p, self.scale) for bid, p in self.prices.items()},
             assignment=dict(self.assignment),
         )
         if lattice_violation(self.market, self.scale, outcome, self.prices) is not None:
@@ -235,9 +224,6 @@ class PolySolver(AscendingAuction):
         whole catalog.  Each answer counts as one demand query.
         """
         members = [n for n in self.auction.agent_names if self.assignment.get(n)]
-        if not members:
-            self.rank = {}
-            return
         for i in members:
             held = len(self.assignment[i])
             if held != 1:

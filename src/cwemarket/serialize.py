@@ -181,13 +181,22 @@ def instance_to_json(
     return obj
 
 
-def load_instance(path: str) -> Tuple[Auction, Optional[Dict[str, ItemSet]]]:
+def _read(path: str, kind: str) -> Any:
+    """The JSON in the file at `path`; `kind` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise InputError(f"cannot read instance file {path!r}: {exc}") from None
-    return parse_instance(loads(text, "instance"))
+        raise InputError(f"cannot read {kind} file {path!r}: {exc}") from None
+    return loads(text, kind)
+
+
+def load_instance(path: str) -> Tuple[Auction, Optional[Dict[str, ItemSet]]]:
+    return parse_instance(_read(path, "instance"))
+
+
+def load_solution(auction: Auction, path: str) -> Outcome:
+    return outcome_from_json(auction, _read(path, "solution"))
 
 
 def outcome_to_json(

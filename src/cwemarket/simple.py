@@ -74,25 +74,20 @@ class SimpleSolver(AscendingAuction):
         # until some price or catalog movement happens
         self.blocked: Dict[str, Set[BundleSet]] = {}
 
-    def _choose(self, agent: str, chosen: BundleSet) -> BundleSet:
-        blocked = self.blocked.get(agent, set())
-        if chosen not in blocked:
-            return chosen
-        # the next set in tie-break order may be any demanded set; the
-        # enumeration is one more demand query
-        self.trace.demand_queries += 1
-        _, members = demand_correspondence(
-            self.market, agent, self.catalog, self.prices
-        )
-        usable = [s for s in members if s not in blocked]
-        if not usable:
-            raise SolverDeadlockError(
-                f"agent {agent!r} has only blocked demand sets; every "
-                f"conflict at the current prices is an exact tie"
-            )
-        return select_demanded(usable, agent, self.assignment)
-
     def _take(self, a: str, chosen: BundleSet) -> None:
+        """A blocked `chosen` gives way to the next demanded set in
+        tie-break order; the enumeration is one more demand query."""
+        blocked = self.blocked.get(a, ())
+        if chosen in blocked:
+            self.trace.demand_queries += 1
+            _, members = demand_correspondence(self.market, a, self.catalog, self.prices)
+            usable = [s for s in members if s not in blocked]
+            if not usable:
+                raise SolverDeadlockError(
+                    f"agent {a!r} has only blocked demand sets; every "
+                    f"conflict at the current prices is an exact tie"
+                )
+            chosen = select_demanded(usable, a, self.assignment)
         super()._take(a, chosen)
         if len(chosen) > 1:
             self.blocked.clear()  # the catalog moved

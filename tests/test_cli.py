@@ -509,7 +509,7 @@ def test_an_unreadable_solution_file_exits_2(tmp_path, capsys):
         capsys, "verify", "--input", inst, "--solution", str(tmp_path / "absent.json")
     )
     assert (code, out) == (2, "")
-    assert err.startswith("error: cannot read solution file: ")
+    assert err.startswith(f"error: cannot read solution file {str(tmp_path / 'absent.json')!r}: ")
 
 
 def test_verify_names_an_unknown_agent_before_a_bad_index(tmp_path, capsys):

@@ -194,6 +194,15 @@ def test_outcome_rejects_double_assignment_and_unknown_bundles():
         Outcome(catalog, {0: F(-1), 1: F(0)}, {})
 
 
+@pytest.mark.parametrize("held", [[0], (0,), 0, None])
+def test_outcome_rejects_an_assignment_value_that_is_not_a_set(held):
+    """A list, tuple or bare id is bad input naming its agent, not a
+    TypeError from the subset check."""
+    kind = type(held).__name__
+    with pytest.raises(InputError, match=f"^assignment of 'a' must be a set, got {kind}$"):
+        Outcome(cat2(), {0: F(0), 1: F(0)}, {"a": held})
+
+
 @pytest.mark.parametrize("price", [0.5, True, "1/2"])
 def test_outcome_rejects_prices_that_are_not_ints_or_fractions(price):
     """Prices are checked where they enter: a float, a bool or a string

@@ -69,9 +69,8 @@ def test_library_has_no_assert_statements(path):
     assert not lines, f"{path.name}: assert on lines {lines}; raise an error instead"
 
 
-def test_benchmark_tracer_installs_on_the_package():
-    """`bench/tracing.py` wraps functions where each module looks them
-    up; a module that stops importing one breaks `--trace 1`."""
+def _tracing_and_program():
+    """`bench/tracing.py`, loaded by path, and the package modules it wraps."""
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -79,6 +78,13 @@ def test_benchmark_tracer_installs_on_the_package():
     program = SimpleNamespace(
         **{name: importlib.import_module(f"cwemarket.{name}") for name in names}
     )
+    return tracing, program
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    """`bench/tracing.py` wraps functions where each module looks them
+    up; a module that stops importing one breaks `--trace 1`."""
+    tracing, program = _tracing_and_program()
     before = program.simple.demand_correspondence
     tracer = tracing.Tracer()
     tracer.install(program)
@@ -92,6 +98,49 @@ def test_benchmark_tracer_installs_on_the_package():
     assert program.simple.demand_correspondence is before
     assert tracer.counts["simple.demand_queries"] > 0
     assert tracer.counts["market.subsets_enumerated"] > 0
+
+
+def _tracer_shims():
+    """(module, name) for every name a module imports only for the
+    tracer, on a `# noqa: F401` line."""
+    shims = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        for node in ast.walk(ast.parse(source, filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in lines[node.lineno - 1]:
+                shims += [(path.stem, alias.asname or alias.name) for alias in node.names]
+    return shims
+
+
+def test_every_tracer_shim_is_wrapped_by_the_tracer():
+    """Each shim import exists only so that `bench/tracing.py` can
+    replace it.  A shim the tracer no longer replaces is dead code: once
+    the tracer wraps these names where they are defined, every shim and
+    this test go."""
+    tracing, program = _tracing_and_program()
+    shims = _tracer_shims()
+    assert sorted(shims) == [
+        ("poly", "demand_correspondence"),
+        ("poly", "is_cwe"),
+        ("simple", "is_cwe"),
+        ("simple", "merge_bundles"),
+        ("verifier", "set_partitions"),
+    ]
+
+    def current(shim):
+        module, name = shim
+        return getattr(getattr(program, module), name)
+
+    before = {shim: current(shim) for shim in shims}
+    tracer = tracing.Tracer()
+    tracer.install(program)
+    try:
+        kept = [shim for shim in shims if current(shim) is before[shim]]
+    finally:
+        tracer.uninstall()
+    assert not kept, f"imports the tracer does not replace: {kept}"
+    assert all(current(shim) is before[shim] for shim in shims)
 
 
 def _unused_imports(path):

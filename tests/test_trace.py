@@ -48,22 +48,21 @@ def test_replay_reproduces_poly_run_exactly():
     assert dict(rebuilt.catalog.entries) == dict(out.catalog.entries)
 
 
-def test_each_raise_starts_from_the_fraction_the_last_one_ended_on():
-    """The solvers turn each int price into a Fraction once per run: a
-    raise's `old` is the previous raise's `new` of its bundle, and the
-    outcome's price is the last raise's `new`."""
+def test_each_raise_starts_from_the_price_the_last_one_ended_on():
+    """A raise's `old` equals the previous raise's `new` of its bundle,
+    and the outcome's price equals the last raise's `new`."""
     auction, seed = generate("gap3")
     for out, trace in (run_simple(auction, seed, F(1, 20)), run_poly(auction, seed)):
         last = {}
         for ev in trace.events:
             if isinstance(ev, PriceRaise):
                 if ev.bundle in last:
-                    assert ev.old is last[ev.bundle]
+                    assert ev.old == last[ev.bundle]
                 last[ev.bundle] = ev.new
         assert len(last) > 0
         for bid, price in last.items():
             if bid in out.prices:
-                assert out.prices[bid] is price
+                assert out.prices[bid] == price
 
 
 def tiny(n_agents=2, n_items=2):

@@ -208,6 +208,7 @@ def test_price_lps_cap_the_agent_count():
         ({"a1": frozenset(), "zz": frozenset({0})}, "assignment names unknown agent 'zz'"),
         ({"a1": frozenset({0, 7})}, "assignment of 'a1' references unknown bundles"),
         ({"a1": frozenset({0}), "a2": frozenset({1, 0})}, "a bundle is assigned to two agents"),
+        ({"a1": [0]}, "assignment of 'a1' must be a set, got list"),
     ],
 )
 def test_price_lps_refuse_a_bad_assignment(gap3, assignment, message):
