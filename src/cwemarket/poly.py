@@ -244,7 +244,6 @@ class PolySolver(AscendingAuction):
             offers = [(bid, s) for bid, s in self.catalog.entries if bid not in holdings]
         active: List[str] = list(members)
         self.rank = {}
-        step = 0
         while active:
             margins: Dict[str, int] = {}
             switches: Dict[str, BundleSet] = {}
@@ -273,9 +272,8 @@ class PolySolver(AscendingAuction):
                     old = self.prices[bid]
                     self.prices[bid] = old + delta
                     self.trace.add(self._raised(bid, old, old + delta))
-            step += 1
             self.fallback[a] = switches[a]
-            self.rank[a] = step
+            self.rank[a] = len(self.rank) + 1
             self.trace.add(FallbackRecord(agent=a, bundles=switches[a]))
             active.remove(a)
             offers = [(bid, self.catalog.items_of(bid)) for bid in self.assignment[a]]

@@ -3,12 +3,14 @@
 Seeding, the pool, merges and the final checks are the shared
 `poly.AscendingAuction`.  Here an agent that claims a singleton bundle
 someone else holds takes it, and the price of that bundle rises in
-epsilon steps until one of the two gives up.
+epsilon steps until one of the two gives up; the two sides' top prices
+settle the whole contest at once.
 
-May take exponentially many steps; see the poly module for the
-query-efficient variant.  The final outcome is a stable bundle pricing
-with social welfare at least half the seed allocation's.  Epsilon is an
-int on the price lattice (README, "Solvers").
+Each step counts two demand queries, so the count may grow
+exponentially; see the poly module for the query-efficient variant.
+The final outcome is a stable bundle pricing with social welfare at
+least half the seed allocation's.  Epsilon is an int on the price
+lattice (README, "Solvers").
 """
 from __future__ import annotations
 
@@ -93,51 +95,47 @@ class SimpleSolver(AscendingAuction):
             self.blocked.clear()  # the catalog moved
 
     def _contest(self, bundles: BundleSet, a: str, owner: str) -> None:
-        """Escalate the price of the contested bundle in epsilon steps
-        until one side quits.
+        """Raise the contested bundle's price by epsilon until one side
+        quits, in one jump.
 
-        Only that price moves, so `market.top_price` reads once per
-        contest the highest price at which each side still demands the
-        bundle, and each step compares the trial price with the two.
+        Only that price moves, so `market.top_price` gives the highest
+        price at which each side still demands the bundle; a holder that
+        does not demand it now quits before the first step.  The trial
+        steps pass the lower top after s = (lower top - start) // epsilon
+        + 1 of them, and the price moves there in one `PriceRaise`.
         `demand_queries` counts the logical queries, one per side and
-        price level.  At the starting price only the incumbent is asked:
-        `_take` merges nothing for a singleton claim, so the catalog and
-        prices are those the claimant's own demand query just answered,
-        and the set it chose is demanded there.  After each trial step
-        both are asked; the two answers settle the step and stand for
-        the next level.
+        price level, 2s + 1: the incumbent alone at the start (`_take`
+        merges nothing for a singleton claim, so the claimant's own
+        demand query just answered there), both after each step.
 
-        If a single step would push the bundle out of both demand
-        correspondences at once, the two parties are exactly
-        indifferent between keeping it and walking away; the trial step
-        is undone and the bundle changes hands instead: the claimant
-        keeps it at the rolled-back price and the incumbent, who gives
-        up nothing at the tie, re-enters the pool, barred from
+        If the last step also passes the higher top, the two parties are
+        exactly indifferent between keeping the bundle and walking away;
+        that step is undone and the bundle changes hands instead: the
+        claimant keeps it at the rolled-back price and the incumbent, who
+        gives up nothing at the tie, re-enters the pool, barred from
         re-claiming this exact set until prices or the catalog move
         again.  Handing the set over rather than bouncing the claimant
         is what keeps chains of exact ties from cycling.
         """
         (bid,) = bundles
-        self.trace.demand_queries += 1
+        start, step = self.prices[bid], self.epsilon
         b_top, a_top = (
             top_price(self.market, x, self.catalog, self.prices, bid) for x in (owner, a)
         )
-        a_wants, b_wants = True, b_top is not None
-        while a_wants and b_wants:
-            old = self.prices[bid]
-            new = old + self.epsilon
-            self.trace.demand_queries += 2
-            a_wants = new <= a_top
-            b_wants = new <= b_top
-            if not (a_wants or b_wants):
-                # both would drop: undo the trial step, hand over the set
-                self._repool(owner)
-                self.blocked.setdefault(owner, set()).add(bundles)
-                return
-            self.prices[bid] = new
-            self.trace.add(self._raised(bid, old, new))
+        if b_top is None:
+            b_top = start - step
+        steps = (min(a_top, b_top) - start) // step + 1
+        self.trace.demand_queries += 2 * steps + 1
+        tie = start + steps * step > max(a_top, b_top)
+        end = start + (steps - tie) * step
+        if end > start:
+            self.prices[bid] = end
+            self.trace.add(self._raised(bid, start, end))
             self.blocked.clear()
-        self._repool(owner if a_wants else a)
+        # on a tie the claimant's top is the rolled-back price or above
+        self._repool(owner if a_top >= end else a)
+        if tie:
+            self.blocked.setdefault(owner, set()).add(bundles)
 
 
 def run_simple(

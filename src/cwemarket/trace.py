@@ -125,8 +125,7 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     assignment: Dict[str, BundleSet] = {}
     pool: List[str] = []
     allocated: set = set()  # bundles sold at least once; must stay sold
-    rank: Dict[str, int] = {}
-    unranked = 0  # greater than every rank in `rank`
+    rank: Dict[str, int] = {}  # 0, 1, ...: an agent not in it ranks len(rank)
     pending_rank: List[str] = []
     iteration_count = 0
     chain = 0
@@ -192,7 +191,7 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
             if chain > n:
                 raise SolverInvariantError(f"displacement chain exceeded {n} hops")
             for b in holders:
-                if not rank.get(b, unranked) < rank.get(ev.agent, unranked):
+                if not rank.get(b, len(rank)) < rank.get(ev.agent, len(rank)):
                     raise SolverInvariantError(
                         f"{ev.agent!r} displaced {b!r} without moving "
                         f"earlier in the removal order"
@@ -200,13 +199,17 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
         assignment[ev.agent] = ev.bundles
         allocated.update(ev.bundles)
 
+    def fallback(ev: FallbackRecord) -> None:
+        if ev.agent in pending_rank:
+            raise SolverInvariantError(f"second fallback of {ev.agent!r} in one iteration")
+        pending_rank.append(ev.agent)
+
     def iteration_end(ev: IterationEnd) -> None:
-        nonlocal chain, iteration_count, pending_rank, rank, unranked
+        nonlocal chain, iteration_count, pending_rank, rank
         iteration_count += 1
         chain = 0
         if pending_rank:
             rank = {name: k for k, name in enumerate(pending_rank)}
-            unranked = len(pending_rank)
             pending_rank = []
         if poly and iteration_count > n * n:
             raise SolverInvariantError(f"more than {n * n} iterations in trace")
@@ -229,7 +232,7 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     steps = {
         Merge: merge, PriceRaise: price_raise, PoolAdd: pool_add, PoolRemove: pool_remove,
         Reject: reject, Assign: assign, Unassign: unassign, IterationEnd: iteration_end,
-        FallbackRecord: lambda ev: pending_rank.append(ev.agent),
+        FallbackRecord: fallback,
     }
     for ev in trace.events:
         step = steps.get(type(ev))

@@ -223,7 +223,8 @@ def stepwise_contest(solver, bundles: BundleSet, a: str, owner: str) -> None:
     level whether `bundles` is demanded, its utility the max: the
     reference for the top-price contest, which must match it event for
     event and query for query.  Each `demand` call here is one counted
-    demand query.  Swap it in with
+    demand query.  Its steps are recorded as one `PriceRaise`, from the
+    starting price to the last level kept.  Swap it in with
     `patch.object(SimpleSolver, "_contest", stepwise_contest)`.
     """
 
@@ -234,6 +235,7 @@ def stepwise_contest(solver, bundles: BundleSet, a: str, owner: str) -> None:
         return utility(market, agent, bundles, catalog, prices) == best
 
     (bid,) = bundles
+    start = solver.prices[bid]
     a_wants, b_wants = True, wants(owner)
     while a_wants and b_wants:
         old = solver.prices[bid]
@@ -242,12 +244,15 @@ def stepwise_contest(solver, bundles: BundleSet, a: str, owner: str) -> None:
         b_wants = wants(owner)
         if not (a_wants or b_wants):
             solver.prices[bid] = old
-            solver._repool(owner)
-            solver.blocked.setdefault(owner, set()).add(bundles)
-            return
-        solver.trace.add(solver._raised(bid, old, old + solver.epsilon))
+            break
         solver.blocked.clear()
-    solver._repool(owner if a_wants else a)
+    if solver.prices[bid] > start:
+        solver.trace.add(solver._raised(bid, start, solver.prices[bid]))
+    if not (a_wants or b_wants):
+        solver._repool(owner)
+        solver.blocked.setdefault(owner, set()).add(bundles)
+    else:
+        solver._repool(owner if a_wants else a)
 
 
 def sweep_raise_oracle(auction: Auction, report: RaiseReport):

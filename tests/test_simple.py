@@ -11,6 +11,7 @@ from cwemarket import (
     Auction,
     Catalog,
     InputError,
+    ResourceLimitError,
     SimpleSolver,
     SolverDeadlockError,
     brute_force_optimal,
@@ -89,9 +90,9 @@ def test_single_agent_buys_at_seed_price():
 
 
 def test_symmetric_tie_hands_the_bundle_to_the_claimant():
-    # both agents value the item at 1; the price walks up to the exact
-    # common indifference point, then the trial step that would push
-    # both away is rolled back and the claimant takes over
+    # both agents value the item at 1; the price jumps to the exact
+    # common indifference point, the trial step that would push both
+    # away being rolled back, and the claimant takes over
     auction = one_item(1, 1)
     out, trace = run_simple(auction, {"A": frozenset({"1"})}, F(1, 4))
     assert out.assignment == {"B": frozenset({0})}
@@ -101,7 +102,7 @@ def test_symmetric_tie_hands_the_bundle_to_the_claimant():
     # sides after each of its 3 trial steps (the last one is undone)
     assert trace.demand_queries == 10
     raises = [e for e in trace.events if isinstance(e, PriceRaise)]
-    assert [(e.old, e.new) for e in raises] == [(F(1, 2), F(3, 4)), (F(3, 4), F(1))]
+    assert [(e.old, e.new) for e in raises] == [(F(1, 2), F(1))]
     # the incumbent is released, re-pooled, and then leaves empty-handed
     tail = [e for e in trace.events if isinstance(e, (Unassign, PoolAdd, Reject))]
     assert tail[-3:] == [Unassign("A"), PoolAdd("A"), Reject("A")]
@@ -110,22 +111,17 @@ def test_symmetric_tie_hands_the_bundle_to_the_claimant():
 
 def test_asymmetric_conflict_prices_out_the_lower_value():
     # A values the item at 2, B at 1, B seeds it at 1/2; the conflict
-    # walks the price past B's indifference point and A keeps the item
+    # takes the price one step past B's indifference point in one raise
+    # and A keeps the item
     auction = one_item(2, 1)
     out, trace = run_simple(auction, {"B": frozenset({"1"})}, F(1, 8))
     assert out.assignment == {"A": frozenset({0})}
     assert out.prices == {0: F(9, 8)}
     raises = [(e.old, e.new) for e in trace.events if isinstance(e, PriceRaise)]
-    assert raises == [
-        (F(1, 2), F(5, 8)),
-        (F(5, 8), F(3, 4)),
-        (F(3, 4), F(7, 8)),
-        (F(7, 8), F(1)),
-        (F(1), F(9, 8)),
-    ]
+    assert raises == [(F(1, 2), F(9, 8))]
     assert trace.iterations == 3
     # 3 main-loop queries; the contest asks the holder once, then both
-    # sides once per raise: 2 * 5 + 1
+    # sides once per trial step, 5 of them: 2 * 5 + 1
     assert trace.demand_queries == 14
     assert is_cwe(auction, out)
 
@@ -228,6 +224,38 @@ def test_top_price_contest_matches_the_stepwise_contest_on_logn_revenue(n):
         _, _, result = _same_as_stepwise(auction, seed, epsilon)
         if n in (3, 4, 6, 8):
             assert "only blocked demand sets" in result
+
+
+@pytest.mark.parametrize(
+    "values, winner, price",
+    [((2, 1), "A", F(1) + F(1, 2**12)), ((1, 1), "B", F(1))],
+    ids=["winner", "tie"],
+)
+def test_long_contest_matches_the_stepwise_contest(values, winner, price):
+    """B's seed prices the item at 1/2; A takes it and B claims it at
+    epsilon 1/2^12.  The contest runs 2,049 trial steps: past B's top
+    of 1 with A's at 2, or past both tops of 1 at once, when the last
+    step is undone and B keeps the item.  One raise either way."""
+    auction = one_item(*values)
+    events, queries, out = _same_as_stepwise(auction, {"B": frozenset({"1"})}, F(1, 2**12))
+    assert out.assignment == {winner: frozenset({0})}
+    assert out.prices == {0: price}
+    raises = [(e.old, e.new) for e in events if isinstance(e, PriceRaise)]
+    assert raises == [(F(1, 2), price)]
+    # 3 main-loop queries and the contest's 2 * 2049 + 1
+    assert queries == 3 + 2 * 2049 + 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ResourceLimitError,
+    reason="known limit: an agent whose demand sets are all blocked lists "
+    "them by enumerating the catalog's unions, capped at 20 bundles",
+)
+def test_simple_solves_logn_revenue_21():
+    auction, seed = generate("logn_revenue", n=21)
+    outcome, _ = run_simple(auction, seed, auction.granularity() / 2)
+    assert is_cwe(auction, outcome)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -196,6 +196,21 @@ def test_replay_accepts_rank_respecting_steal():
     assert out.assignment == {"B": frozenset({0}), "A": frozenset({1})}
 
 
+def test_replay_rejects_a_second_fallback_in_one_iteration():
+    # a push releases each holder once; a repeat would leave an unranked
+    # agent no longer behind every ranked one
+    auction = tiny(n_agents=3, n_items=3)
+    t = make_trace([
+        Assign("C", frozenset({0})),
+        FallbackRecord("A", frozenset()),
+        FallbackRecord("A", frozenset()),
+        FallbackRecord("B", frozenset()),
+        IterationEnd(1),
+    ])
+    with pytest.raises(SolverInvariantError, match="second fallback of 'A'"):
+        replay(auction, seed_for(auction), t)
+
+
 def test_replay_rejects_overlong_displacement_chain():
     auction = tiny(n_agents=3, n_items=3)
     t = make_trace([
