@@ -12,23 +12,27 @@ scale it to ints first: a positive factor on b or on c changes no
 pivot, as Bland's entering rule reads only the signs of the objective
 row and the ratio test compares ratios of b to A.
 
-Integers throughout.  The dictionary is kept as integer rows over one
-common denominator d (Edmonds/Bareiss pivoting): a pivot on the entry
-P of row b, with p = |P|, sets every other row a, whose entry in the
-pivot column is f, to (p*a - sign(P)*f*b) // d and then d = p.  The
-division is exact because every entry is a minor of the input.  No
-`Fraction` is built before the answer.
+Integers throughout.  The dictionary is kept as integer columns over
+one common denominator d (Edmonds/Bareiss pivoting), the right-hand
+side last: a pivot on the entry P in row r of the pivot column f, with
+p = |P|, sets each other column a, whose entry in row r is b, to
+(p*a_i - sign(P)*f_i*b) // d in every row i != r and to -sign(P)*b in
+row r, and then d = p.  The division is exact because every entry is a
+minor of the input.  When p == d a column with b == 0 is unchanged and
+skipped, so a pivot rewrites only the columns its pivot row touches.
+No `Fraction` is built before the answer.
 
 Bland's rule is used for both entering and leaving variables (the
 ratio test compares by cross-multiplying), so the method terminates
 without cycling.  One dictionary, real objective row included, serves
 both starts.  When b has a negative entry, phase one adds a single
 auxiliary column (1 in each constraint row, 0 in the objective), as in
-the classic textbook construction, appends its own objective row below
-the real one and brings the auxiliary in on the row with the most
-negative right-hand side.  Every phase-one pivot carries the real
-objective as an ordinary row, so phase two starts once the phase-one
-row and the auxiliary column are dropped.
+the classic textbook construction, appends its own objective row (one
+more entry in every column) below the real one and brings the
+auxiliary in on the row with the most negative right-hand side.  Every
+phase-one pivot carries the real objective as an ordinary row, so
+phase two starts once the phase-one row and the auxiliary column are
+dropped.
 
 There are two answers, optimal and infeasible.  Every LP the package
 builds is bounded: each priced bundle is capped by its holder's
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import List, Optional, Sequence
 
 from .errors import InputError, SolverInvariantError
@@ -64,75 +69,83 @@ class LpSolution:
 
 
 class _Tableau:
-    """Slack-form dictionary in integers over one common denominator.
+    """Slack-form dictionary in integers over one common denominator,
+    stored by columns.
 
-    With N nonbasic columns, row i reads
-        d * x_basis[i] = rows[i][N] + sum_j rows[i][j] * x_nonbasis[j]
-    and the rows below the basis rows are objectives,
-        d * z = rows[k][N] + sum_j rows[k][j] * x_nonbasis[j],
+    With N nonbasic columns, cols[N] is the right-hand side, the basis
+    rows come first and row i reads
+        d * x_basis[i] = cols[N][i] + sum_j cols[j][i] * x_nonbasis[j];
+    the rows below the basis rows are objectives,
+        d * z = cols[N][k] + sum_j cols[j][k] * x_nonbasis[j],
     which every pivot carries along; `run` prices from the last one.
     The denominator d stays positive.
     """
 
-    def __init__(self, basis: List[int], nonbasis: List[int], rows: List[List[int]]):
+    def __init__(self, basis: List[int], nonbasis: List[int], cols: List[List[int]]):
         self.basis = basis
         self.nonbasis = nonbasis
-        self.rows = rows
+        self.cols = cols
         self.d = 1
 
     def pivot(self, r: int, s: int) -> None:
-        rows = self.rows
-        prow = rows[r]
-        P = prow[s]
+        cols = self.cols
+        pcol = cols[s]
+        P = pcol[r]
         if P == 0:
             raise SolverInvariantError("pivot on a zero coefficient")
         d = self.d
         p = P if P > 0 else -P
-        for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[s]
-            if f == 0:
-                if p != d:
-                    rows[i] = [p * a // d for a in row]
-                continue
-            g = -f if P > 0 else f
-            new = [(p * a + g * b) // d for a, b in zip(row, prow)]
-            new[s] = -g
-            rows[i] = new
+        # g = -sign(P) * pivot column, except that g[r] turns each
+        # pivot-row entry b into -sign(P) * b
         if P > 0:
-            new = [-b for b in prow]
-            new[s] = d
+            g = [-f for f in pcol]
+            g[r] = -p - d
         else:
-            new = list(prow)
-            new[s] = -d
-        rows[r] = new
+            g = list(pcol)
+            g[r] = d - p
+        for j, col in enumerate(cols):
+            b = col[r]
+            if j == s or (b == 0 and p == d):
+                continue  # (d*a + g*0) // d == a
+            if p != d:
+                cols[j] = [(p * a + f * b) // d for a, f in zip(col, g)]
+            elif d != 1:  # (d*a + g*b) // d == a + g*b // d
+                cols[j] = [a + f * b // d for a, f in zip(col, g)]
+            elif b == 1:
+                cols[j] = list(map(add, col, g))
+            elif b == -1:
+                cols[j] = list(map(sub, col, g))
+            else:
+                cols[j] = [a + f * b for a, f in zip(col, g)]
+        new = [-f for f in g]
+        new[r] = d if P > 0 else -d
+        cols[s] = new
         self.d = p
         self.basis[r], self.nonbasis[s] = self.nonbasis[s], self.basis[r]
 
     def run(self) -> None:
         """Bland steps until the last row prices no column in."""
-        rows = self.rows
+        cols = self.cols
         basis = self.basis
         m = len(basis)
         while True:
-            z = rows[-1]
             col = -1
             best_var = -1
             for j, var in enumerate(self.nonbasis):
-                if z[j] > 0 and (col < 0 or var < best_var):
+                if cols[j][-1] > 0 and (col < 0 or var < best_var):
                     best_var = var
                     col = j
             if col < 0:
                 return
-            # ratio of row i is rows[i][-1] / -rows[i][col]
+            # ratio of row i is last[i] / -pcol[i]
+            pcol, last = cols[col], cols[-1]
             row = -1
             num = den = 0
             for i in range(m):
-                a = rows[i][col]
+                a = pcol[i]
                 if a >= 0:
                     continue
-                rhs = rows[i][-1]
+                rhs = last[i]
                 if row >= 0:
                     lhs, cur = rhs * den, num * -a
                     if lhs > cur or (lhs == cur and basis[i] > basis[row]):
@@ -145,19 +158,18 @@ class _Tableau:
     def slack_duals(self, n: int) -> List[int]:
         """d * y: minus the objective row at the nonbasic slack columns."""
         m = len(self.basis)
-        z = self.rows[-1]
         y = [0] * m
         for j, var in enumerate(self.nonbasis):
             if n <= var < n + m:
-                y[var - n] = -z[j]
+                y[var - n] = -self.cols[j][-1]
         return y
 
     def point(self, n: int) -> List[int]:
         """d * x, the basic solution on the first n variables."""
         x = [0] * n
-        for var, row in zip(self.basis, self.rows):
+        for var, v in zip(self.basis, self.cols[-1]):
             if var < n:
-                x[var] = row[-1]
+                x[var] = v
         return x
 
 
@@ -228,33 +240,32 @@ def solve_lp(
     odd = [v for row in (*A, b, c) for v in row if type(v) is not int]
     if odd:
         raise InputError(f"LP coefficient {odd[0]!r} is not an int")
-    rows = [[-a for a in row] + [bi] for row, bi in zip(A, b)]
-    rows.append([*c, 0])
+    cols = [[-row[j] for row in A] + [cj] for j, cj in enumerate(c)]
+    cols.append([*b, 0])
     # slack variable ids n .. n+m-1, auxiliary id n+m
-    t = _Tableau(list(range(n, n + m)), list(range(n)), rows)
+    t = _Tableau(list(range(n, n + m)), list(range(n)), cols)
     if any(v < 0 for v in b):
         aux = n + m
         t.nonbasis.append(aux)
-        for i, row in enumerate(rows):
-            row.insert(n, 1 if i < m else 0)
-        rows.append([0] * n + [-1, 0])
+        for col in cols:
+            col.append(0)
+        cols.insert(n, [1] * m + [0, -1])
         # special first pivot: bring the auxiliary in on the worst row
-        worst = min(range(m), key=lambda i: (rows[i][-1], t.basis[i]))
+        worst = min(range(m), key=lambda i: (cols[-1][i], t.basis[i]))
         t.pivot(worst, n)
         t.run()
-        if rows[-1][-1] != 0:
+        if cols[-1][-1] != 0:
             _certify_infeasible(A, b, n, t.slack_duals(n))
             return LpSolution(status=INFEASIBLE, x=None, value=None)
         if aux in t.basis:
             r = t.basis.index(aux)
-            cells = rows[r]
             # degenerate: value must be 0; pivot it out on the first
             # usable nonbasis position
-            if cells[-1] != 0:
+            if cols[-1][r] != 0:
                 raise SolverInvariantError(
                     "auxiliary variable left basic at a nonzero value"
                 )
-            s = next((j for j in range(len(t.nonbasis)) if cells[j] != 0), None)
+            s = next((j for j in range(len(t.nonbasis)) if cols[j][r] != 0), None)
             if s is None:
                 raise SolverInvariantError(
                     "no column to pivot the auxiliary variable out on"
@@ -262,14 +273,14 @@ def solve_lp(
             t.pivot(r, s)
         drop = t.nonbasis.index(aux)
         del t.nonbasis[drop]
-        rows.pop()
-        for row in rows:
-            del row[drop]
+        del cols[drop]
+        for col in cols:
+            col.pop()
 
     t.run()
     d = t.d
     x = t.point(n)
-    z = rows[-1][-1]
+    z = cols[-1][-1]
     _certify_optimal(A, b, c, d, x, t.slack_duals(n), z)
     return LpSolution(
         status=OPTIMAL,

@@ -1,3 +1,4 @@
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import pytest
 
-from cwemarket import InputError, SolverInvariantError
+from cwemarket import InputError, SolverInvariantError, generate, verifier
 from cwemarket.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -288,6 +289,26 @@ def lps(draw):
 @example(([F(1, 2), 1], [[1, -1], [-1, 1], [1, 0]], [-1, 1, 2]))
 # mixed ints and Fractions with unrelated denominators
 @example(([F(1, 3), 2], [[F(2, 7), 1], [1, F(-5, 4)]], [F(3, 5), -1]))
+# empty shapes: columns but no rows (optimal at 0, or unbounded), and
+# rows but no columns (infeasible when some b < 0, else optimal)
+@example(([0, 0], [], []))
+@example(([1], [], []))
+@example(([], [[], []], [1, -1]))
+@example(([], [[], []], [0, 2]))
+# the pivot's column updates, with P the pivot entry, p = |P| and b a
+# column's pivot-row entry.  p == d == 1: the first pivot (P = 1) has
+# b = 1, -2 and -1, and the second (P = -1) has b = 2 and 1
+@example(([-1, -1], [[-1, 2], [-1, 0]], [-1, 0]))
+# p == d == 2 after a p != d pivot (P = -2 over d = 1): P = -2 with
+# b = 2, and two columns of b = 0 skipped
+@example(([-1, -1], [[0, -2], [-1, 0]], [-2, 0]))
+# p == d == 2 after the same p != d pivot: P = -2 with b = -1 and 1,
+# then the auxiliary pivoted out on P = 2 with b = 2
+@example(([-2, -1], [[-1, -2], [1, 0]], [-1, 0]))
+# p != d in both directions: P = -2 over d = 1, then the auxiliary
+# pivoted out on P = 1 over d = 2, with b = 1 and a right-hand side of
+# b = 0 in the same pivot
+@example(([1, 2], [[-1, 0], [1, 1]], [-1, 1]))
 def test_matches_the_reference_simplex(lp):
     """The reference on the rational LP and `solve_lp` on it times L
     reach the same answer: the same x, and L times the optimum."""
@@ -300,3 +321,46 @@ def test_matches_the_reference_simplex(lp):
     got = solve_lp(*ints)
     assert (got.status, got.x) == (want.status, want.x)
     assert got.value == (None if want.value is None else L * want.value)
+
+
+@pytest.mark.parametrize(
+    "lp",
+    [
+        ([1, 1], [[1, 0], [0, 1], [1, 1]], [2, 3, 4]),  # optimal from the origin
+        ([2, 3], [[-1, 0], [0, -1], [1, 1]], [-1, -2, 5]),  # optimal after phase one
+        ([1], [[1], [-1]], [-1, -2]),  # infeasible
+    ],
+)
+def test_solve_lp_leaves_its_inputs_unchanged(lp):
+    """The certificates check the answer against c, A and b after the
+    pivots, so the tableau must not share a list with them."""
+    before = deepcopy(lp)
+    solve_lp(*lp)
+    assert lp == before
+
+
+def test_oracle_scale_lps_match_the_reference_simplex(monkeypatch):
+    """The LPs the oracles build on random m = 4 markets: the stability
+    rows of the singleton scan and of the revenue search, up to 60 rows
+    by 4 columns, and the 8 x 60 configuration LP: the sizes the
+    exhaustive oracles solve, where the generated LPs above have at
+    most 5 rows and 4 columns."""
+    seen = []
+
+    def record(c, A, b):
+        seen.append((c, A, b))
+        return solve_lp(c, A, b)
+
+    monkeypatch.setattr(verifier, "solve_lp", record)
+    for seed in range(3):
+        auction, _ = generate("random_explicit", m=4, n=4, seed=seed)
+        list(verifier.stable_singleton_outcomes(auction))
+        verifier.max_cwe_revenue(auction)
+        verifier.config_lp_fractional_opt(auction, verifier.singleton_catalog(auction))
+    assert {(len(A), len(c)) for c, A, _ in seen} >= {(60, 4), (8, 60)}
+    statuses = set()
+    for lp in seen:
+        got = solve_lp(*lp)
+        assert got == reference_solve_lp(*lp)
+        statuses.add(got.status)
+    assert statuses == {OPTIMAL, INFEASIBLE}
