@@ -44,13 +44,8 @@ from .market import (
     utility,
     validate_initial_allocation,
 )
-from .revenue import (
-    LadderLevel,
-    RevenueResult,
-    maximize_revenue,
-    shift_prices,
-)
-from .scalars import common_granularity, format_scalar, parse_scalar
+from .revenue import LadderLevel, RevenueResult, maximize_revenue
+from .scalars import format_scalar, parse_scalar
 from .poly import PolySolver, run_poly
 from .simple import SimpleSolver, run_simple
 from .trace import Trace, replay
@@ -98,7 +93,6 @@ __all__ = [
     "Valuation",
     "XosValuation",
     "brute_force_optimal",
-    "common_granularity",
     "config_lp_fractional_opt",
     "demand",
     "demand_correspondence",
@@ -124,7 +118,6 @@ __all__ = [
     "revenue_of",
     "run_poly",
     "run_simple",
-    "shift_prices",
     "singleton_catalog",
     "social_welfare",
     "stable_singleton_outcomes",

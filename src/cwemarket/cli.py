@@ -80,17 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="'optimal' for the exhaustive welfare optimum, or file:<path>",
     )
-    solve.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="report cwe as null; the solver's own final check still runs",
-    )
     solve.add_argument("--trace-out", default=None, help="write the event log here")
 
     revenue = sub.add_parser("revenue", help="solve, then scan the surcharge ladder")
     revenue.add_argument("--input", required=True, help="instance file")
     revenue.add_argument("--initial", default=None)
-    revenue.add_argument("--no-verify", action="store_true")
     revenue.add_argument("--trace-out", default=None)
 
     verify = sub.add_parser("verify", help="check a reported outcome for stability")
@@ -159,7 +153,7 @@ def _report(
     algorithm: str,
     outcome: Outcome,
     trace: Trace,
-    verified: Optional[bool],
+    verified: bool,
     seed_welfare: Fraction,
     **extra: Any,
 ) -> int:
@@ -176,7 +170,7 @@ def _report(
     if args.trace_out:
         _write(args.trace_out, dumps(trace_to_json(trace)))
     sys.stdout.write(dumps(report))
-    return 4 if verified is False else 0
+    return 0 if verified else 4
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -191,14 +185,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             raise InputError("--epsilon only applies to --alg simple")
         outcome, trace = run_poly(auction, allocation)
     # the solver's final checks passed: stability and half the seed welfare
-    verified = None if args.no_verify else True
     return _report(
         args,
         auction,
         args.alg,
         outcome,
         trace,
-        verified,
+        True,
         allocation_welfare(auction, allocation),
     )
 
@@ -207,10 +200,8 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
     auction, file_alloc = load_instance(args.input)
     allocation = _pick_seed(auction, file_alloc, args.initial)
     result = maximize_revenue(auction, allocation)
-    verified: Optional[bool] = None
-    if not args.no_verify:
-        # level 0 is run_poly's outcome, which its own stability check passed
-        verified = is_cwe(auction, *(level.outcome for level in result.levels[1:]))
+    # level 0 is run_poly's outcome, which its own stability check passed
+    verified = is_cwe(auction, *(level.outcome for level in result.levels[1:]))
     return _report(
         args,
         auction,

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 from typing import List, Optional, Sequence
 
 from .errors import InputError, SolverInvariantError
@@ -203,8 +203,7 @@ def _certify_optimal(
     solution (y A >= c) of the same value, so both are optimal."""
     if any(v < 0 for v in x):
         _fail("primal point has a negative entry")
-    nz = [(j, v) for j, v in enumerate(x) if v]
-    if any(sum(row[j] * v for j, v in nz) > d * bi for row, bi in zip(A, b)):
+    if any(sum(map(mul, row, x)) > d * bi for row, bi in zip(A, b)):
         _fail("primal point violates a row")
     for yA, cj in zip(_dual_products(A, y, len(c)), c):
         if yA < d * cj:

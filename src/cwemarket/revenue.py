@@ -20,53 +20,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-from .errors import InputError, SolverInvariantError
-from .market import (
-    Auction,
-    InitialAllocation,
-    Outcome,
-    allocation_welfare,
-    find_violation,
-)
+from .errors import SolverInvariantError
+from .market import Auction, InitialAllocation, Outcome, allocation_welfare
+# Unused here: bench/tracing.py wraps this name in the revenue module,
+# and its install fails if it is missing.
+from .market import find_violation  # noqa: F401
 from .poly import run_poly
-from .scalars import lattice_int, parse_scalar
+from .scalars import lattice_int
 from .trace import Trace
-
-
-def shift_prices(auction: Auction, outcome: Outcome, sigma: Fraction) -> Outcome:
-    """Raise every bundle price by sigma, dropping agents priced out.
-
-    Requires a stable outcome in which every assigned agent holds at
-    most one bundle; an agent holding two bundles loses 2*sigma across
-    its set, which breaks the argument that keeping stays optimal.
-    Agents keep their bundle on ties (utility exactly zero after the
-    shift).
-    """
-    sigma = parse_scalar(sigma)
-    if sigma < 0:
-        raise InputError("price shift must be nonnegative")
-    for name in auction.agent_names:
-        if len(outcome.assignment.get(name, frozenset())) > 1:
-            raise InputError(
-                f"price shift requires single-bundle assignments; "
-                f"agent {name!r} holds several"
-            )
-    violation = find_violation(auction, outcome)
-    if violation is not None:
-        raise InputError(
-            f"price shift applied to an unstable outcome "
-            f"(agent {violation.agent!r} prefers another set)"
-        )
-    prices = {bid: price + sigma for bid, price in outcome.prices.items()}
-    assignment = {}
-    for name, held in outcome.assignment.items():
-        if not held:
-            continue
-        (bid,) = held
-        value = auction.valuation(name).value(outcome.catalog.items_of(bid))
-        if value >= prices[bid]:
-            assignment[name] = held
-    return Outcome(catalog=outcome.catalog, prices=prices, assignment=assignment)
 
 
 @dataclass(frozen=True)

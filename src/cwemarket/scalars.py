@@ -9,8 +9,7 @@ Scalars serialize as "p/q" strings (or bare integers) in JSON files.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from .errors import InputError
 
@@ -53,20 +52,3 @@ def lattice_int(x: Fraction, scale: int) -> int:
         raise InputError(f"{x} is off the lattice of scale {scale}")
     return x.numerator * (scale // den)
 
-
-def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    # gcd(p1/q1, p2/q2) = gcd(p1, p2) / lcm(q1, q2) for reduced fractions
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
-
-
-def common_granularity(values: Iterable[Fraction]) -> Optional[Fraction]:
-    """Greatest rational g such that every nonzero input is an integer
-    multiple of g.  None when there is no nonzero input.
-    """
-    g: Optional[Fraction] = None
-    for v in values:
-        if v == 0:
-            continue
-        v = abs(v)
-        g = v if g is None else rational_gcd(g, v)
-    return g

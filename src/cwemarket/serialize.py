@@ -202,7 +202,7 @@ def load_solution(auction: Auction, path: str) -> Outcome:
 def outcome_to_json(
     auction: Auction,
     outcome: Outcome,
-    cwe: Optional[bool],
+    cwe: bool,
     iterations: int,
     demand_queries: int,
 ) -> Dict[str, Any]:

@@ -10,7 +10,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from math import gcd, lcm
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from cwemarket import (
     Auction,
@@ -54,6 +55,25 @@ def seed_welfare(auction: Auction, allocation) -> Fraction:
         (auction.valuation(a).value(s) for a, s in allocation.items()),
         Fraction(0),
     )
+
+
+def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
+    # gcd(p1/q1, p2/q2) = gcd(p1, p2) / lcm(q1, q2) for reduced fractions
+    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
+
+
+def common_granularity(values: Iterable[Fraction]) -> Optional[Fraction]:
+    """Greatest rational g such that every nonzero input is an integer
+    multiple of g, by pairwise rational gcds: the reference for
+    `Auction.granularity`.  None when there is no nonzero input.
+    """
+    g: Optional[Fraction] = None
+    for v in values:
+        if v == 0:
+            continue
+        v = abs(v)
+        g = v if g is None else rational_gcd(g, v)
+    return g
 
 
 def raw_utility(

@@ -19,11 +19,9 @@ from cwemarket import (
     replay,
     run_poly,
     run_simple,
-    shift_prices,
     social_welfare,
 )
 from cwemarket.market import allocation_welfare
-from cwemarket.scalars import common_granularity
 from cwemarket.verifier import (
     config_lp_fractional_opt,
     singleton_catalog,
@@ -31,7 +29,13 @@ from cwemarket.verifier import (
     supporting_prices,
 )
 
-from .helpers import check_push_matches_oracle, check_push_maximality, recorded_pushes
+from .helpers import (
+    check_push_matches_oracle,
+    check_push_maximality,
+    common_granularity,
+    recorded_pushes,
+    reference_shift,
+)
 
 F = Fraction
 
@@ -175,7 +179,7 @@ def test_criterion_05_uniform_shift_preserves_stability():
         )
         rng = random.Random(7000 + s)
         sigma = F(rng.randint(0, 128), 64) * maxval
-        shifted = shift_prices(auction, out, sigma)
+        shifted = reference_shift(auction, out, sigma)
         assert is_cwe(auction, shifted), f"seed {s}, sigma {sigma}"
     print("criterion 5 (shifted outcomes stay stable, 100 pairs): PASS")
 

@@ -89,13 +89,6 @@ def test_initial_flag_variants(tmp_path, capsys):
     assert "bad --initial" in err
 
 
-def test_no_verify_leaves_cwe_null(tmp_path, capsys):
-    inst = _emit(tmp_path, capsys, "gap3")
-    code, out, err = _run(capsys, "solve", "--input", inst, "--no-verify")
-    assert code == 0, err
-    assert json.loads(out)["cwe"] is None
-
-
 def test_trace_out_writes_event_log(tmp_path, capsys):
     inst = _emit(tmp_path, capsys, "gap3")
     trace_path = tmp_path / "trace.json"

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from cwemarket import InputError, generate, instance_names
-from cwemarket.scalars import common_granularity
 from cwemarket.serialize import instance_to_json
+
+from .helpers import common_granularity
 
 F = Fraction
 

@@ -213,7 +213,7 @@ def test_outcome_rejects_prices_that_are_not_ints_or_fractions(price):
 
 def test_outcome_rejects_a_price_for_a_bundle_outside_its_catalog():
     """A stray price key is bad input naming the key, not an
-    AttributeError in a later `find_violation` or `shift_prices`."""
+    AttributeError in a later `find_violation`."""
     auction, seed = generate("gap3")
     out, _ = run_poly(auction, seed)
     for stray in (99, "x"):
@@ -261,7 +261,7 @@ def test_welfare_and_revenue_refuse_an_unknown_agent():
     for measure in (
         social_welfare,
         revenue_of,
-        lambda auction, outcome: outcome_to_json(auction, outcome, None, 0, 0),
+        lambda auction, outcome: outcome_to_json(auction, outcome, True, 0, 0),
     ):
         with pytest.raises(InputError, match="assignment names unknown agent 'zz'"):
             measure(auction, stray)

@@ -1,6 +1,7 @@
 """Package-level checks: the command-line entry points, the rule that
 library checks raise errors instead of using `assert`, which `python -O`
-strips, and the names the benchmark's tracer wraps."""
+strips, the names the benchmark's tracer wraps, and that every
+definition has a caller."""
 import ast
 import importlib
 import importlib.util
@@ -123,6 +124,7 @@ def test_every_tracer_shim_is_wrapped_by_the_tracer():
     assert sorted(shims) == [
         ("poly", "demand_correspondence"),
         ("poly", "is_cwe"),
+        ("revenue", "find_violation"),
         ("simple", "is_cwe"),
         ("simple", "merge_bundles"),
         ("verifier", "set_partitions"),
@@ -173,19 +175,48 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
+def _names_in(path, strings=False):
+    """Every identifier `path` names, and with `strings` its string
+    constants too (the tracer wraps functions by name)."""
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.add(node.value)
+    return named
+
+
 def test_every_private_definition_is_used():
     """Every single-underscore function, class or method defined in the
     package is named somewhere in it besides its definition, so that a
     helper left behind by a consolidation shows up."""
-    defined, named = {}, set()
+    defined = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name.startswith("_") and not node.name.startswith("__"):
                     defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+    named = set().union(*(_names_in(path) for path in PACKAGE.glob("*.py")))
     unused = sorted(where for name, where in defined.items() if name not in named)
     assert not unused, f"private definitions never named: {unused}"
+
+
+def test_every_public_definition_has_a_caller():
+    """Every public module-level function or class in the package is
+    named somewhere in it besides its definition, or in `bench/*.py`,
+    so that code only the tests run shows up.  `__init__.py` exports
+    do not count: they are imports and `__all__` strings, not uses."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    named = set().union(*(_names_in(path) for path in paths))
+    named |= set().union(*(_names_in(p, strings=True) for p in (ROOT / "bench").glob("*.py")))
+    uncalled = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in paths
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in named
+    ]
+    assert not uncalled, f"public definitions only the tests call: {uncalled}"

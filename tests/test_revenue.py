@@ -15,8 +15,6 @@ from cwemarket import (
     maximize_revenue,
     revenue_of,
     run_poly,
-    shift_prices,
-    social_welfare,
 )
 
 from .helpers import reference_ladder, seed_instance
@@ -47,56 +45,17 @@ def test_revenue_of_sums_assigned_prices():
     assert revenue_of(auction, empty) == F(0)
 
 
-def test_shift_keeps_on_exact_tie():
-    auction, out = _stable_single()
-    kept = shift_prices(auction, out, F(3))
-    assert kept.prices == {0: F(4)}
-    assert kept.assignment == {"A": frozenset({0})}
-    dropped = shift_prices(auction, out, F(7, 2))
-    assert dropped.assignment == {}
-    # an agent listed with no bundles drops out of the assignment
-    unsold = Outcome(catalog=out.catalog, prices={0: F(5)}, assignment={"A": frozenset()})
-    assert shift_prices(auction, unsold, F(1)).assignment == {}
-
-
-def test_shift_rejects_negative_sigma():
-    auction, out = _stable_single()
-    with pytest.raises(InputError):
-        shift_prices(auction, out, F(-1, 2))
-
-
-def test_shift_rejects_multi_bundle_holder():
-    items = frozenset({"x", "y"})
-    auction = Auction(
-        items=items,
-        agents=(Agent("A", AdditiveValuation(items, {"x": F(4), "y": F(4)})),),
-    )
-    catalog = Catalog(entries=((0, frozenset({"x"})), (1, frozenset({"y"}))))
-    out = Outcome(
-        catalog=catalog,
-        prices={0: F(1), 1: F(1)},
-        assignment={"A": frozenset({0, 1})},
-    )
-    with pytest.raises(InputError, match="holds several"):
-        shift_prices(auction, out, F(1))
-
-
-def test_shift_refuses_unstable_input():
-    auction, out = _stable_single()
-    bad = Outcome(
-        catalog=out.catalog,
-        prices={0: F(10)},
-        assignment={"A": frozenset({0})},
-    )
-    with pytest.raises(InputError, match="unstable"):
-        shift_prices(auction, bad, F(1))
-
-
-def test_shift_refuses_an_unknown_agent():
-    auction, out = _stable_single()
-    stray = Outcome(catalog=out.catalog, prices=out.prices, assignment={"zz": frozenset({0})})
-    with pytest.raises(InputError, match="assignment names unknown agent 'zz'"):
-        shift_prices(auction, stray, F(1))
+def test_ladder_keeps_a_holder_on_an_exact_tie():
+    """At level 1 of logn_revenue n = 2, a1's value is exactly its base
+    price plus the surcharge: zero utility keeps the bundle."""
+    auction, seed = generate("logn_revenue", n=2)
+    result = maximize_revenue(auction, seed)
+    level = result.levels[1]
+    (bid,) = result.base.assignment["a1"]
+    value = auction.valuation("a1").value(result.base.catalog.items_of(bid))
+    assert value == result.base.prices[bid] + level.sigma
+    assert "a1" in level.survivors
+    assert level.outcome.assignment["a1"] == frozenset({bid})
 
 
 def test_ladder_frozen_values():

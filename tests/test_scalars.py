@@ -6,24 +6,17 @@ from cwemarket import (
     AdditiveValuation,
     Agent,
     Auction,
-    Catalog,
     ExplicitValuation,
     InputError,
-    Outcome,
     SingleMindedValuation,
     UnitDemandValuation,
     XosValuation,
     generate,
     run_simple,
-    shift_prices,
 )
-from cwemarket.scalars import (
-    common_granularity,
-    format_scalar,
-    lattice_int,
-    parse_scalar,
-    rational_gcd,
-)
+from cwemarket.scalars import format_scalar, lattice_int, parse_scalar
+
+from .helpers import common_granularity, rational_gcd
 
 F = Fraction
 
@@ -91,12 +84,6 @@ def _held_x():
     return auction, {"a": X}
 
 
-def _shifted(sigma):
-    auction, _ = _held_x()
-    outcome = Outcome(Catalog(entries=((0, X),)), {0: F(1)}, {"a": frozenset({0})})
-    return shift_prices(auction, outcome, sigma)
-
-
 ENTRY_POINTS = {
     "explicit": lambda v: ExplicitValuation(X, {frozenset(): F(0), X: v}),
     "from_entries": lambda v: ExplicitValuation.from_entries(X, {X: v}),
@@ -108,7 +95,6 @@ ENTRY_POINTS = {
     "item_pricing_um_sm": lambda v: generate("item_pricing_um_sm", m=2, epsilon=v),
     "item_pricing_xos": lambda v: generate("item_pricing_xos", m=2, delta=v),
     "run_simple": lambda v: run_simple(*_held_x(), v),
-    "shift_prices": _shifted,
 }
 
 

@@ -200,7 +200,7 @@ def test_outcome_withheld_consistency():
 def test_outcome_parsing_validates_identity():
     auction, seed = generate("gap3")
     out, trace = run_poly(auction, seed)
-    obj = outcome_to_json(auction, out, cwe=None, iterations=0, demand_queries=0)
+    obj = outcome_to_json(auction, out, cwe=True, iterations=0, demand_queries=0)
     alien = dict(obj)
     alien["assignment"] = {"zz": [0]}
     with pytest.raises(InputError, match="unknown agent"):

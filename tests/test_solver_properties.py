@@ -28,10 +28,9 @@ from cwemarket import (
     social_welfare,
 )
 from cwemarket.errors import SolverDeadlockError
-from cwemarket.scalars import common_granularity
 from cwemarket.trace import PriceRaise
 
-from .helpers import brute_stability_violation, seed_welfare, table_of
+from .helpers import brute_stability_violation, common_granularity, seed_welfare, table_of
 
 F = Fraction
 
