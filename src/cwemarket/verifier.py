@@ -17,7 +17,7 @@ welfare and groups the maps by int welfare level, and a level's
 candidates are built and sorted only when a search, going down from
 the highest level, reaches it.
 
-Two exact screens skip stability LPs whose answer is known.  Every
+Three exact screens skip LP work whose answer is known.  Every
 LP passes through `_stable_prices`, which first asks the brute-force
 DP for a reallocation of the held bundles with more welfare than the
 holding; by the first welfare theorem over sold bundles no prices then
@@ -25,6 +25,14 @@ make the holding stable, and the DP's witness is re-checked in ints.
 `max_cwe_revenue` also skips a candidate whose revenue bound
 (`_revenue_bound`, stability against every bundle set with IR capping
 its price) cannot beat the best revenue found.
+`config_lp_fractional_opt` builds the column of (agent i, bundle set
+S) only when v_i(S) > v_i(S - j) for every bundle j in S, which leaves
+the optimum as it is.  Primal: the weight on a dropped S moves to an
+S - j worth at least as much, which uses no more of any bundle row,
+and again until it reaches a kept set or nothing.  Dual: with p >= 0,
+u_i + p(S) >= u_i + p(S - j) >= v_i(S - j) >= v_i(S), by induction on
+the size of S, so the smaller LP's optimal dual is feasible for every
+dropped column too.
 """
 from __future__ import annotations
 
@@ -151,17 +159,25 @@ def config_lp_fractional_opt(auction: Auction, catalog: Catalog) -> Fraction:
     """Optimum of the fractional relaxation over the given catalog.
 
     One variable per (agent, nonempty bundle-subset) pair, unit row per
-    agent and per bundle; maximizes total fractional value.
+    agent and per bundle; maximizes total fractional value.  A pair
+    (i, S) gets its variable only if v_i(S) > v_i(S - j) for every
+    bundle j in S (the third screen of the module docstring).
     """
     k = len(catalog.entries)
     n = len(auction.agents)
     _cap(k, LP_MAX_BUNDLES, "bundle count")
     _cap(n, LP_MAX_AGENTS, "agent count")
     tables, den = _tables(auction, [items for _, items in catalog.entries])
-    masks = range(1, 1 << k)
-    c = [table[mask] for table in tables for mask in masks]
-    rows = [[1 if ci == i else 0 for ci in range(n) for _ in masks] for i in range(n)]
-    rows += [[mask >> j & 1 for _ in range(n) for mask in masks] for j in range(k)]
+    bits = [1 << j for j in range(k)]
+    cols = [
+        (i, mask)
+        for i, table in enumerate(tables)
+        for mask in range(1, 1 << k)
+        if all(table[mask ^ bit] < table[mask] for bit in bits if mask & bit)
+    ]
+    c = [tables[i][mask] for i, mask in cols]
+    rows = [[1 if ci == i else 0 for ci, _ in cols] for i in range(n)]
+    rows += [[mask >> j & 1 for _, mask in cols] for j in range(k)]
     sol = solve_lp(c, rows, [1] * (n + k))
     _require_optimal(sol, "configuration")
     return sol.value / den

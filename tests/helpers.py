@@ -812,7 +812,9 @@ def reference_revenue_maximizing_prices(auction: Auction, catalog: Catalog, assi
     return sol.value, {bid: sol.x[j] for j, (bid, _) in enumerate(catalog.entries)}
 
 
-def reference_config_lp(auction: Auction, catalog: Catalog) -> Fraction:
+def reference_config_lp_rows(auction: Auction, catalog: Catalog):
+    """(c, A, b) of the configuration LP with every (agent, nonempty
+    bundle set) column, c in `Fraction`."""
     k = len(catalog.entries)
     n = len(auction.agents)
     unions = subset_unions([items for _, items in catalog.entries])
@@ -820,7 +822,11 @@ def reference_config_lp(auction: Auction, catalog: Catalog) -> Fraction:
     c = [auction.agents[i].valuation.value(unions[mask]) for i, mask in cols]
     rows = [[1 if ci == i else 0 for ci, _ in cols] for i in range(n)]
     rows += [[mask >> j & 1 for _, mask in cols] for j in range(k)]
-    return reference_solve_lp(c, rows, [1] * (n + k)).value
+    return c, rows, [1] * (n + k)
+
+
+def reference_config_lp(auction: Auction, catalog: Catalog) -> Fraction:
+    return reference_solve_lp(*reference_config_lp_rows(auction, catalog)).value
 
 
 def reference_stable_singleton_outcomes(auction: Auction) -> list:

@@ -16,7 +16,7 @@ from cwemarket.lp import (
     _certify_optimal,
     solve_lp,
 )
-from .helpers import UNBOUNDED, reference_solve_lp
+from .helpers import UNBOUNDED, reference_config_lp_rows, reference_solve_lp
 
 F = Fraction
 
@@ -342,9 +342,11 @@ def test_solve_lp_leaves_its_inputs_unchanged(lp):
 def test_oracle_scale_lps_match_the_reference_simplex(monkeypatch):
     """The LPs the oracles build on random m = 4 markets: the stability
     rows of the singleton scan and of the revenue search, up to 60 rows
-    by 4 columns, and the 8 x 60 configuration LP: the sizes the
+    by 4 columns, and the configuration LPs, plus each market's
+    configuration LP with every column, 8 rows by 60: the sizes the
     exhaustive oracles solve, where the generated LPs above have at
-    most 5 rows and 4 columns."""
+    most 5 rows and 4 columns.  The oracle's own configuration LPs are
+    narrower, as it drops the columns a smaller set matches."""
     seen = []
 
     def record(c, A, b):
@@ -354,9 +356,16 @@ def test_oracle_scale_lps_match_the_reference_simplex(monkeypatch):
     monkeypatch.setattr(verifier, "solve_lp", record)
     for seed in range(3):
         auction, _ = generate("random_explicit", m=4, n=4, seed=seed)
+        catalog = verifier.singleton_catalog(auction)
         list(verifier.stable_singleton_outcomes(auction))
         verifier.max_cwe_revenue(auction)
-        verifier.config_lp_fractional_opt(auction, verifier.singleton_catalog(auction))
+        before = len(seen)
+        verifier.config_lp_fractional_opt(auction, catalog)
+        (config,) = seen[before:]
+        _, full = on_ints(*reference_config_lp_rows(auction, catalog))
+        assert len(full[1]) == len(config[1]) == 8
+        assert len(config[0]) < len(full[0]) == 60
+        seen.append(full)
     assert {(len(A), len(c)) for c, A, _ in seen} >= {(60, 4), (8, 60)}
     statuses = set()
     for lp in seen:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,9 @@ from cwemarket import (
     Catalog,
     InputError,
     ResourceLimitError,
+    SingleMindedValuation,
     SolverInvariantError,
+    UnitDemandValuation,
     Valuation,
     brute_force_optimal,
     generate,
@@ -306,3 +309,99 @@ def test_tables_refuse_values_off_the_lattice():
         verifier._tables(auction)
     with pytest.raises(InputError, match="off the lattice"):
         brute_force_optimal(auction)
+
+
+def _config_columns(monkeypatch, auction, catalog):
+    """The configuration LP's optimum and its columns: for each agent,
+    the set of item sets it has a column for."""
+    seen = []
+    solve_lp = verifier.solve_lp
+    monkeypatch.setattr(verifier, "solve_lp", lambda *lp: seen.append(lp) or solve_lp(*lp))
+    value = config_lp_fractional_opt(auction, catalog)
+    (c, A, _), = seen
+    n = len(auction.agents)
+    columns = {name: set() for name in auction.agent_names}
+    for col in range(len(c)):
+        (name,) = [name for i, name in enumerate(auction.agent_names) if A[i][col]]
+        columns[name].add(frozenset().union(
+            *(items for j, (_, items) in enumerate(catalog.entries) if A[n + j][col])
+        ))
+    return value, columns
+
+
+def _bundled(auction):
+    """The items in consecutive pairs, the last one alone when m is odd."""
+    items = auction.items
+    return Catalog(entries=tuple(
+        (k, frozenset(items[j:j + 2])) for k, j in enumerate(range(0, len(items), 2))
+    ))
+
+
+@pytest.mark.parametrize("family, params", [
+    *(("item_pricing_um_sm", {"m": m}) for m in range(2, 7)),
+    *(("item_pricing_xos", {"m": m, "delta": F(1, 4 * (m - 1))}) for m in range(2, 7)),
+    *(("logn_revenue", {"n": n}) for n in range(2, 7)),
+    ("gap3", {}),
+])
+def test_screened_config_lp_keeps_the_optimum(family, params):
+    """The columns a one-bundle-smaller set matches go, and the optimum
+    is that of every column in `Fraction`, on singleton and paired
+    catalogs."""
+    auction, _ = generate(family, **params)
+    for catalog in (singleton_catalog(auction), _bundled(auction)):
+        assert config_lp_fractional_opt(auction, catalog) == helpers.reference_config_lp(
+            auction, catalog
+        )
+
+
+def test_screen_keeps_the_closed_form_columns_of_each_class(monkeypatch):
+    """Unit demand keeps its positive-weight singletons, single-minded
+    its desired set, additive every set of positive-weight items, and an
+    agent that values nothing no column."""
+    items = ("w", "x", "y", "z")
+    universe = frozenset(items)
+    weights = {"w": F(3), "x": F(0), "y": F(1), "z": F(2)}
+    auction = Auction(items=items, agents=(
+        Agent("unit", UnitDemandValuation(universe, weights)),
+        Agent("single", SingleMindedValuation(universe, {"x", "y"}, F(4))),
+        Agent("additive", AdditiveValuation(universe, weights)),
+        Agent("zero", AdditiveValuation(universe, dict.fromkeys(items, F(0)))),
+    ))
+    catalog = singleton_catalog(auction)
+    value, columns = _config_columns(monkeypatch, auction, catalog)
+    positive = [it for it in items if weights[it]]
+    assert columns == {
+        "unit": {frozenset({it}) for it in positive},
+        "single": {frozenset({"x", "y"})},
+        "additive": {
+            frozenset(s) for r in range(1, 4) for s in itertools.combinations(positive, r)
+        },
+        "zero": set(),
+    }
+    # {x, y} to single, w to unit, z to additive
+    assert value == helpers.reference_config_lp(auction, catalog) == F(9)
+
+
+def test_market_valuing_nothing_has_no_config_column(monkeypatch):
+    items = ("x", "y")
+    zero = dict.fromkeys(items, F(0))
+    auction = Auction(items=items, agents=tuple(
+        Agent(name, AdditiveValuation(frozenset(items), zero)) for name in ("A", "B")
+    ))
+    value, columns = _config_columns(monkeypatch, auction, singleton_catalog(auction))
+    assert value == 0
+    assert columns == {"A": set(), "B": set()}
+
+
+def test_config_lp_reads_each_subset_value_once(monkeypatch):
+    """The screen reads the tables the LP reads: one `bundle_values`
+    per agent, at most n * 2^k entries."""
+    for seed in range(3):
+        auction, _ = generate("random_explicit", m=4, n=3, seed=seed)
+        for catalog in (singleton_catalog(auction), _bundled(auction)):
+            ref = helpers.reference_config_lp(auction, catalog)
+            with monkeypatch.context() as patch:
+                reads = helpers.count_table_reads(patch)
+                assert config_lp_fractional_opt(auction, catalog) == ref
+            k = len(catalog.entries)
+            assert 0 < sum(reads) <= len(auction.agents) * 2 ** k
