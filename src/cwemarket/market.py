@@ -18,7 +18,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import (
-    Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Callable, Collection, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 from .errors import InputError, ResourceLimitError
@@ -304,34 +305,25 @@ def demand_correspondence(
     return best, sorted(maximizers, key=lambda s: (len(s), sorted(s)))
 
 
-def tie_break_key(
-    bundle_set: BundleSet, held_elsewhere: Mapping[BundleId, int]
-) -> Tuple[int, int, List[BundleId]]:
-    """Deterministic preference order among equally good demand sets:
-    fewest bundles currently held by other agents (`held_elsewhere`
-    counts the other holders of each bundle), then fewest bundles, then
-    lexicographically smallest sorted id tuple.  A set ranks before each
-    of its strict supersets.
-    """
-    overlap = sum(held_elsewhere.get(bid, 0) for bid in bundle_set)
-    return overlap, len(bundle_set), sorted(bundle_set)
+def tie_key(
+    agent: Optional[str], holdings: Optional[Mapping[str, BundleSet]]
+) -> Callable[[BundleSet], Tuple[int, int, List[BundleId]]]:
+    """The one order among equally good demand sets: fewest bundles held
+    by agents in `holdings` other than `agent` (None: by any of them),
+    then fewest bundles, then the smallest sorted ids.  A set ranks
+    before each of its strict supersets.  The holdings are counted when
+    the key is first called, so a query without a tie counts nothing."""
+    held: Optional[Counter] = None
 
+    def key(bundle_set: BundleSet) -> Tuple[int, int, List[BundleId]]:
+        nonlocal held
+        if held is None:
+            held = Counter(
+                bid for name, bids in (holdings or {}).items() if name != agent for bid in bids
+            )
+        return sum(held.get(bid, 0) for bid in bundle_set), len(bundle_set), sorted(bundle_set)
 
-def select_demanded(
-    candidates: Sequence[BundleSet],
-    agent: str,
-    others: Optional[Mapping[str, BundleSet]],
-) -> BundleSet:
-    """The candidate with the smallest `tie_break_key` against the
-    holdings of every agent in `others` but `agent`."""
-    if not candidates:
-        raise InputError("no demand candidates to select from")
-    if len(candidates) == 1:
-        return candidates[0]
-    held = Counter(
-        bid for name, bids in (others or {}).items() if name != agent for bid in bids
-    )
-    return min(candidates, key=lambda s: tie_break_key(s, held))
+    return key
 
 
 def demand(
@@ -343,19 +335,20 @@ def demand(
     others: Optional[Mapping[str, BundleSet]] = None,
 ) -> Tuple[Fraction, BundleSet]:
     """The max utility over the available catalog and the demanded set
-    with the smallest `tie_break_key` against `others`.
+    that `tie_key(agent, others)` ranks first.
 
     Structured valuations answer from per-bundle margins
-    (`Valuation.demand_candidates`); explicit tables enumerate all 2^k
+    (`Valuation.demand_answer`); explicit tables enumerate all 2^k
     subsets through `demand_correspondence`, which caps the catalog at
     DEMAND_BUNDLE_CAP bundles.  Prices, ints or `Fraction`s, go unchecked.
     """
+    key = tie_key(agent, others)
     offers = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    found = auction.valuation(agent).demand_candidates(offers, prices)
+    found = auction.valuation(agent).demand_answer(offers, prices, key)
     if found is None:
-        found = demand_correspondence(auction, agent, catalog, prices, excluded)
-    best, candidates = found
-    return best, select_demanded(candidates, agent, others)
+        best, tied = demand_correspondence(auction, agent, catalog, prices, excluded)
+        found = best, min(tied, key=key) if len(tied) > 1 else tied[0]
+    return found
 
 
 def top_price(
@@ -375,8 +368,8 @@ def top_price(
     it never is at a higher price.  Items are checked as by `demand`.
     """
     catalog.items_of(bid)  # an id outside the catalog raises InputError
-    valuation = auction.valuation(agent)
-    found = valuation.demand_candidates(catalog.entries, prices)
+    valuation, key = auction.valuation(agent), tie_key(agent, None)
+    found = valuation.demand_answer(catalog.entries, prices, key)
     if found is None:
         ids, utils = _utilities(auction, agent, catalog, prices)
         bit = 1 << ids.index(bid)
@@ -389,7 +382,7 @@ def top_price(
     if own < found[0]:
         return None
     others = [(b, items) for b, items in catalog.entries if b != bid]
-    return prices[bid] + own - valuation.demand_candidates(others, prices)[0]
+    return prices[bid] + own - valuation.demand_answer(others, prices, key)[0]
 
 
 @dataclass(frozen=True)

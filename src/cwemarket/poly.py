@@ -26,9 +26,7 @@ Both run on an integer price lattice (README, "Solvers").
 """
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import partial
 from typing import Dict, List, Tuple
 
 from .errors import SolverInvariantError
@@ -42,7 +40,7 @@ from .market import (
     induced_value,
     lattice_violation,
     merge_bundles,
-    tie_break_key,
+    tie_key,
     validate_initial_allocation,
 )
 # Unused here: bench/tracing.py wraps these names in every solver
@@ -236,12 +234,12 @@ class PolySolver(AscendingAuction):
         }
         folds, offers = {}, []
         if any(self.market.valuation(i)._fold for i in members):
-            # a holder's own bundle is never on offer to it, so one count
-            # of every holding ranks its ties as `select_demanded` does
-            holdings = Counter(bid for bids in self.assignment.values() for bid in bids)
-            key = partial(tie_break_key, held_elsewhere=holdings)
+            # a holder's own bundle is never on offer to it, so counting
+            # every holding ranks its ties as `demand` does
+            key = tie_key(None, self.assignment)
             folds = {i: self.market.valuation(i).demand_fold(key) for i in members}
-            offers = [(bid, s) for bid, s in self.catalog.entries if bid not in holdings]
+            held = frozenset().union(*self.assignment.values())
+            offers = [(bid, s) for bid, s in self.catalog.entries if bid not in held]
         active: List[str] = list(members)
         self.rank = {}
         while active:
@@ -256,7 +254,7 @@ class PolySolver(AscendingAuction):
                 else:
                     fold.extend(offers, self.prices)
                     self.trace.demand_queries += 1
-                    best, (switches[i],) = fold.answer()
+                    best, switches[i] = fold.answer()
                 margin = own_value[i] - self.prices[bid] - best
                 if margin < 0:
                     raise SolverInvariantError(

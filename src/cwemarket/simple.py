@@ -17,14 +17,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Set, Tuple
 
-from .errors import InputError, SolverDeadlockError
+from .errors import InputError, SolverDeadlockError, SolverInvariantError
 from .market import (
     Auction,
     BundleSet,
     InitialAllocation,
     Outcome,
     demand_correspondence,
-    select_demanded,
+    tie_key,
     top_price,
 )
 
@@ -89,7 +89,7 @@ class SimpleSolver(AscendingAuction):
                     f"agent {a!r} has only blocked demand sets; every "
                     f"conflict at the current prices is an exact tie"
                 )
-            chosen = select_demanded(usable, a, self.assignment)
+            chosen = min(usable, key=tie_key(a, self.assignment))
         super()._take(a, chosen)
         if len(chosen) > 1:
             self.blocked.clear()  # the catalog moved
@@ -99,8 +99,12 @@ class SimpleSolver(AscendingAuction):
         quits, in one jump.
 
         Only that price moves, so `market.top_price` gives the highest
-        price at which each side still demands the bundle; a holder that
-        does not demand it now quits before the first step.  The trial
+        price at which each side still demands the bundle.  The holder
+        always demands it at the start: an incumbent demands its
+        singleton when it takes it, a contest leaves its winner at or
+        below its top price, other prices only rise, and a merge only
+        removes options; so its top price is None only on a broken
+        state, which raises SolverInvariantError.  The trial
         steps pass the lower top after s = (lower top - start) // epsilon
         + 1 of them, and the price moves there in one `PriceRaise`.
         `demand_queries` counts the logical queries, one per side and
@@ -123,7 +127,7 @@ class SimpleSolver(AscendingAuction):
             top_price(self.market, x, self.catalog, self.prices, bid) for x in (owner, a)
         )
         if b_top is None:
-            b_top = start - step
+            raise SolverInvariantError(f"holder {owner!r} no longer demands bundle {bid}")
         steps = (min(a_top, b_top) - start) // step + 1
         self.trace.demand_queries += 2 * steps + 1
         tie = start + steps * step > max(a_top, b_top)

@@ -113,11 +113,12 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     """Rebuild the final outcome from a trace, checking invariants.
 
     The removal-order checks run when the trace contains FallbackRecord
-    events.  Raises SolverInvariantError on any violation, and
-    InputError on an object that is no trace event.
+    events.  Raises SolverInvariantError on any violation (an event on
+    an unknown bundle or naming an agent outside the auction among
+    them), and InputError on an object that is no trace event.
     """
     poly = FallbackRecord in map(type, trace.events)
-    n = len(auction.agents)
+    n, names = len(auction.agents), frozenset(auction.agent_names)
 
     catalog, start_prices = initial_market(auction, allocation)
     table: Dict[BundleId, FrozenSet[str]] = dict(catalog.entries)
@@ -238,6 +239,8 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
         step = steps.get(type(ev))
         if step is None:
             raise InputError(f"unknown trace event {ev!r}")
+        if hasattr(ev, "agent") and ev.agent not in names:
+            raise SolverInvariantError(f"event names {ev.agent!r}, an agent outside the auction")
         step(ev)
 
     return Outcome(

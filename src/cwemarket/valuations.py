@@ -14,9 +14,10 @@ explicit finite item universe.  Supported classes:
 found (None when the valuation is well formed).  `bundle_values()`
 tabulates the value of every union of a few disjoint bundles, one read
 per union (on an explicit table, one list entry per union mask).
-`demand_candidates()` answers a demand query over priced disjoint
-bundles from per-bundle margins, folding in a batch of bundles at a
-time (`demand_fold`); explicit tables have no such rule.  `scaled(D)` is
+`demand_answer()` answers a demand query over priced disjoint bundles
+from per-bundle margins, folding in a batch of bundles at a time
+(`demand_fold`): the max utility and the maximizer a tie key ranks
+first; explicit tables have no such rule.  `scaled(D)` is
 the copy with int parameters that the solvers' lattice uses (README,
 "Solvers"), so its values are ints where all others are `Fraction`s.
 """
@@ -29,8 +30,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import lcm
 from typing import (
-    Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Sequence,
-    Tuple,
+    Callable, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 from .errors import InputError
@@ -39,10 +40,10 @@ from .scalars import lattice_int, parse_scalar
 Item = str
 ItemSet = FrozenSet[str]
 # (id, items) of one priced bundle, and the answer to a demand query over
-# such offers: the maximum utility and sets of offer ids (see
-# Valuation.demand_candidates)
+# such offers: the maximum utility and one set of offer ids (see
+# Valuation.demand_answer)
 Offer = Tuple[Hashable, ItemSet]
-DemandAnswer = Tuple[Fraction, List[FrozenSet[Hashable]]]
+DemandAnswer = Tuple[Fraction, FrozenSet[Hashable]]
 
 EXPLICIT_ITEM_CAP = 12
 
@@ -135,8 +136,8 @@ class Valuation:
         self._check_bundles(sets)
         return [self._value(u) for u in subset_unions(sets)]
 
-    def demand_candidates(
-        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction]
+    def demand_answer(
+        self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction], key: Callable
     ) -> Optional[DemandAnswer]:
         """Demand over the unions of disjoint priced bundles, from margins.
 
@@ -144,23 +145,20 @@ class Valuation:
         each, an int or a `Fraction`.  A set of offers has utility equal
         to the value of its pooled items minus its summed prices; the
         empty set (utility 0) always competes.  Returns (max utility,
-        candidates), where every candidate is a set of ids with the max
-        utility and every set with the max utility contains a candidate.
-        So an order that ranks each set before its strict supersets
-        (such as `market.tie_break_key`) ranks first, among all
-        maximizers, a candidate.  With a max of 0 the only candidate is
-        the empty set.
+        the set with the max utility that `key` ranks first), for a `key`
+        that ranks each set before its strict supersets (such as
+        `market.tie_key`).  With a max of 0 that set is empty.
 
         This runs the class's `demand_fold` over the offers; a class with
         none returns None, and the caller enumerates `bundle_values`.
         """
-        fold = self.demand_fold()
+        fold = self.demand_fold(key)
         if fold is None:
             return None
         fold.extend(offers, prices)
         return fold.answer()
 
-    def demand_fold(self, key=None) -> Optional["DemandFold"]:
+    def demand_fold(self, key: Callable) -> Optional["DemandFold"]:
         """A demand query that takes offers in batches; None if it has none."""
         return None if self._fold is None else self._fold(self, key)
 
@@ -193,11 +191,13 @@ def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect
 
 
 class DemandFold:
-    """`demand_candidates` fed offers in batches (`extend`, through a
-    subclass's `_extend`) and read at any point (`answer`).  Given a `key` that
-    ranks sets before their strict supersets, it keeps the maximizer ranked first."""
+    """`demand_answer` fed offers in batches (`extend`, through a
+    subclass's `_extend`) and read at any point (`answer`).  Each class's
+    rule finds maximizers that every maximizer contains, so the one its
+    `key` ranks first is the first of all maximizers; it calls `key` only
+    to break a tie between two of them."""
 
-    def __init__(self, valuation: Valuation, key=None):
+    def __init__(self, valuation: Valuation, key: Callable):
         self.valuation, self.key = valuation, key
 
     def extend(self, offers: Sequence[Offer], prices: Mapping) -> None:
@@ -210,9 +210,9 @@ class _BestBundle(DemandFold):
     """Unit demand: a set is worth its best bundle but pays for all of
     them, so that bundle alone does at least as well as the set."""
 
-    def __init__(self, valuation: Valuation, key=None):
+    def __init__(self, valuation: Valuation, key: Callable):
         super().__init__(valuation, key)
-        self.best, self.sets = valuation.zero, [frozenset()]
+        self.best, self.set = valuation.zero, frozenset()
         self.rank = None  # key of the kept tie, once a later tie asks for it
 
     def _extend(self, offers, prices):
@@ -220,20 +220,17 @@ class _BestBundle(DemandFold):
         for bid, items in offers:
             score = value(items) - prices[bid]
             if score > self.best:
-                self.best, self.sets, self.rank = score, [frozenset({bid})], None
+                self.best, self.set, self.rank = score, frozenset({bid}), None
             elif score == self.best and score > 0:
                 ids = frozenset({bid})
-                if key is None:
-                    self.sets.append(ids)
-                    continue
                 if self.rank is None:
-                    self.rank = key(self.sets[0])
+                    self.rank = key(self.set)
                 rank = key(ids)
                 if rank < self.rank:
-                    self.sets, self.rank = [ids], rank
+                    self.set, self.rank = ids, rank
 
     def answer(self) -> DemandAnswer:
-        return self.best, self.sets
+        return self.best, self.set
 
 
 class _Cover(DemandFold):
@@ -241,7 +238,7 @@ class _Cover(DemandFold):
     every bundle meeting it is taken and together they hold all of it;
     any other bundle only adds to the price."""
 
-    def __init__(self, valuation: Valuation, key=None):
+    def __init__(self, valuation: Valuation, key: Callable):
         super().__init__(valuation, key)
         self.need, self.covered, self.cost = [], 0, 0
 
@@ -257,8 +254,8 @@ class _Cover(DemandFold):
     def answer(self) -> DemandAnswer:
         v = self.valuation
         if self.covered == len(v.desired) and v.weight > self.cost:
-            return v.weight - self.cost, [frozenset(self.need)]
-        return v.zero, [frozenset()]
+            return v.weight - self.cost, frozenset(self.need)
+        return v.zero, frozenset()
 
 
 class _PositiveParts(DemandFold):
@@ -267,7 +264,7 @@ class _PositiveParts(DemandFold):
     ones).  A maximizer of the max reaches it under some clause and so
     holds all of that clause's positive-margin offers."""
 
-    def __init__(self, valuation: Valuation, key=None):
+    def __init__(self, valuation: Valuation, key: Callable):
         super().__init__(valuation, key)
         self.parts = [[valuation.zero, []] for _ in valuation.clauses]
 
@@ -283,9 +280,9 @@ class _PositiveParts(DemandFold):
         zero = self.valuation.zero
         best = max([zero] + [total for total, _ in self.parts])
         if best == 0:
-            return zero, [frozenset()]
-        tied = [frozenset(taken) for total, taken in self.parts if total == best]
-        return best, tied if self.key is None else [min(tied, key=self.key)]
+            return zero, frozenset()
+        tied = {frozenset(taken) for total, taken in self.parts if total == best}
+        return best, min(tied, key=self.key) if len(tied) > 1 else tied.pop()
 
 
 class ExplicitValuation(Valuation):

@@ -10,6 +10,8 @@ queries the same maximum, the same tie-broken set and the same top
 prices.
 """
 import copy
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 from unittest.mock import patch
@@ -39,7 +41,7 @@ from cwemarket import (
     utility,
 )
 from cwemarket import market
-from cwemarket.market import select_demanded, top_price
+from cwemarket.market import tie_key, top_price
 from cwemarket.scalars import lattice_int
 from cwemarket.valuations import subset_unions, subsets_of
 
@@ -180,12 +182,56 @@ def test_narrow_demand_matches_the_references(kind, data):
     best, members = demand_correspondence(auction, "a", catalog, prices, excluded)
     ref_best, ref_members = best_avoiding(auction, "a", catalog, prices, excluded)
     got = demand(auction, "a", catalog, prices, excluded, others)
-    assert got == (best, select_demanded(members, "a", others))
+    assert got == (best, min(members, key=tie_key("a", others)))
     assert got == (ref_best, pick_preferred(ref_members, "a", others or {}))
     top, everywhere = demand_correspondence(auction, "a", catalog, prices)
     for subset in subsets_of(frozenset(catalog.ids)):
         demanded = utility(auction, "a", subset, catalog, prices) == top
         assert demanded == (subset in everywhere)
+
+
+@contextmanager
+def counted_holdings():
+    """Count the holdings counts `market.tie_key` builds in the block."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Counter(*args)
+
+    with patch.object(market, "Counter", counting):
+        yield built
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_holdings_are_counted_only_to_break_a_tie(kind, data):
+    """`demand` counts other agents' holdings at most once, and not at
+    all when one set is demanded; an explicit table, which ranks all its
+    maximizers, counts them exactly when two or more tie."""
+    auction, catalog, prices, excluded = data.draw(markets(kind))
+    others = data.draw(holdings(catalog))
+    _, members = demand_correspondence(auction, "a", catalog, prices, excluded)
+    with counted_holdings() as built:
+        demand(auction, "a", catalog, prices, excluded, others)
+    assert len(built) <= (len(members) > 1)
+    if kind == "explicit":
+        assert len(built) == (len(members) > 1)
+
+
+@pytest.mark.parametrize("weights, chosen, counts", [((2, 1, 1), 0, 0), ((2, 2, 1), 1, 1)])
+def test_a_unit_demand_tie_counts_the_holdings_once(weights, chosen, counts):
+    """Bundle 0 is held by "b": with one best bundle nothing is counted;
+    with two tied, the holdings are counted once and the unheld one wins."""
+    items = frozenset("xyz")
+    valuation = UnitDemandValuation(items, dict(zip("xyz", map(F, weights))))
+    auction = Auction(items=items, agents=(Agent("a", valuation),))
+    catalog = Catalog(entries=tuple((k, frozenset(i)) for k, i in enumerate("xyz")))
+    with counted_holdings() as built:
+        got = demand(auction, "a", catalog, dict.fromkeys(range(3), F(0)), others={"b": {0}})
+    assert got == (F(2), frozenset({chosen}))
+    assert len(built) == counts
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -325,8 +371,9 @@ def test_scaled_copy_is_the_valuation_times_d(kind, data):
     assert all(type(v) is int for v in values)
     assert values == [scale * v for v in valuation.bundle_values(bundles)]
     on_lattice = {bid: lattice_int(p, scale) for bid, p in prices.items()}
-    found = valuation.demand_candidates(catalog.entries, prices)
-    got = scaled.demand_candidates(catalog.entries, on_lattice)
+    key = tie_key("a", None)
+    found = valuation.demand_answer(catalog.entries, prices, key)
+    got = scaled.demand_answer(catalog.entries, on_lattice, key)
     if found is None:
         assert got is None
     else:

@@ -28,7 +28,7 @@ from cwemarket import (
     validate_initial_allocation,
 )
 from cwemarket import market
-from cwemarket.market import select_demanded
+from cwemarket.market import tie_key
 from cwemarket.serialize import outcome_to_json
 
 F = Fraction
@@ -96,16 +96,15 @@ def test_demand_bundle_cap(monkeypatch):
         demand_correspondence(auction, "a", catalog, prices)
 
 
-def test_select_demanded_prefers_unheld_then_small_then_low_ids():
+def test_tie_key_prefers_unheld_then_small_then_low_ids():
     cands = [frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset({2})]
     taken = {"other": frozenset({0})}
-    assert select_demanded(cands, "me", taken) == frozenset({1})
-    assert select_demanded([frozenset({0, 1}), frozenset({2})], "me", {}) == frozenset({2})
-    assert select_demanded([frozenset({1}), frozenset({0})], "me", {}) == frozenset({0})
-    # own holdings do not count against a candidate
-    assert select_demanded(cands, "other", taken) == frozenset({0})
-    with pytest.raises(InputError):
-        select_demanded([], "me", {})
+    assert min(cands, key=tie_key("me", taken)) == frozenset({1})
+    assert min([frozenset({0, 1}), frozenset({2})], key=tie_key("me", {})) == frozenset({2})
+    assert min([frozenset({1}), frozenset({0})], key=tie_key("me", None)) == frozenset({0})
+    # own holdings do not count against a set; with no agent named, all do
+    assert min(cands, key=tie_key("other", taken)) == frozenset({0})
+    assert min(cands, key=tie_key(None, taken)) == frozenset({1})
 
 
 def test_chosen_demand_end_to_end():

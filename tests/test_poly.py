@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -29,7 +28,7 @@ from cwemarket import (
 )
 from cwemarket import poly
 from cwemarket.errors import SolverDeadlockError, SolverInvariantError
-from cwemarket.market import allocation_welfare, lattice_violation, tie_break_key
+from cwemarket.market import allocation_welfare, lattice_violation, tie_key
 from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
 from cwemarket.valuations import Valuation
 
@@ -322,19 +321,24 @@ def test_logn_revenue_push_work_is_pinned_by_count():
         calls["value"] += 1
         return value(valuation, items)
 
-    def counted_key(*args, **kwargs):
-        calls["key"] += 1
-        return tie_break_key(*args, **kwargs)
+    def counted_key(*args):
+        key = tie_key(*args)
+
+        def ranked(bundle_set):
+            calls["key"] += 1
+            return key(bundle_set)
+
+        return ranked
 
     auction, seed = generate("logn_revenue", n=32)
     with patch.object(UnitDemandValuation, "_value", counted), patch.object(
-        poly, "tie_break_key", counted_key
+        poly, "tie_key", counted_key
     ):
         _, trace = run_poly(auction, seed)
     assert calls["value"] < 20_000  # 84,720 when every step asked the whole catalog
-    # 4,280: one per tied offer and one per fold that meets a tie; 7,700
-    # when the kept tie was ranked again at every tied offer
-    assert calls["key"] < 4_400
+    # one per tied offer and one per fold that meets a tie; 7,700 when
+    # the kept tie was ranked again at every tied offer
+    assert calls["key"] == 4_280
     assert trace.demand_queries == 4_344
     auction, seed = generate("logn_revenue", n=64)
     outcome, trace = run_poly(auction, seed)
@@ -344,22 +348,23 @@ def test_logn_revenue_push_work_is_pinned_by_count():
 
 def test_all_explicit_push_skips_the_warm_start_set_up():
     """Explicit tables have no fold, so a push whose holders are all
-    explicit builds no held-count map and asks for no keyed fold, and
-    each run equals the run with the cold push."""
-    built = {"holdings": 0, "folds": 0}
+    explicit builds no tie key of its own and no fold, and each run
+    equals the run with the cold push."""
+    built = {"keys": 0, "folds": 0}
     fold = Valuation.demand_fold
 
-    def keyed(valuation, key=None):
-        built["folds"] += key is not None
-        return fold(valuation, key)
+    def counted_fold(valuation, key):
+        made = fold(valuation, key)
+        built["folds"] += made is not None
+        return made
 
-    def counter(*args):
-        built["holdings"] += 1
-        return Counter(*args)
+    def counted_key(*args):
+        built["keys"] += 1
+        return tie_key(*args)
 
     def solved(auction, seed):
-        with patch.object(Valuation, "demand_fold", keyed), patch.object(
-            poly, "Counter", counter
+        with patch.object(Valuation, "demand_fold", counted_fold), patch.object(
+            poly, "tie_key", counted_key
         ):
             return _solved(auction, seed)
 
@@ -372,9 +377,9 @@ def test_all_explicit_push_skips_the_warm_start_set_up():
         with patch.object(PolySolver, "raise_prices", cold_raise_prices):
             assert _solved(auction, seed) == run
     assert pushes > 0
-    assert built == {"holdings": 0, "folds": 0}
+    assert built == {"keys": 0, "folds": 0}
     solved(*generate("logn_revenue", n=3))  # unit-demand holders do build them
-    assert built["holdings"] > 0 and built["folds"] > 0
+    assert built["keys"] > 0 and built["folds"] > 0
 
 
 # worth 4 for {"x"}, over the universe {"x", "y"}
@@ -437,7 +442,7 @@ def test_push_ties_go_to_the_smallest_key_in_any_release_order(kind, unheld, swi
     """B leaves the push before A, so H is offered B's bundle 1 before
     A's bundle 0, both at 1 and both worth 2 to H; so is the unheld
     bundle 3 when it is on sale.  H records the tied bundle with the
-    smallest `tie_break_key`: the one nobody holds, else the lower id."""
+    one `tie_key` ranks first: the one nobody holds, else the lower id."""
     items = frozenset("xyzw")
     auction = Auction(
         items=items,

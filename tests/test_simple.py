@@ -14,6 +14,7 @@ from cwemarket import (
     ResourceLimitError,
     SimpleSolver,
     SolverDeadlockError,
+    SolverInvariantError,
     brute_force_optimal,
     generate,
     is_cwe,
@@ -124,6 +125,17 @@ def test_asymmetric_conflict_prices_out_the_lower_value():
     # sides once per trial step, 5 of them: 2 * 5 + 1
     assert trace.demand_queries == 14
     assert is_cwe(auction, out)
+
+
+def test_a_holder_that_does_not_demand_its_bundle_is_a_broken_state():
+    """An incumbent always demands its singleton when a contest starts;
+    a forged state where it does not (its price above its value) raises
+    instead of settling the contest."""
+    solver = SimpleSolver(one_item(1, 1), {"A": frozenset({"1"})}, F(1, 4))
+    solver.assignment = {"A": frozenset({0}), "B": frozenset({0})}
+    solver.prices[0] = solver.scale + 1
+    with pytest.raises(SolverInvariantError, match="^holder 'A' no longer demands bundle 0$"):
+        solver._contest(frozenset({0}), "B", "A")
 
 
 def test_three_agent_merge_run_frozen():

@@ -128,6 +128,28 @@ def test_replay_refuses_an_event_on_an_unknown_bundle(event, message):
         replay(auction, seed_for(auction), make_trace([event]))
 
 
+FORGED_AGENT = [PoolAdd("zz"), PoolRemove("zz"), Assign("zz", frozenset()), IterationEnd(99)]
+
+
+def test_replay_refuses_a_run_extended_by_an_agent_outside_the_auction():
+    auction, seed = generate("gap3")
+    _, trace = run_poly(auction, seed)
+    forged = make_trace(trace.events + FORGED_AGENT)
+    with pytest.raises(SolverInvariantError, match="^event names 'zz', an agent outside the auction$"):
+        replay(auction, seed, forged)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [PoolAdd("zz"), PoolRemove("zz"), Reject("zz"), Assign("zz", frozenset({0})),
+     Unassign("zz"), FallbackRecord("zz", frozenset())],
+)
+def test_replay_refuses_every_event_naming_an_agent_outside_the_auction(event):
+    auction = tiny()
+    with pytest.raises(SolverInvariantError, match="an agent outside the auction$"):
+        replay(auction, seed_for(auction), make_trace([event]))
+
+
 def test_replay_rejects_orphaned_bundle():
     # a sold bundle whose holder vanishes without anyone taking over
     auction = tiny()

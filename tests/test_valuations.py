@@ -1,7 +1,6 @@
 import gc
 import tracemalloc
 from fractions import Fraction
-from functools import partial
 from itertools import permutations
 from math import lcm
 
@@ -21,7 +20,7 @@ from cwemarket import (
     generate,
 )
 from cwemarket import valuations
-from cwemarket.market import tie_break_key
+from cwemarket.market import tie_key
 from cwemarket.valuations import EXPLICIT_ITEM_CAP, subsets_of
 
 from .helpers import ReferenceExplicitValuation, reference_from_entries, table_of
@@ -210,17 +209,18 @@ def test_unit_demand_fold_keeps_the_smallest_key_tie_in_any_order():
     """The unit-demand fold caches the key of the tie it keeps.  Fed the
     offers one at a time in every order, it keeps the smallest-key
     bundle among those of the best margin: two tied at 2, four at 3,
-    whose keys run 3 < 4 < 5 < 2 (bundle 2 is held by another agent)."""
+    whose keys run 3 < 4 < 5 < 2 (bundle 2 is held by another agent).
+    The answer is the one kept set."""
     items = frozenset("abcdef")
     valuation = UnitDemandValuation(items, dict(zip("abcdef", map(F, (2, 2, 3, 3, 3, 3)))))
-    key = partial(tie_break_key, held_elsewhere={2: 1})
+    key = tie_key("a", {"b": frozenset({2})})
     offers = [(bid, frozenset(item)) for bid, item in enumerate("abcdef")]
     prices = dict.fromkeys(range(6), F(0))
     for order in permutations(offers):
         fold = valuation.demand_fold(key)
         for offer in order:
             fold.extend([offer], prices)
-        assert fold.answer() == (F(3), [frozenset({3})])
+        assert fold.answer() == (F(3), frozenset({3}))
 
 
 @pytest.mark.parametrize("build", [ExplicitValuation, ExplicitValuation.from_entries])
