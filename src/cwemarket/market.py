@@ -22,7 +22,7 @@ from typing import (
     Sequence, Tuple,
 )
 
-from .errors import InputError, ResourceLimitError
+from .errors import InputError, ResourceLimitError, SolverInvariantError
 from .scalars import lattice_int
 from .valuations import Item, ItemSet, Valuation, members, subset_sums
 
@@ -55,6 +55,8 @@ class Auction:
         self.item_set: ItemSet = frozenset(items)
         self.agents: Tuple[Agent, ...] = tuple(agents)
         self._index = {a.name: k for k, a in enumerate(agents)}
+        # `on_lattice` copies by scale; None on a copy, which is on a lattice
+        self._lattice: Optional[Dict[int, Auction]] = {}
         for agent in agents:
             if not self.item_set <= agent.valuation.items:
                 missing = sorted(self.item_set - agent.valuation.items)
@@ -98,12 +100,17 @@ class Auction:
     def on_lattice(self, *dens: int) -> Tuple["Auction", int]:
         """(copy, D): this auction with every valuation `scaled` by D, the
         lcm of `dens` and of twice each parameter's denominator (so every
-        value on the lattice is even, and half of it an int)."""
+        value on the lattice is even, and half of it an int).  The copy is
+        built once per D and kept on this auction; a copy refuses this call
+        with SolverInvariantError, as its values are already scaled."""
+        if self._lattice is None:
+            raise SolverInvariantError("on_lattice of an auction already on a lattice")
         scale = lcm(self.lattice_scale, *dens)
-        market = copy.copy(self)
-        market.agents = tuple(
-            Agent(a.name, a.valuation.scaled(scale)) for a in self.agents
-        )
+        market = self._lattice.get(scale)
+        if market is None:
+            agents = tuple(Agent(a.name, a.valuation.scaled(scale)) for a in self.agents)
+            market = self._lattice[scale] = copy.copy(self)
+            market.agents, market._lattice = agents, None
         return market, scale
 
     def granularity(self) -> Optional[Fraction]:

@@ -81,7 +81,7 @@ class AscendingAuction:
         self.seed_welfare = sum(values)
         self.assignment: Dict[str, BundleSet] = {}
         self.pool: List[str] = list(auction.agent_names)
-        self.trace = Trace()
+        self.trace = Trace(scale=self.scale)
         for name in self.pool:
             self.trace.add(PoolAdd(name))
 
@@ -93,10 +93,6 @@ class AscendingAuction:
         return demand(
             self.market, agent, self.catalog, self.prices, excluded, self.assignment
         )
-
-    def _raised(self, bid: int, old: int, new: int) -> PriceRaise:
-        """The trace event of a raise from `old` to `new`, in Fractions."""
-        return PriceRaise(bundle=bid, old=Fraction(old, self.scale), new=Fraction(new, self.scale))
 
     def run(self) -> Outcome:
         while self.pool:
@@ -269,7 +265,7 @@ class PolySolver(AscendingAuction):
                     (bid,) = self.assignment[i]
                     old = self.prices[bid]
                     self.prices[bid] = old + delta
-                    self.trace.add(self._raised(bid, old, old + delta))
+                    self.trace.add(PriceRaise(bid, old, old + delta))
             self.fallback[a] = switches[a]
             self.rank[a] = len(self.rank) + 1
             self.trace.add(FallbackRecord(agent=a, bundles=switches[a]))

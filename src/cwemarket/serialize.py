@@ -263,24 +263,24 @@ def outcome_from_json(auction: Auction, obj: Any) -> Outcome:
     return Outcome(catalog=catalog, prices=prices, assignment=assignment)
 
 
-def event_to_json(event: Event) -> Dict[str, Any]:
+def event_to_json(event: Event, scale: int) -> Dict[str, Any]:
     """Wire form of one trace event: its tag under "type", then its fields
     in declaration order.  Bundle collections become sorted lists and
-    prices "p/q" strings."""
+    prices, ints on the lattice of `scale`, "p/q" strings."""
     obj: Dict[str, Any] = {"type": event.kind}
     for f in fields(event):
         value = getattr(event, f.name)
         if isinstance(value, (tuple, frozenset)):
             value = sorted(value)
-        elif isinstance(value, Fraction):
-            value = format_scalar(value)
+        elif f.metadata.get("price"):
+            value = format_scalar(Fraction(value, scale))
         obj[f.name] = value
     return obj
 
 
 def trace_to_json(trace: Trace) -> Dict[str, Any]:
     return {
-        "events": [event_to_json(ev) for ev in trace.events],
+        "events": [event_to_json(ev, trace.scale) for ev in trace.events],
         "iterations": trace.iterations,
         "demand_queries": trace.demand_queries,
     }

@@ -33,7 +33,7 @@ from .market import (
 from .market import is_cwe, merge_bundles  # noqa: F401
 from .poly import AscendingAuction
 from .scalars import lattice_int, parse_scalar
-from .trace import Trace
+from .trace import PriceRaise, Trace
 
 
 def check_epsilon(auction: Auction, epsilon: Fraction) -> None:
@@ -134,7 +134,7 @@ class SimpleSolver(AscendingAuction):
         end = start + (steps - tie) * step
         if end > start:
             self.prices[bid] = end
-            self.trace.add(self._raised(bid, start, end))
+            self.trace.add(PriceRaise(bid, start, end))
             self.blocked.clear()
         # on a tie the claimant's top is the rolled-back price or above
         self._repool(owner if a_top >= end else a)

@@ -15,7 +15,9 @@ breakpoint removal order of each price push).  For those, replay
 additionally checks that every displacement hands the bundle to an
 agent later in the removal order than its victim, that displacement
 chains stay within n hops, and that the main loop stays within n*n
-iterations.  An event's JSON form is `serialize.event_to_json`.
+iterations.  A `PriceRaise` carries ints on the solver's lattice of
+scale `Trace.scale` (README, "Solvers"), which replay checks as ints; an
+event's JSON form (`serialize.event_to_json`) divides them by the scale.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ from .market import (
     Outcome,
     initial_market,
 )
+from .scalars import lattice_int
 
 
 @dataclass(frozen=True)
@@ -46,8 +49,8 @@ class Merge:
 class PriceRaise:
     kind: ClassVar[str] = "price_raise"
     bundle: BundleId
-    old: Fraction
-    new: Fraction
+    old: int = field(metadata={"price": True})
+    new: int = field(metadata={"price": True})
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,7 @@ class Trace:
     events: List[Event] = field(default_factory=list)
     iterations: int = 0
     demand_queries: int = 0
+    scale: int = 1  # D of the lattice of `PriceRaise` prices: `old` / D and so on
 
     def add(self, event: Event) -> None:
         self.events.append(event)
@@ -113,16 +117,18 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     """Rebuild the final outcome from a trace, checking invariants.
 
     The removal-order checks run when the trace contains FallbackRecord
-    events.  Raises SolverInvariantError on any violation (an event on
-    an unknown bundle or naming an agent outside the auction among
-    them), and InputError on an object that is no trace event.
+    events.  Prices are checked as ints on `trace.scale`.  Raises
+    SolverInvariantError on any violation (an event on an unknown bundle
+    or naming an agent outside the auction among them), and InputError
+    on an object that is no trace event or a scale that does not carry
+    the seed's start prices.
     """
     poly = FallbackRecord in map(type, trace.events)
-    n, names = len(auction.agents), frozenset(auction.agent_names)
+    n, names, scale = len(auction.agents), frozenset(auction.agent_names), trace.scale
 
     catalog, start_prices = initial_market(auction, allocation)
     table: Dict[BundleId, FrozenSet[str]] = dict(catalog.entries)
-    prices: Dict[BundleId, Fraction] = dict(start_prices)
+    prices = {bid: lattice_int(p, scale) for bid, p in start_prices.items()}
     assignment: Dict[str, BundleSet] = {}
     pool: List[str] = []
     allocated: set = set()  # bundles sold at least once; must stay sold
@@ -144,7 +150,7 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
             if held & ids:
                 raise SolverInvariantError(f"merge consumed bundles still assigned to {name!r}")
         union: FrozenSet[str] = frozenset()
-        price = Fraction(0)
+        price = 0
         for bid in sorted(ids):
             union |= table.pop(bid)
             price += prices.pop(bid)
@@ -245,6 +251,6 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
 
     return Outcome(
         catalog=Catalog.selling(auction.item_set, sorted(table.items())),
-        prices=dict(prices),
+        prices={bid: Fraction(p, scale) for bid, p in prices.items()},
         assignment=dict(assignment),
     )

@@ -8,10 +8,10 @@ These functions exist to check the solvers, so they are deliberately
 independent of the solver code paths and fail loudly on any input
 larger than their caps, the module constants below, read at call time.
 
-Each call reads every valuation once, into int tables on the auction's
-lattice (`_tables`: values times the scale D the solvers use too), and
-stays in ints: welfare sums, the DP, LP objectives and stability
-right-hand sides, whose scaling by D changes no pivot.  The searches
+Each call reads every valuation once, into int tables from the
+auction's shared lattice copy (`_tables`, at the scale D the solvers use
+too), and stays in ints: welfare sums, the DP, LP objectives and
+stability right-hand sides, whose scaling by D changes no pivot.  The searches
 enumerate maps item -> owner or nobody: one walk sums each map's
 welfare and groups the maps by int welfare level, and a level's
 candidates are built and sorted only when a search, going down from
@@ -48,7 +48,6 @@ from .market import (
 )
 # Unused here: bench/tracing.py counts partitions through this name.
 from .partitions import set_partitions  # noqa: F401
-from .scalars import lattice_int
 from .valuations import ItemSet, members, subset_sums
 
 BRUTE_MAX_ITEMS = 8
@@ -83,13 +82,13 @@ def _tables(
     auction: Auction, bundles: Optional[Sequence[ItemSet]] = None
 ) -> Tuple[Tables, int]:
     """Each agent's value of every union of `bundles` (by default the single
-    items), indexed by mask as in `Valuation.bundle_values`, as ints on the
-    auction's lattice, InputError off it; returns (tables in agent order, D)."""
+    items), indexed by mask as in `Valuation.bundle_values`, read from the
+    auction's lattice copy at D = `lattice_scale`; returns (tables in agent
+    order, D)."""
     if bundles is None:
         bundles = [frozenset({it}) for it in auction.items]
-    den = auction.lattice_scale
-    values = [a.valuation.bundle_values(bundles) for a in auction.agents]
-    return [[lattice_int(v, den) for v in vs] for vs in values], den
+    market, den = auction.on_lattice()
+    return [a.valuation.bundle_values(bundles) for a in market.agents], den
 
 
 def _partition(tables: Tables, full: int) -> Tuple[int, List[int]]:

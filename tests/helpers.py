@@ -27,10 +27,13 @@ from cwemarket import (
     social_welfare,
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
-from cwemarket.market import demand, induced_value, utility
+from cwemarket.market import demand, induced_value, initial_market, utility
 from cwemarket.partitions import set_partitions
 from cwemarket.scalars import lattice_int, parse_scalar
-from cwemarket.trace import FallbackRecord
+from cwemarket.trace import (
+    Assign, FallbackRecord, IterationEnd, Merge, PoolAdd, PoolRemove, PriceRaise, Reject,
+    Trace, Unassign,
+)
 from cwemarket.valuations import Valuation, ValuationDefect, subset_unions, subsets_of
 
 BundleSet = FrozenSet[int]
@@ -230,7 +233,7 @@ def cold_raise_prices(solver) -> None:
                 (bid,) = solver.assignment[i]
                 old = solver.prices[bid]
                 solver.prices[bid] = old + delta
-                solver.trace.add(solver._raised(bid, old, old + delta))
+                solver.trace.add(PriceRaise(bid, old, old + delta))
         step += 1
         solver.fallback[a] = switches[a]
         solver.rank[a] = step
@@ -267,7 +270,7 @@ def stepwise_contest(solver, bundles: BundleSet, a: str, owner: str) -> None:
             break
         solver.blocked.clear()
     if solver.prices[bid] > start:
-        solver.trace.add(solver._raised(bid, start, solver.prices[bid]))
+        solver.trace.add(PriceRaise(bid, start, solver.prices[bid]))
     if not (a_wants or b_wants):
         solver._repool(owner)
         solver.blocked.setdefault(owner, set()).add(bundles)
@@ -908,3 +911,143 @@ def reference_max_cwe_revenue(auction: Auction):
             best_rev = rev
             best = Outcome(catalog=catalog, prices=prices, assignment=assignment)
     return best_rev, best
+
+
+def reference_replay(auction: Auction, allocation, trace: Trace) -> Outcome:
+    """`trace.replay` with every price a `Fraction`: the start prices of
+    `initial_market`, each `PriceRaise` read as its ints over
+    `trace.scale`, and the merges' sums.  The reference for the integer
+    replay, which must rebuild the same outcome and refuse the same
+    traces with the same error type."""
+    poly = FallbackRecord in map(type, trace.events)
+    n, names = len(auction.agents), frozenset(auction.agent_names)
+
+    catalog, start_prices = initial_market(auction, allocation)
+    table: Dict[int, FrozenSet[str]] = dict(catalog.entries)
+    prices: Dict[int, Fraction] = dict(start_prices)
+    assignment: Dict[str, BundleSet] = {}
+    pool: List[str] = []
+    allocated: set = set()  # bundles sold at least once; must stay sold
+    rank: Dict[str, int] = {}  # 0, 1, ...: an agent not in it ranks len(rank)
+    pending_rank: List[str] = []
+    iteration_count = 0
+    chain = 0
+
+    def merge(ev: Merge) -> None:
+        ids = frozenset(ev.sources)
+        if len(ids) < 2:
+            raise SolverInvariantError("merge with fewer than two sources")
+        for bid in ids:
+            if bid not in table:
+                raise SolverInvariantError(f"merge references unknown bundle {bid}")
+        if ev.new_id in table:
+            raise SolverInvariantError(f"merge reuses live id {ev.new_id}")
+        for name, held in assignment.items():
+            if held & ids:
+                raise SolverInvariantError(f"merge consumed bundles still assigned to {name!r}")
+        union: FrozenSet[str] = frozenset()
+        price = Fraction(0)
+        for bid in sorted(ids):
+            union |= table.pop(bid)
+            price += prices.pop(bid)
+        table[ev.new_id] = union
+        prices[ev.new_id] = price
+        if allocated & ids:
+            allocated.difference_update(ids)
+            allocated.add(ev.new_id)
+
+    def price_raise(ev: PriceRaise) -> None:
+        if ev.bundle not in table:
+            raise SolverInvariantError(f"price raise on unknown bundle {ev.bundle}")
+        old, new = Fraction(ev.old, trace.scale), Fraction(ev.new, trace.scale)
+        if prices[ev.bundle] != old:
+            raise SolverInvariantError(f"price raise old value mismatch on bundle {ev.bundle}")
+        if new < old:
+            raise SolverInvariantError("price decreased")
+        prices[ev.bundle] = new
+
+    def pool_add(ev: PoolAdd) -> None:
+        if ev.agent in pool:
+            raise SolverInvariantError(f"pool add of pooled agent {ev.agent!r}")
+        pool.append(ev.agent)
+
+    def pool_remove(ev: PoolRemove) -> None:
+        if ev.agent not in pool:
+            raise SolverInvariantError(f"pool remove of absent agent {ev.agent!r}")
+        pool.remove(ev.agent)
+
+    def reject(ev: Reject) -> None:
+        if ev.agent in assignment:
+            raise SolverInvariantError(f"reject of {ev.agent!r}, who holds bundles")
+
+    def unassign(ev: Unassign) -> None:
+        if assignment.pop(ev.agent, None) is None:
+            raise SolverInvariantError(f"unassign of {ev.agent!r}, who holds nothing")
+
+    def assign(ev: Assign) -> None:
+        nonlocal chain
+        for bid in ev.bundles:
+            if bid not in table:
+                raise SolverInvariantError(f"assignment references unknown bundle {bid}")
+        holders = [b for b, held in assignment.items() if b != ev.agent and held & ev.bundles]
+        if poly and holders:
+            chain += 1
+            if chain > n:
+                raise SolverInvariantError(f"displacement chain exceeded {n} hops")
+            for b in holders:
+                if not rank.get(b, len(rank)) < rank.get(ev.agent, len(rank)):
+                    raise SolverInvariantError(
+                        f"{ev.agent!r} displaced {b!r} without moving "
+                        f"earlier in the removal order"
+                    )
+        assignment[ev.agent] = ev.bundles
+        allocated.update(ev.bundles)
+
+    def fallback(ev: FallbackRecord) -> None:
+        if ev.agent in pending_rank:
+            raise SolverInvariantError(f"second fallback of {ev.agent!r} in one iteration")
+        pending_rank.append(ev.agent)
+
+    def iteration_end(ev: IterationEnd) -> None:
+        nonlocal chain, iteration_count, pending_rank, rank
+        iteration_count += 1
+        chain = 0
+        if pending_rank:
+            rank = {name: k for k, name in enumerate(pending_rank)}
+            pending_rank = []
+        if poly and iteration_count > n * n:
+            raise SolverInvariantError(f"more than {n * n} iterations in trace")
+        held: set = set()
+        for name, bundles in assignment.items():
+            dup = held & bundles
+            if dup:
+                raise SolverInvariantError(
+                    f"bundles {sorted(dup)} doubly assigned at "
+                    f"iteration {ev.index}"
+                )
+            held |= bundles
+        orphaned = allocated - held
+        if orphaned:
+            raise SolverInvariantError(
+                f"bundles {sorted(orphaned)} were sold but have no "
+                f"holder at iteration {ev.index}"
+            )
+
+    steps = {
+        Merge: merge, PriceRaise: price_raise, PoolAdd: pool_add, PoolRemove: pool_remove,
+        Reject: reject, Assign: assign, Unassign: unassign, IterationEnd: iteration_end,
+        FallbackRecord: fallback,
+    }
+    for ev in trace.events:
+        step = steps.get(type(ev))
+        if step is None:
+            raise InputError(f"unknown trace event {ev!r}")
+        if hasattr(ev, "agent") and ev.agent not in names:
+            raise SolverInvariantError(f"event names {ev.agent!r}, an agent outside the auction")
+        step(ev)
+
+    return Outcome(
+        catalog=Catalog.selling(auction.item_set, sorted(table.items())),
+        prices=dict(prices),
+        assignment=dict(assignment),
+    )

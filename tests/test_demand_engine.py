@@ -281,7 +281,7 @@ def test_lattice_copy_never_serves_a_stale_table():
     answers = []
     for bundles in (bundles_a, bundles_b, bundles_a):
         catalog = Catalog(entries=tuple(enumerate(bundles)))
-        fresh, _ = auction.on_lattice()
+        fresh, _ = Auction(items=items, agents=auction.agents).on_lattice()
         values = lattice.valuation(agent).bundle_values(bundles)
         assert values == [
             scale * auction.valuation(agent).value(u) for u in subset_unions(bundles)

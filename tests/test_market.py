@@ -1,4 +1,5 @@
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from cwemarket import (
     InputError,
     Outcome,
     ResourceLimitError,
+    SolverInvariantError,
     UnitDemandValuation,
+    brute_force_optimal,
     demand,
     demand_correspondence,
     find_violation,
@@ -20,9 +23,11 @@ from cwemarket import (
     induced_value,
     initial_market,
     is_cwe,
+    maximize_revenue,
     merge_bundles,
     revenue_of,
     run_poly,
+    run_simple,
     social_welfare,
     utility,
     validate_initial_allocation,
@@ -320,6 +325,48 @@ def test_auction_refuses_duplicate_items_and_an_invalid_valuation():
     message = "valuation of 'a' invalid (negative_weight): weight of item 'x' is -1"
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         Auction(items=("x",), agents=(Agent("a", negative),))
+
+
+def test_a_lattice_copy_is_kept_once_per_scale_and_refuses_another_lattice():
+    """gap3's agent a1 values all items at 21/10: 42 on the copy at scale
+    20.  Scaling that copy again would read 840, so it refuses."""
+    auction, _ = generate("gap3")
+    lattice, scale = auction.on_lattice()
+    assert scale == 20
+    assert lattice.valuation("a1").value(auction.item_set) == 42
+    again, _ = auction.on_lattice(4)
+    assert again is lattice
+    thirds, scale = auction.on_lattice(3)
+    assert scale == 60 and thirds is not lattice
+    assert thirds.valuation("a1").value(auction.item_set) == 126
+    for lattice_copy in (lattice, thirds):
+        with pytest.raises(SolverInvariantError, match="^on_lattice of an auction already on a"):
+            lattice_copy.on_lattice()
+
+
+def test_a_sweep_operation_scales_each_valuation_once_per_scale(monkeypatch):
+    """Brute force, the revenue ladder (its poly run included), the simple
+    solver at g/2 and `find_violation` share one lattice copy per scale;
+    a simple run at g/6 adds one copy at a second scale."""
+    calls = Counter()
+    scaled = ExplicitValuation.scaled
+
+    def counted(valuation, scale):
+        calls[id(valuation), scale] += 1
+        return scaled(valuation, scale)
+
+    monkeypatch.setattr(ExplicitValuation, "scaled", counted)
+    auction, _ = generate("random_explicit", m=4, n=3, seed=5)
+    _, allocation = brute_force_optimal(auction)
+    seed = {name: items for name, items in allocation.items() if items}
+    maximize_revenue(auction, seed)
+    g = auction.granularity()
+    outcome, _ = run_simple(auction, seed, g / 2)
+    assert find_violation(auction, outcome) is None
+    assert sorted(calls.values()) == [1] * len(auction.agents)
+    run_simple(auction, seed, g / 6)
+    assert sorted(calls.values()) == [1] * 2 * len(auction.agents)
+    assert len({scale for _, scale in calls}) == 2
 
 
 def test_agent_lookups_refuse_an_unknown_agent():

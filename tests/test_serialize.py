@@ -240,7 +240,7 @@ def test_trace_wire_form_is_fixed():
     trace = Trace(
         events=[
             Merge(sources=(3, 1), new_id=4),
-            PriceRaise(bundle=4, old=F(1, 2), new=F(3)),
+            PriceRaise(bundle=4, old=1, new=6),
             PoolAdd("a1"),
             PoolRemove("a1"),
             Reject("a2"),
@@ -251,6 +251,7 @@ def test_trace_wire_form_is_fixed():
         ],
         iterations=7,
         demand_queries=30,
+        scale=2,
     )
     obj = trace_to_json(trace)
     assert list(obj) == ["events", "iterations", "demand_queries"]

@@ -103,7 +103,7 @@ def test_symmetric_tie_hands_the_bundle_to_the_claimant():
     # sides after each of its 3 trial steps (the last one is undone)
     assert trace.demand_queries == 10
     raises = [e for e in trace.events if isinstance(e, PriceRaise)]
-    assert [(e.old, e.new) for e in raises] == [(F(1, 2), F(1))]
+    assert [(F(e.old, trace.scale), F(e.new, trace.scale)) for e in raises] == [(F(1, 2), F(1))]
     # the incumbent is released, re-pooled, and then leaves empty-handed
     tail = [e for e in trace.events if isinstance(e, (Unassign, PoolAdd, Reject))]
     assert tail[-3:] == [Unassign("A"), PoolAdd("A"), Reject("A")]
@@ -118,7 +118,10 @@ def test_asymmetric_conflict_prices_out_the_lower_value():
     out, trace = run_simple(auction, {"B": frozenset({"1"})}, F(1, 8))
     assert out.assignment == {"A": frozenset({0})}
     assert out.prices == {0: F(9, 8)}
-    raises = [(e.old, e.new) for e in trace.events if isinstance(e, PriceRaise)]
+    raises = [
+        (F(e.old, trace.scale), F(e.new, trace.scale))
+        for e in trace.events if isinstance(e, PriceRaise)
+    ]
     assert raises == [(F(1, 2), F(9, 8))]
     assert trace.iterations == 3
     # 3 main-loop queries; the contest asks the holder once, then both
@@ -192,13 +195,14 @@ def test_demand_queries_count_every_demand_call(monkeypatch):
 
 
 def _simple_run(auction, seed, epsilon):
-    """Events, demand queries and the outcome, or the deadlock message."""
+    """Events, demand queries, the outcome or the deadlock message, and
+    the events' lattice scale."""
     solver = SimpleSolver(auction, seed, epsilon)
     try:
         result = solver.run()
     except SolverDeadlockError as exc:
         result = str(exc)
-    return solver.trace.events, solver.trace.demand_queries, result
+    return solver.trace.events, solver.trace.demand_queries, result, solver.trace.scale
 
 
 def _same_as_stepwise(auction, seed, epsilon):
@@ -233,7 +237,7 @@ def test_top_price_contest_matches_the_stepwise_contest_on_logn_revenue(n):
     auction, seed = generate("logn_revenue", n=n)
     g = auction.granularity()
     for epsilon in (g / 2, g / 4):
-        _, _, result = _same_as_stepwise(auction, seed, epsilon)
+        _, _, result, _ = _same_as_stepwise(auction, seed, epsilon)
         if n in (3, 4, 6, 8):
             assert "only blocked demand sets" in result
 
@@ -249,10 +253,12 @@ def test_long_contest_matches_the_stepwise_contest(values, winner, price):
     of 1 with A's at 2, or past both tops of 1 at once, when the last
     step is undone and B keeps the item.  One raise either way."""
     auction = one_item(*values)
-    events, queries, out = _same_as_stepwise(auction, {"B": frozenset({"1"})}, F(1, 2**12))
+    events, queries, out, scale = _same_as_stepwise(
+        auction, {"B": frozenset({"1"})}, F(1, 2**12)
+    )
     assert out.assignment == {winner: frozenset({0})}
     assert out.prices == {0: price}
-    raises = [(e.old, e.new) for e in events if isinstance(e, PriceRaise)]
+    raises = [(F(e.old, scale), F(e.new, scale)) for e in events if isinstance(e, PriceRaise)]
     assert raises == [(F(1, 2), price)]
     # 3 main-loop queries and the contest's 2 * 2049 + 1
     assert queries == 3 + 2 * 2049 + 1

@@ -28,6 +28,8 @@ from cwemarket import (
     social_welfare,
 )
 from cwemarket.errors import SolverDeadlockError
+from cwemarket.scalars import format_scalar
+from cwemarket.serialize import trace_to_json
 from cwemarket.trace import PriceRaise
 
 from .helpers import brute_stability_violation, common_granularity, seed_welfare, table_of
@@ -160,7 +162,9 @@ def check_scaled_run(base, scaled, c):
     assert [type(ev) for ev in trace_c.events] == [type(ev) for ev in trace.events]
     for ev, ev_c in zip(trace.events, trace_c.events):
         if isinstance(ev, PriceRaise):
-            assert ev_c == PriceRaise(bundle=ev.bundle, old=ev.old * c, new=ev.new * c)
+            assert ev_c.bundle == ev.bundle
+            assert F(ev_c.old, trace_c.scale) == F(ev.old, trace.scale) * c
+            assert F(ev_c.new, trace_c.scale) == F(ev.new, trace.scale) * c
         else:
             assert ev_c == ev
 
@@ -209,7 +213,8 @@ def test_granularity_is_the_rational_gcd_of_the_parameters(market, c):
 def test_a_zero_valued_seed_set_keeps_every_price_a_fraction():
     """x is seeded with an item it values at 0, so its bundle starts at
     price 0; both solvers then raise prices.  Every price they report,
-    and every price the replay rebuilds, is a Fraction."""
+    and every price the replay rebuilds, is a Fraction; a raise carries
+    ints on the trace's lattice, which its JSON form writes as "p/q"."""
     universe = frozenset({"a", "b"})
     auction = Auction(
         items=("a", "b"),
@@ -223,5 +228,11 @@ def test_a_zero_valued_seed_set_keeps_every_price_a_fraction():
         raises = [ev for ev in trace.events if isinstance(ev, PriceRaise)]
         assert raises
         prices = [*outcome.prices.values(), *replay(auction, seed, trace).prices.values()]
-        prices += [p for ev in raises for p in (ev.old, ev.new)]
         assert all(type(p) is Fraction for p in prices), prices
+        ints = [p for ev in raises for p in (ev.old, ev.new)]
+        assert all(type(p) is int for p in ints), ints
+        wire = [ev for ev in trace_to_json(trace)["events"] if ev["type"] == "price_raise"]
+        assert [(ev["old"], ev["new"]) for ev in wire] == [
+            (format_scalar(F(ev.old, trace.scale)), format_scalar(F(ev.new, trace.scale)))
+            for ev in raises
+        ]

@@ -7,6 +7,7 @@ from cwemarket import (
     Agent,
     Auction,
     InputError,
+    SolverDeadlockError,
     SolverInvariantError,
     Trace,
     generate,
@@ -26,13 +27,30 @@ from cwemarket.trace import (
     Unassign,
 )
 
+from .helpers import reference_replay, seed_instance
+
 F = Fraction
+
+
+def replay_both(auction, seed, trace):
+    """`replay`, checked against `reference_replay`: both rebuild the same
+    outcome, or both refuse the trace with the same error type (the
+    integer replay's error is raised)."""
+    try:
+        out = replay(auction, seed, trace)
+    except (InputError, SolverInvariantError) as exc:
+        with pytest.raises(Exception) as ref:
+            reference_replay(auction, seed, trace)
+        assert type(ref.value) is type(exc)
+        raise
+    assert reference_replay(auction, seed, trace) == out
+    return out
 
 
 def test_replay_reproduces_simple_run_exactly():
     auction, seed = generate("gap3")
     out, trace = run_simple(auction, seed, F(1, 20))
-    rebuilt = replay(auction, seed, trace)
+    rebuilt = replay_both(auction, seed, trace)
     assert rebuilt.prices == out.prices
     assert rebuilt.assignment == out.assignment
     assert dict(rebuilt.catalog.entries) == dict(out.catalog.entries)
@@ -42,7 +60,7 @@ def test_replay_reproduces_simple_run_exactly():
 def test_replay_reproduces_poly_run_exactly():
     auction, seed = generate("gap3")
     out, trace = run_poly(auction, seed)
-    rebuilt = replay(auction, seed, trace)
+    rebuilt = replay_both(auction, seed, trace)
     assert rebuilt.prices == out.prices
     assert rebuilt.assignment == out.assignment
     assert dict(rebuilt.catalog.entries) == dict(out.catalog.entries)
@@ -62,7 +80,7 @@ def test_each_raise_starts_from_the_price_the_last_one_ended_on():
         assert len(last) > 0
         for bid, price in last.items():
             if bid in out.prices:
-                assert out.prices[bid] == price
+                assert out.prices[bid] == F(price, trace.scale)
 
 
 def tiny(n_agents=2, n_items=2):
@@ -86,8 +104,8 @@ def seed_for(auction):
     }
 
 
-def make_trace(events, iterations=None):
-    t = Trace()
+def make_trace(events, iterations=None, scale=1):
+    t = Trace(scale=scale)
     for ev in events:
         t.add(ev)
     t.iterations = iterations if iterations is not None else sum(
@@ -98,34 +116,35 @@ def make_trace(events, iterations=None):
 
 def test_replay_rejects_price_decrease():
     auction = tiny()
+    # the seed prices of 1 are 2 on scale 2
     t = make_trace([
-        PriceRaise(bundle=0, old=F(1), new=F(1, 2)),
+        PriceRaise(bundle=0, old=2, new=1),
         IterationEnd(1),
-    ])
+    ], scale=2)
     with pytest.raises(SolverInvariantError, match="decreased"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_rejects_stale_price_in_raise():
     auction = tiny()
     t = make_trace([
-        PriceRaise(bundle=0, old=F(7), new=F(8)),
+        PriceRaise(bundle=0, old=7, new=8),
     ])
     with pytest.raises(SolverInvariantError, match="mismatch"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 @pytest.mark.parametrize(
     "event, message",
     [
-        (PriceRaise(bundle=9, old=F(0), new=F(1)), "price raise on unknown bundle 9"),
+        (PriceRaise(bundle=9, old=0, new=1), "price raise on unknown bundle 9"),
         (Assign("A", frozenset({0, 9})), "assignment references unknown bundle 9"),
     ],
 )
 def test_replay_refuses_an_event_on_an_unknown_bundle(event, message):
     auction = tiny()
     with pytest.raises(SolverInvariantError, match=f"^{message}$"):
-        replay(auction, seed_for(auction), make_trace([event]))
+        replay_both(auction, seed_for(auction), make_trace([event]))
 
 
 FORGED_AGENT = [PoolAdd("zz"), PoolRemove("zz"), Assign("zz", frozenset()), IterationEnd(99)]
@@ -134,9 +153,9 @@ FORGED_AGENT = [PoolAdd("zz"), PoolRemove("zz"), Assign("zz", frozenset()), Iter
 def test_replay_refuses_a_run_extended_by_an_agent_outside_the_auction():
     auction, seed = generate("gap3")
     _, trace = run_poly(auction, seed)
-    forged = make_trace(trace.events + FORGED_AGENT)
+    forged = make_trace(trace.events + FORGED_AGENT, scale=trace.scale)
     with pytest.raises(SolverInvariantError, match="^event names 'zz', an agent outside the auction$"):
-        replay(auction, seed, forged)
+        replay_both(auction, seed, forged)
 
 
 @pytest.mark.parametrize(
@@ -147,7 +166,7 @@ def test_replay_refuses_a_run_extended_by_an_agent_outside_the_auction():
 def test_replay_refuses_every_event_naming_an_agent_outside_the_auction(event):
     auction = tiny()
     with pytest.raises(SolverInvariantError, match="an agent outside the auction$"):
-        replay(auction, seed_for(auction), make_trace([event]))
+        replay_both(auction, seed_for(auction), make_trace([event]))
 
 
 def test_replay_rejects_orphaned_bundle():
@@ -159,7 +178,7 @@ def test_replay_rejects_orphaned_bundle():
         PoolRemove("B"), Unassign("A"), PoolAdd("A"), IterationEnd(2),
     ])
     with pytest.raises(SolverInvariantError, match="no\nholder|no holder"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_rejects_double_hold_at_iteration_end():
@@ -170,7 +189,7 @@ def test_replay_rejects_double_hold_at_iteration_end():
         IterationEnd(1),
     ])
     with pytest.raises(SolverInvariantError, match="doubly"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_allows_transient_double_hold_within_iteration():
@@ -182,7 +201,7 @@ def test_replay_allows_transient_double_hold_within_iteration():
         Assign("A", frozenset({1})),
         IterationEnd(1),
     ])
-    out = replay(auction, seed_for(auction), t)
+    out = replay_both(auction, seed_for(auction), t)
     assert out.assignment == {"B": frozenset({0}), "A": frozenset({1})}
 
 
@@ -198,7 +217,7 @@ def test_replay_rejects_rank_violation_on_steal():
         IterationEnd(2),
     ])
     with pytest.raises(SolverInvariantError, match="removal order"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_accepts_rank_respecting_steal():
@@ -214,7 +233,7 @@ def test_replay_accepts_rank_respecting_steal():
         FallbackRecord("B", frozenset()),
         IterationEnd(2),
     ])
-    out = replay(auction, seed_for(auction), t)
+    out = replay_both(auction, seed_for(auction), t)
     assert out.assignment == {"B": frozenset({0}), "A": frozenset({1})}
 
 
@@ -230,7 +249,7 @@ def test_replay_rejects_a_second_fallback_in_one_iteration():
         IterationEnd(1),
     ])
     with pytest.raises(SolverInvariantError, match="second fallback of 'A'"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_rejects_overlong_displacement_chain():
@@ -250,7 +269,7 @@ def test_replay_rejects_overlong_displacement_chain():
         IterationEnd(2),
     ])
     with pytest.raises(SolverInvariantError, match="chain"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_rejects_iteration_overrun_in_poly_mode():
@@ -258,25 +277,25 @@ def test_replay_rejects_iteration_overrun_in_poly_mode():
     # a FallbackRecord marks a poly-solver trace, capped at n * n = 1 iteration
     t = make_trace([FallbackRecord("A", frozenset()), IterationEnd(1), IterationEnd(2)])
     with pytest.raises(SolverInvariantError, match="iterations"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 def test_replay_merge_checks():
     auction = tiny(n_agents=2, n_items=2)
     seed = seed_for(auction)
     with pytest.raises(SolverInvariantError, match="fewer than two"):
-        replay(auction, seed, make_trace([Merge(sources=(0,), new_id=9)]))
+        replay_both(auction, seed, make_trace([Merge(sources=(0,), new_id=9)]))
     with pytest.raises(SolverInvariantError, match="unknown bundle"):
-        replay(auction, seed, make_trace([Merge(sources=(0, 5), new_id=9)]))
+        replay_both(auction, seed, make_trace([Merge(sources=(0, 5), new_id=9)]))
     with pytest.raises(SolverInvariantError, match="reuses"):
-        replay(auction, seed, make_trace([Merge(sources=(0, 1), new_id=0)]))
+        replay_both(auction, seed, make_trace([Merge(sources=(0, 1), new_id=0)]))
     with pytest.raises(SolverInvariantError, match="still assigned"):
-        replay(auction, seed, make_trace([
+        replay_both(auction, seed, make_trace([
             Assign("A", frozenset({0})),
             Merge(sources=(0, 1), new_id=2),
         ]))
     # a clean merge transfers the sold flag to the union bundle
-    out = replay(auction, seed, make_trace([
+    out = replay_both(auction, seed, make_trace([
         Assign("A", frozenset({0})),
         IterationEnd(1),
         Unassign("A"),
@@ -293,7 +312,7 @@ def test_replay_rejects_pool_remove_of_absent_agent():
     auction = tiny()
     t = make_trace([PoolRemove("A")])
     with pytest.raises(SolverInvariantError, match="absent"):
-        replay(auction, seed_for(auction), t)
+        replay_both(auction, seed_for(auction), t)
 
 
 @pytest.mark.parametrize(
@@ -308,10 +327,36 @@ def test_replay_rejects_pool_remove_of_absent_agent():
 def test_replay_refuses_pool_and_holding_events_no_solver_makes(events, match):
     auction = tiny()
     with pytest.raises(SolverInvariantError, match=match):
-        replay(auction, seed_for(auction), make_trace(events))
+        replay_both(auction, seed_for(auction), make_trace(events))
 
 
 def test_replay_refuses_an_object_that_is_no_event():
     auction = tiny()
     with pytest.raises(InputError, match="unknown trace event"):
-        replay(auction, seed_for(auction), make_trace(["merge"]))
+        replay_both(auction, seed_for(auction), make_trace(["merge"]))
+
+
+def test_integer_replay_matches_the_fraction_reference_on_seeded_instances():
+    """Both solvers' traces on 300 seeded instances rebuild the same
+    outcome in ints as in `Fraction`s (a simple run that deadlocks has
+    no trace to replay)."""
+    replayed = 0
+    for s in range(300):
+        auction, seed = seed_instance(s)
+        runs = [run_poly(auction, seed)]
+        try:
+            runs.append(run_simple(auction, seed, auction.granularity() / 2))
+        except SolverDeadlockError:
+            pass
+        for out, trace in runs:
+            assert replay_both(auction, seed, trace) == out
+            replayed += 1
+    assert replayed > 590
+
+
+def test_replay_refuses_a_scale_that_does_not_carry_the_start_prices():
+    # gap3's seed prices are halves, so scale 1 cannot hold them
+    auction, seed = generate("gap3")
+    _, trace = run_poly(auction, seed)
+    with pytest.raises(InputError, match="^1/2 is off the lattice of scale 1$"):
+        replay(auction, seed, make_trace(trace.events, scale=1))

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from cwemarket import (
 )
 from cwemarket import verifier
 from cwemarket.market import allocation_welfare
+from cwemarket.scalars import lattice_int
 from cwemarket.verifier import (
     config_lp_fractional_opt,
     revenue_maximizing_prices,
@@ -295,6 +297,11 @@ class _Thirds(Valuation):
 
     def parameter_values(self):
         yield F(1, 2)
+
+    def scaled(self, scale):
+        thirds = copy.copy(self)
+        thirds._value = lambda s: lattice_int(self._value(s), scale)
+        return thirds
 
     def validate(self):
         return None
