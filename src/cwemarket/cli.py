@@ -222,7 +222,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if violation is None:
         sys.stdout.write(dumps({"cwe": True}))
         return 0
-    position = {bid: k for k, (bid, _) in enumerate(outcome.catalog.entries)}
 
     def price(bundles: BundleSet) -> str:
         return format_scalar(sum((outcome.prices[b] for b in bundles), Fraction(0)))
@@ -232,8 +231,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             {
                 "cwe": False,
                 "agent": violation.agent,
-                "held": sorted(position[b] for b in violation.held),
-                "better": sorted(position[b] for b in violation.better),
+                "held": sorted(violation.held),
+                "better": sorted(violation.better),
                 "gap": format_scalar(violation.gap),
                 "held_utility": format_scalar(violation.held_utility),
                 "better_utility": format_scalar(violation.best_utility),

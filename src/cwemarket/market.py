@@ -55,7 +55,7 @@ class Auction:
         self.item_set: ItemSet = frozenset(items)
         self.agents: Tuple[Agent, ...] = tuple(agents)
         self._index = {a.name: k for k, a in enumerate(agents)}
-        # `on_lattice` copies by scale; None on a copy, which is on a lattice
+        # `on_lattice`'s copy, by its scale; None on a copy, which is on a lattice
         self._lattice: Optional[Dict[int, Auction]] = {}
         for agent in agents:
             if not self.item_set <= agent.valuation.items:
@@ -101,14 +101,16 @@ class Auction:
         """(copy, D): this auction with every valuation `scaled` by D, the
         lcm of `dens` and of twice each parameter's denominator (so every
         value on the lattice is even, and half of it an int).  The copy is
-        built once per D and kept on this auction; a copy refuses this call
-        with SolverInvariantError, as its values are already scaled."""
+        kept on this auction until a call at another D replaces it; a copy
+        refuses this call with SolverInvariantError, as its values are
+        already scaled."""
         if self._lattice is None:
             raise SolverInvariantError("on_lattice of an auction already on a lattice")
         scale = lcm(self.lattice_scale, *dens)
         market = self._lattice.get(scale)
         if market is None:
             agents = tuple(Agent(a.name, a.valuation.scaled(scale)) for a in self.agents)
+            self._lattice.clear()  # one copy per auction: a new scale replaces it
             market = self._lattice[scale] = copy.copy(self)
             market.agents, market._lattice = agents, None
         return market, scale
@@ -189,9 +191,6 @@ def merge_bundles(catalog: Catalog, bundle_ids: Iterable[BundleId]) -> Tuple[Cat
     new_id = catalog.fresh_id()
     kept = tuple((b, s) for b, s in catalog.entries if b not in ids)
     return Catalog(entries=kept + ((new_id, union),), withheld=catalog.withheld), new_id
-
-
-PriceMap = Dict[BundleId, Fraction]
 
 
 def check_agents(names: Collection[str], assignment: Mapping[str, BundleSet]) -> None:
@@ -503,18 +502,21 @@ def validate_initial_allocation(auction: Auction, allocation: InitialAllocation)
 
 
 def initial_market(
-    auction: Auction, allocation: InitialAllocation
-) -> Tuple[Catalog, PriceMap]:
-    """Seed catalog from an initial allocation.
+    auction: Auction, allocation: InitialAllocation, *dens: int
+) -> Tuple[Auction, int, Catalog, Dict[BundleId, int]]:
+    """Seed market from an initial allocation, on the lattice copy
+    (copy, D) = `auction.on_lattice(*dens)`.
 
     Each nonempty allocated set becomes one bundle, in agent order,
-    priced at half the owner's value for it.  Unallocated items are
-    withheld.  Returns (catalog, prices).
+    priced at half its owner's value on the copy: an int, which over D
+    is half the owner's value.  Unallocated items are withheld.  An odd
+    lattice value raises SolverInvariantError and is never floored.
+    Returns (copy, D, catalog, prices).
     """
-    norm = validate_initial_allocation(auction, allocation)
-    entries = list(enumerate(norm.values()))
-    prices: PriceMap = {
-        bid: auction.valuation(name).value(items) / 2
-        for bid, (name, items) in enumerate(norm.items())
-    }
-    return Catalog.selling(auction.item_set, entries), prices
+    seed = validate_initial_allocation(auction, allocation)
+    market, scale = auction.on_lattice(*dens)
+    values = [market.valuation(name).value(items) for name, items in seed.items()]
+    if any(v % 2 for v in values):
+        raise SolverInvariantError("a seed value is odd on the price lattice")
+    catalog = Catalog.selling(auction.item_set, enumerate(seed.values()))
+    return market, scale, catalog, {bid: v // 2 for bid, v in enumerate(values)}

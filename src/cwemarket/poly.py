@@ -33,15 +33,14 @@ from .errors import SolverInvariantError
 from .market import (
     Auction,
     BundleSet,
-    Catalog,
     InitialAllocation,
     Outcome,
     demand,
     induced_value,
+    initial_market,
     lattice_violation,
     merge_bundles,
     tie_key,
-    validate_initial_allocation,
 )
 # Unused here: bench/tracing.py wraps these names in every solver
 # module, and its install fails if one is missing.
@@ -69,16 +68,11 @@ class AscendingAuction:
 
     def __init__(self, auction: Auction, allocation: InitialAllocation, *dens: int):
         self.auction = auction
-        seed = validate_initial_allocation(auction, allocation)
         # `dens` join the lattice's scale, so quantities over them are ints
-        self.market, self.scale = auction.on_lattice(*dens)
-        # `initial_market` on the lattice, where every value is even
-        self.catalog = Catalog.selling(auction.item_set, enumerate(seed.values()))
-        values = [self.market.valuation(n).value(items) for n, items in seed.items()]
-        if any(v % 2 for v in values):
-            raise SolverInvariantError("a seed value is odd on the price lattice")
-        self.prices = {bid: v // 2 for bid, v in enumerate(values)}
-        self.seed_welfare = sum(values)
+        self.market, self.scale, self.catalog, self.prices = initial_market(
+            auction, allocation, *dens
+        )
+        self.seed_welfare = 2 * sum(self.prices.values())
         self.assignment: Dict[str, BundleSet] = {}
         self.pool: List[str] = list(auction.agent_names)
         self.trace = Trace(scale=self.scale)

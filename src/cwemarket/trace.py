@@ -117,7 +117,8 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     """Rebuild the final outcome from a trace, checking invariants.
 
     The removal-order checks run when the trace contains FallbackRecord
-    events.  Prices are checked as ints on `trace.scale`.  Raises
+    events.  Prices are checked as ints on `trace.scale`, the seed's read
+    from `initial_market` on the auction's shared lattice copy.  Raises
     SolverInvariantError on any violation (an event on an unknown bundle
     or naming an agent outside the auction among them), and InputError
     on an object that is no trace event or a scale that does not carry
@@ -126,9 +127,10 @@ def replay(auction: Auction, allocation: InitialAllocation, trace: Trace) -> Out
     poly = FallbackRecord in map(type, trace.events)
     n, names, scale = len(auction.agents), frozenset(auction.agent_names), trace.scale
 
-    catalog, start_prices = initial_market(auction, allocation)
+    _, seed_scale, catalog, prices = initial_market(auction, allocation, scale)
+    if seed_scale != scale:  # the seed's lattice is finer than the trace's
+        prices = {bid: lattice_int(Fraction(p, seed_scale), scale) for bid, p in prices.items()}
     table: Dict[BundleId, FrozenSet[str]] = dict(catalog.entries)
-    prices = {bid: lattice_int(p, scale) for bid, p in start_prices.items()}
     assignment: Dict[str, BundleSet] = {}
     pool: List[str] = []
     allocated: set = set()  # bundles sold at least once; must stay sold

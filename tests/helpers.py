@@ -25,9 +25,10 @@ from cwemarket import (
     generate,
     revenue_of,
     social_welfare,
+    validate_initial_allocation,
 )
 from cwemarket.lp import INFEASIBLE, OPTIMAL, LpSolution
-from cwemarket.market import demand, induced_value, initial_market, utility
+from cwemarket.market import demand, induced_value, utility
 from cwemarket.partitions import set_partitions
 from cwemarket.scalars import lattice_int, parse_scalar
 from cwemarket.trace import (
@@ -913,16 +914,28 @@ def reference_max_cwe_revenue(auction: Auction):
     return best_rev, best
 
 
+def reference_initial_market(auction: Auction, allocation) -> Tuple[Catalog, Dict[int, Fraction]]:
+    """`market.initial_market` in `Fraction`s: (catalog, prices), each
+    nonempty seed set one bundle in agent order, priced at half its
+    owner's value, and every unallocated item withheld."""
+    seed = validate_initial_allocation(auction, allocation)
+    prices = {
+        bid: auction.valuation(name).value(items) / 2
+        for bid, (name, items) in enumerate(seed.items())
+    }
+    return Catalog.selling(auction.item_set, enumerate(seed.values())), prices
+
+
 def reference_replay(auction: Auction, allocation, trace: Trace) -> Outcome:
     """`trace.replay` with every price a `Fraction`: the start prices of
-    `initial_market`, each `PriceRaise` read as its ints over
+    `reference_initial_market`, each `PriceRaise` read as its ints over
     `trace.scale`, and the merges' sums.  The reference for the integer
     replay, which must rebuild the same outcome and refuse the same
     traces with the same error type."""
     poly = FallbackRecord in map(type, trace.events)
     n, names = len(auction.agents), frozenset(auction.agent_names)
 
-    catalog, start_prices = initial_market(auction, allocation)
+    catalog, start_prices = reference_initial_market(auction, allocation)
     table: Dict[int, FrozenSet[str]] = dict(catalog.entries)
     prices: Dict[int, Fraction] = dict(start_prices)
     assignment: Dict[str, BundleSet] = {}

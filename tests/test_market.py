@@ -25,6 +25,7 @@ from cwemarket import (
     is_cwe,
     maximize_revenue,
     merge_bundles,
+    replay,
     revenue_of,
     run_poly,
     run_simple,
@@ -35,6 +36,8 @@ from cwemarket import (
 from cwemarket import market
 from cwemarket.market import tie_key
 from cwemarket.serialize import outcome_to_json
+
+from .helpers import reference_initial_market
 
 F = Fraction
 
@@ -163,12 +166,13 @@ def seeded_auction():
 
 def test_initial_market_seeds_half_price_and_withholds_rest():
     auction = seeded_auction()
-    catalog, prices = initial_market(
-        auction, {"p": frozenset({"x"}), "q": frozenset({"y"})}
-    )
+    seed = {"p": frozenset({"x"}), "q": frozenset({"y"})}
+    market, scale, catalog, prices = initial_market(auction, seed)
+    assert (market, scale) == auction.on_lattice()
     assert catalog.entries == ((0, frozenset({"x"})), (1, frozenset({"y"})))
     assert catalog.withheld == frozenset({"z"})
-    assert prices == {0: F(2), 1: F(1)}
+    assert {bid: F(p, scale) for bid, p in prices.items()} == {0: F(2), 1: F(1)}
+    assert reference_initial_market(auction, seed) == (catalog, {0: F(2), 1: F(1)})
 
 
 def test_validate_initial_allocation_errors():
@@ -273,7 +277,7 @@ def test_welfare_and_revenue_refuse_an_unknown_agent():
 
 def test_social_welfare_sums_assigned_values():
     auction = seeded_auction()
-    catalog, prices = initial_market(
+    catalog, prices = reference_initial_market(
         auction, {"p": frozenset({"x"}), "q": frozenset({"y", "z"})}
     )
     out = Outcome(catalog, prices, {"p": frozenset({0}), "q": frozenset({1})})
@@ -346,10 +350,12 @@ def test_a_lattice_copy_is_kept_once_per_scale_and_refuses_another_lattice():
 
 def test_a_sweep_operation_scales_each_valuation_once_per_scale(monkeypatch):
     """Brute force, the revenue ladder (its poly run included), the simple
-    solver at g/2 and `find_violation` share one lattice copy per scale;
-    a simple run at g/6 adds one copy at a second scale."""
+    solver at g/2, `find_violation` and the replay of both solvers' traces
+    share one lattice copy per scale, and replay reads its seed from it,
+    never from the auction's own valuations; a simple run at g/6 adds one
+    copy at a second scale."""
     calls = Counter()
-    scaled = ExplicitValuation.scaled
+    scaled, value = ExplicitValuation.scaled, ExplicitValuation.value
 
     def counted(valuation, scale):
         calls[id(valuation), scale] += 1
@@ -361,12 +367,41 @@ def test_a_sweep_operation_scales_each_valuation_once_per_scale(monkeypatch):
     seed = {name: items for name, items in allocation.items() if items}
     maximize_revenue(auction, seed)
     g = auction.granularity()
-    outcome, _ = run_simple(auction, seed, g / 2)
+    outcome, simple_trace = run_simple(auction, seed, g / 2)
     assert find_violation(auction, outcome) is None
+    _, poly_trace = run_poly(auction, seed)
+    own = {id(agent.valuation) for agent in auction.agents}
+
+    def unscaled_refused(valuation, items):
+        assert id(valuation) not in own, "replay valued the auction's own valuation"
+        return value(valuation, items)
+
+    monkeypatch.setattr(ExplicitValuation, "value", unscaled_refused)
+    for trace in (poly_trace, simple_trace):
+        replay(auction, seed, trace)
+    monkeypatch.setattr(ExplicitValuation, "value", value)
     assert sorted(calls.values()) == [1] * len(auction.agents)
     run_simple(auction, seed, g / 6)
     assert sorted(calls.values()) == [1] * 2 * len(auction.agents)
     assert len({scale for _, scale in calls}) == 2
+
+
+def test_an_auction_keeps_one_lattice_copy_whatever_scales_it_is_asked_for():
+    """Checking gap3's poly outcome with its prices shifted by 1/(20q + 1),
+    q = 1..100, asks for 100 scales besides the solver's 20; the auction
+    keeps only the last copy, and asking for scale 20 again builds it
+    anew."""
+    auction, seed = generate("gap3")
+    outcome, _ = run_poly(auction, seed)
+    solved, _ = auction.on_lattice()
+    for q in range(1, 101):
+        shift = F(1, 20 * q + 1)
+        prices = {bid: p + shift for bid, p in outcome.prices.items()}
+        find_violation(auction, Outcome(outcome.catalog, prices, outcome.assignment))
+    assert list(auction._lattice) == [20 * 2001]
+    again, scale = auction.on_lattice()
+    assert scale == 20 and again is not solved
+    assert list(auction._lattice) == [20]
 
 
 def test_agent_lookups_refuse_an_unknown_agent():

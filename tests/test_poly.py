@@ -20,7 +20,6 @@ from cwemarket import (
     XosValuation,
     find_violation,
     generate,
-    initial_market,
     is_cwe,
     replay,
     run_poly,
@@ -37,6 +36,7 @@ from .helpers import (
     check_push_maximality,
     cold_raise_prices,
     recorded_pushes,
+    reference_initial_market,
     seed_instance,
     unit_demand_violation,
 )
@@ -200,13 +200,13 @@ def _verdict_corpus():
 @pytest.mark.parametrize("simple", [False, True], ids=["poly", "simple"])
 def test_seed_market_on_the_lattice_equals_initial_market(simple):
     """The solvers price each seed bundle at half its lattice value; the
-    catalog, the prices and the seed welfare equal `initial_market` and
-    `allocation_welfare` in Fractions, also on the epsilon solver's finer
-    lattice."""
+    catalog, the prices and the seed welfare equal
+    `reference_initial_market` and `allocation_welfare` in Fractions, also
+    on the epsilon solver's finer lattice."""
     for auction, seed in _verdict_corpus():
         g = auction.granularity() or F(1)
         solver = SimpleSolver(auction, seed, g / 4) if simple else PolySolver(auction, seed)
-        catalog, prices = initial_market(auction, seed)
+        catalog, prices = reference_initial_market(auction, seed)
         assert solver.catalog == catalog
         assert {bid: F(p, solver.scale) for bid, p in solver.prices.items()} == prices
         assert F(solver.seed_welfare, solver.scale) == allocation_welfare(auction, seed)

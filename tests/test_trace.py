@@ -354,6 +354,28 @@ def test_integer_replay_matches_the_fraction_reference_on_seeded_instances():
     assert replayed > 590
 
 
+def test_replay_moves_the_start_prices_onto_a_coarser_scale_that_carries_them():
+    """With integer weights and even seed values every price of these runs
+    is an int, so their traces also read at scale 1, coarser than the
+    auction's lattice of scale 2: replay moves the seed's lattice ints
+    onto it and rebuilds the same outcome."""
+    items = frozenset("123")
+    auction = Auction(items=items, agents=(
+        Agent("A", AdditiveValuation(items, {"1": F(2), "2": F(4), "3": F(6)})),
+        Agent("B", AdditiveValuation(items, {"1": F(4), "2": F(2), "3": F(8)})),
+    ))
+    seed = {"A": frozenset({"1", "2"}), "B": frozenset({"3"})}
+    for out, trace in (run_poly(auction, seed), run_simple(auction, seed, F(1))):
+        assert trace.scale == 2
+        raises = [ev for ev in trace.events if isinstance(ev, PriceRaise)]
+        assert raises and all(ev.old % 2 == ev.new % 2 == 0 for ev in raises)
+        coarse = [
+            PriceRaise(ev.bundle, ev.old // 2, ev.new // 2) if isinstance(ev, PriceRaise) else ev
+            for ev in trace.events
+        ]
+        assert replay_both(auction, seed, make_trace(coarse, trace.iterations)) == out
+
+
 def test_replay_refuses_a_scale_that_does_not_carry_the_start_prices():
     # gap3's seed prices are halves, so scale 1 cannot hold them
     auction, seed = generate("gap3")
