@@ -268,26 +268,6 @@ def utility(
     return value - sum(prices[b] for b in bundles)
 
 
-def _utilities(
-    auction: Auction,
-    agent: str,
-    catalog: Catalog,
-    prices: Mapping[BundleId, Fraction],
-    excluded: BundleSet = frozenset(),
-) -> Tuple[List[BundleId], List[Fraction]]:
-    """(ids of the available bundles, utility of each union of them by
-    mask); catalogs over DEMAND_BUNDLE_CAP bundles raise ResourceLimitError."""
-    if len(catalog.entries) > DEMAND_BUNDLE_CAP:
-        raise ResourceLimitError(
-            f"catalog has {len(catalog.entries)} bundles; demand enumeration "
-            f"capped at {DEMAND_BUNDLE_CAP}"
-        )
-    avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    values = auction.valuation(agent).bundle_values([items for _, items in avail])
-    psums = subset_sums([prices[bid] for bid, _ in avail])
-    return [bid for bid, _ in avail], [v - p for v, p in zip(values, psums)]
-
-
 def demand_correspondence(
     auction: Auction,
     agent: str,
@@ -305,7 +285,16 @@ def demand_correspondence(
     prices (ints or `Fraction`s), so the max is an int on a lattice.
     Catalogs over DEMAND_BUNDLE_CAP bundles raise ResourceLimitError.
     """
-    ids, utils = _utilities(auction, agent, catalog, prices, excluded)
+    if len(catalog.entries) > DEMAND_BUNDLE_CAP:
+        raise ResourceLimitError(
+            f"catalog has {len(catalog.entries)} bundles; demand enumeration "
+            f"capped at {DEMAND_BUNDLE_CAP}"
+        )
+    avail = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
+    values = auction.valuation(agent).bundle_values([items for _, items in avail])
+    psums = subset_sums([prices[bid] for bid, _ in avail])
+    utils = [v - p for v, p in zip(values, psums)]
+    ids = [bid for bid, _ in avail]
     best = max(utils)
     maximizers = [frozenset(members(ids, mask)) for mask, u in enumerate(utils) if u == best]
     return best, sorted(maximizers, key=lambda s: (len(s), sorted(s)))
@@ -343,18 +332,12 @@ def demand(
     """The max utility over the available catalog and the demanded set
     that `tie_key(agent, others)` ranks first.
 
-    Structured valuations answer from per-bundle margins
-    (`Valuation.demand_answer`); explicit tables enumerate all 2^k
-    subsets through `demand_correspondence`, which caps the catalog at
-    DEMAND_BUNDLE_CAP bundles.  Prices, ints or `Fraction`s, go unchecked.
+    Every valuation answers through its fold (`Valuation.demand_answer`):
+    structured ones from per-bundle margins, explicit tables over all
+    2^k unions.  Prices, ints or `Fraction`s, go unchecked.
     """
-    key = tie_key(agent, others)
     offers = [(bid, items) for bid, items in catalog.entries if bid not in excluded]
-    found = auction.valuation(agent).demand_answer(offers, prices, key)
-    if found is None:
-        best, tied = demand_correspondence(auction, agent, catalog, prices, excluded)
-        found = best, min(tied, key=key) if len(tied) > 1 else tied[0]
-    return found
+    return auction.valuation(agent).demand_answer(offers, prices, tie_key(agent, others))
 
 
 def top_price(
@@ -371,24 +354,17 @@ def top_price(
     other set.  So {bid}, demanded now, stays demanded exactly while its
     utility is at least A, the best utility over the catalog without
     `bid` (0 at least): up to price value({bid}) - A.  Not demanded now,
-    it never is at a higher price.  Items are checked as by `demand`.
+    it never is at a higher price.  One fold gives A over the catalog
+    without `bid` and then, extended by `bid`, the max.  Items are
+    checked as by `demand`.
     """
-    catalog.items_of(bid)  # an id outside the catalog raises InputError
-    valuation, key = auction.valuation(agent), tie_key(agent, None)
-    found = valuation.demand_answer(catalog.entries, prices, key)
-    if found is None:
-        ids, utils = _utilities(auction, agent, catalog, prices)
-        bit = 1 << ids.index(bid)
-        if utils[bit] < max(utils):
-            return None
-        # the masks without bid's bit: runs of `bit` entries, every 2 * bit
-        rest = max([max(utils[j : j + bit]) for j in range(0, len(utils), 2 * bit)])
-        return prices[bid] + utils[bit] - rest
+    items = catalog.items_of(bid)  # an id outside the catalog raises InputError
+    fold = auction.valuation(agent).demand_fold(tie_key(agent, None))
+    fold.extend([(b, s) for b, s in catalog.entries if b != bid], prices)
+    rest = fold.answer()[0]
+    fold.extend([(bid, items)], prices)
     own = utility(auction, agent, {bid}, catalog, prices)
-    if own < found[0]:
-        return None
-    others = [(b, items) for b, items in catalog.entries if b != bid]
-    return prices[bid] + own - valuation.demand_answer(others, prices, key)[0]
+    return None if own < fold.answer()[0] else prices[bid] + own - rest
 
 
 @dataclass(frozen=True)

@@ -79,14 +79,10 @@ class AscendingAuction:
         for name in self.pool:
             self.trace.add(PoolAdd(name))
 
-    def _demand(
-        self, agent: str, excluded: BundleSet = frozenset()
-    ) -> Tuple[int, BundleSet]:
+    def _demand(self, agent: str) -> Tuple[int, BundleSet]:
         """One demand query: the max utility and the tie-broken set."""
         self.trace.demand_queries += 1
-        return demand(
-            self.market, agent, self.catalog, self.prices, excluded, self.assignment
-        )
+        return demand(self.market, agent, self.catalog, self.prices, others=self.assignment)
 
     def run(self) -> Outcome:
         while self.pool:
@@ -208,8 +204,7 @@ class PolySolver(AscendingAuction):
         The catalog, the holdings and the prices of bundles no active
         holder holds stay fixed, and each step releases one bundle at
         its final price.  So each holder's `demand_fold` just takes the
-        released bundle; only explicit tables are asked again over the
-        whole catalog.  Each answer counts as one demand query.
+        released bundle.  Each answer counts as one demand query.
         """
         members = [n for n in self.auction.agent_names if self.assignment.get(n)]
         for i in members:
@@ -222,29 +217,22 @@ class PolySolver(AscendingAuction):
             i: induced_value(self.market.valuation(i), self.catalog, self.assignment[i])
             for i in members
         }
-        folds, offers = {}, []
-        if any(self.market.valuation(i)._fold for i in members):
-            # a holder's own bundle is never on offer to it, so counting
-            # every holding ranks its ties as `demand` does
-            key = tie_key(None, self.assignment)
-            folds = {i: self.market.valuation(i).demand_fold(key) for i in members}
-            held = frozenset().union(*self.assignment.values())
-            offers = [(bid, s) for bid, s in self.catalog.entries if bid not in held]
+        # a holder's own bundle is never on offer to it, so counting
+        # every holding ranks its ties as `demand` does
+        key = tie_key(None, self.assignment)
+        folds = {i: self.market.valuation(i).demand_fold(key) for i in members}
+        held = frozenset().union(*self.assignment.values())
+        offers = [(bid, s) for bid, s in self.catalog.entries if bid not in held]
         active: List[str] = list(members)
         self.rank = {}
         while active:
             margins: Dict[str, int] = {}
             switches: Dict[str, BundleSet] = {}
-            excluded = frozenset().union(*(self.assignment[j] for j in active))
             for i in active:
                 (bid,) = self.assignment[i]
-                fold = folds.get(i)
-                if fold is None:
-                    best, switches[i] = self._demand(i, excluded=excluded)
-                else:
-                    fold.extend(offers, self.prices)
-                    self.trace.demand_queries += 1
-                    best, switches[i] = fold.answer()
+                folds[i].extend(offers, self.prices)
+                self.trace.demand_queries += 1
+                best, switches[i] = folds[i].answer()
                 margin = own_value[i] - self.prices[bid] - best
                 if margin < 0:
                     raise SolverInvariantError(

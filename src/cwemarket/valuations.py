@@ -15,9 +15,10 @@ found (None when the valuation is well formed).  `bundle_values()`
 tabulates the value of every union of a few disjoint bundles, one read
 per union (on an explicit table, one list entry per union mask).
 `demand_answer()` answers a demand query over priced disjoint bundles
-from per-bundle margins, folding in a batch of bundles at a time
+through the class's fold, which takes a batch of bundles at a time
 (`demand_fold`): the max utility and the maximizer a tie key ranks
-first; explicit tables have no such rule.  `scaled(D)` is
+first.  Structured classes fold per-bundle margins; an explicit table
+folds every union of the bundles so far.  `scaled(D)` is
 the copy with int parameters that the solvers' lattice uses (README,
 "Solvers"), so its values are ints where all others are `Fraction`s.
 """
@@ -100,8 +101,8 @@ class Valuation:
 
     items: ItemSet
     kind: str = "abstract"
-    # the `DemandFold` subclass of the class's demand rule, if it has one
-    _fold: Optional[type] = None
+    # the `DemandFold` subclass of the class's demand rule
+    _fold: type
     # the int 0 on a `scaled` copy, so its results stay ints
     zero: Fraction = Fraction(0)
 
@@ -138,8 +139,8 @@ class Valuation:
 
     def demand_answer(
         self, offers: Sequence[Offer], prices: Mapping[Hashable, Fraction], key: Callable
-    ) -> Optional[DemandAnswer]:
-        """Demand over the unions of disjoint priced bundles, from margins.
+    ) -> DemandAnswer:
+        """Demand over the unions of disjoint priced bundles.
 
         `offers` are (id, items) pairs and `prices[id]` is the price of
         each, an int or a `Fraction`.  A set of offers has utility equal
@@ -149,18 +150,15 @@ class Valuation:
         that ranks each set before its strict supersets (such as
         `market.tie_key`).  With a max of 0 that set is empty.
 
-        This runs the class's `demand_fold` over the offers; a class with
-        none returns None, and the caller enumerates `bundle_values`.
+        This runs the class's fold (`demand_fold`) over the offers.
         """
-        fold = self.demand_fold(key)
-        if fold is None:
-            return None
+        fold = self._fold(self, key)
         fold.extend(offers, prices)
         return fold.answer()
 
-    def demand_fold(self, key: Callable) -> Optional["DemandFold"]:
-        """A demand query that takes offers in batches; None if it has none."""
-        return None if self._fold is None else self._fold(self, key)
+    def demand_fold(self, key: Callable) -> "DemandFold":
+        """A demand query that takes offers in batches."""
+        return self._fold(self, key)
 
     def parameter_values(self) -> Iterator[Fraction]:
         """All scalar parameters, for granularity computation."""
@@ -192,10 +190,11 @@ def _check_weights(weights: Mapping[Item, Fraction]) -> Optional[ValuationDefect
 
 class DemandFold:
     """`demand_answer` fed offers in batches (`extend`, through a
-    subclass's `_extend`) and read at any point (`answer`).  Each class's
-    rule finds maximizers that every maximizer contains, so the one its
-    `key` ranks first is the first of all maximizers; it calls `key` only
-    to break a tie between two of them."""
+    subclass's `_extend`) and read at any point (`answer`).  Each
+    structured class's rule finds maximizers that every maximizer
+    contains, so the one its `key` ranks first is the first of all
+    maximizers.  A fold calls `key` only to break a tie between two
+    maximizers."""
 
     def __init__(self, valuation: Valuation, key: Callable):
         self.valuation, self.key = valuation, key
@@ -285,11 +284,40 @@ class _PositiveParts(DemandFold):
         return best, min(tied, key=self.key) if len(tied) > 1 else tied.pop()
 
 
+class _Unions(DemandFold):
+    """An explicit table: the item mask and the summed price of every
+    union of the offers so far, both lists doubling with each offer as
+    `subset_sums` builds its table.  Offers are checked through the
+    table's item masks, and all maximizers compete for the first rank."""
+
+    def __init__(self, valuation: Valuation, key: Callable):
+        super().__init__(valuation, key)
+        self.ids, self.masks, self.costs = [], [0], [0]
+
+    def extend(self, offers, prices):
+        ids, masks, costs = self.ids, self.masks, self.costs
+        for (bid, _), mask in zip(offers, self.valuation._masks([s for _, s in offers])):
+            price = prices[bid]
+            ids.append(bid)
+            masks += [m | mask for m in masks]
+            costs += [c + price for c in costs]
+
+    def answer(self) -> DemandAnswer:
+        values = self.valuation._values
+        utils = [values[m] - c for m, c in zip(self.masks, self.costs)]
+        best = max(utils)
+        if utils.count(best) == 1:
+            return best, frozenset(members(self.ids, utils.index(best)))
+        tied = [frozenset(members(self.ids, j)) for j, u in enumerate(utils) if u == best]
+        return best, min(tied, key=self.key)
+
+
 class ExplicitValuation(Valuation):
     """Valuation given by a full subset table, held as one list of values
     indexed by item mask: bit j stands for the j-th item of sorted(items)."""
 
     kind = "explicit"
+    _fold = _Unions
 
     def __init__(self, items: Iterable[Item], table: Mapping[ItemSet, Fraction]):
         values = self._listed(items, table)
@@ -379,6 +407,12 @@ class ExplicitValuation(Valuation):
 
     def bundle_values(self, bundles: Sequence[Iterable[Item]]) -> List[Fraction]:
         """As `Valuation.bundle_values`: one list read per union mask."""
+        values = self._values
+        return [values[u] for u in subset_sums(self._masks(bundles))]
+
+    def _masks(self, bundles: Sequence[Iterable[Item]]) -> List[int]:
+        """The item mask of each bundle; bundles that `_check_bundles`
+        refuses raise its error."""
         masks, union = [], 0
         try:
             for b in bundles:
@@ -391,8 +425,7 @@ class ExplicitValuation(Valuation):
             pass
         if len(masks) < len(bundles):
             self._check_bundles([frozenset(b) for b in bundles])  # raises
-        values = self._values
-        return [values[u] for u in subset_sums(masks)]
+        return masks
 
     def parameter_values(self) -> Iterator[Fraction]:
         return iter(self._values)

@@ -219,7 +219,10 @@ def cold_raise_prices(solver) -> None:
         excluded = frozenset().union(*(solver.assignment[j] for j in active))
         for i in active:
             (bid,) = solver.assignment[i]
-            best, switches[i] = solver._demand(i, excluded=excluded)
+            solver.trace.demand_queries += 1
+            best, switches[i] = demand(
+                solver.market, i, solver.catalog, solver.prices, excluded, solver.assignment
+            )
             margin = own_value[i] - solver.prices[bid] - best
             if margin < 0:
                 raise SolverInvariantError(

@@ -386,12 +386,16 @@ def test_large_unit_demand_catalog_through_cli(tmp_path, capsys):
     assert unit_demand_violation(auction, outcome_from_json(auction, ladder)) is None
 
 
-def test_demand_cap_binds_explicit_tables_only(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(market, "DEMAND_BUNDLE_CAP", 2)
+def test_demand_cap_binds_only_the_enumeration(tmp_path, capsys, monkeypatch):
+    """DEMAND_BUNDLE_CAP binds `demand_correspondence` alone: every class,
+    explicit tables included, answers demand through its fold."""
     # gap3 seeds three bundles for explicit tables
-    code, _, err = _run(capsys, "solve", "--input", _emit(tmp_path, capsys, "gap3"))
-    assert code == 3
-    assert "capped at 2" in err
+    gap3 = _emit(tmp_path, capsys, "gap3")
+    uncapped = _run(capsys, "solve", "--input", gap3)
+    monkeypatch.setattr(market, "DEMAND_BUNDLE_CAP", 2)
+    code, out, err = _run(capsys, "solve", "--input", gap3)
+    assert code == 0, err
+    assert (code, out, err) == uncapped
     inst = _emit(tmp_path, capsys, "logn_revenue", "--n", "4")
     code, out, err = _run(capsys, "solve", "--input", inst)
     assert code == 0, err

@@ -34,6 +34,7 @@ from cwemarket import (
     demand,
     demand_correspondence,
     find_violation,
+    generate,
     is_cwe,
     maximize_revenue,
     run_poly,
@@ -453,21 +454,33 @@ def mixed_market(m):
     return auction, {f"g{j}": frozenset({item}) for j, item in enumerate(items)}
 
 
-@pytest.mark.parametrize("m", [8, 2 * market.DEMAND_BUNDLE_CAP])
+@pytest.mark.parametrize("m", [8, 2 * market.DEMAND_BUNDLE_CAP, "explicit"])
 def test_structured_classes_never_enumerate(m, monkeypatch):
+    """No class, explicit tables included, answers demand by enumerating
+    through `demand_correspondence`: not in the push, the revenue
+    ladder, the stability check or the simple solver's contests."""
+
     def refuse(*args, **kwargs):
-        raise AssertionError("a structured valuation enumerated its demand")
+        raise AssertionError("a valuation enumerated its demand")
 
     monkeypatch.setattr(market, "demand_correspondence", refuse)
-    auction, seed = mixed_market(m)
-    outcome, trace = run_poly(auction, seed)
-    assert trace.demand_queries > 0
-    result = maximize_revenue(auction, seed)
-    assert all(is_cwe(auction, level.outcome) for level in result.levels)
-    if m <= 8:
-        # exhaustive over 2^8 bundle sets per agent, apart from the library
-        assert brute_stability_violation(auction, outcome) is None
-        assert brute_stability_violation(auction, result.base) is None
+    if m == "explicit":
+        markets = [generate("gap3")] + [seed_instance(s) for s in range(16)]
+    else:
+        markets = [mixed_market(m)]
+    for auction, seed in markets:
+        outcome, trace = run_poly(auction, seed)
+        assert trace.demand_queries > 0
+        assert find_violation(auction, outcome) is None
+        result = maximize_revenue(auction, seed)
+        assert all(is_cwe(auction, level.outcome) for level in result.levels)
+        if m == "explicit":
+            simple, _ = run_simple(auction, seed, auction.granularity() / 2)
+            assert find_violation(auction, simple) is None
+        if m != 2 * market.DEMAND_BUNDLE_CAP:
+            # exhaustive over at most 2^8 bundle sets per agent, apart from the library
+            assert brute_stability_violation(auction, outcome) is None
+            assert brute_stability_violation(auction, result.base) is None
 
 
 # valuations worth 2 for {"a"} and nothing for {"b"}

@@ -16,6 +16,8 @@ import pytest
 
 import cwemarket
 
+from .helpers import seed_instance
+
 PACKAGE = Path(cwemarket.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "bench" / "tracing.py"
@@ -93,6 +95,12 @@ def test_benchmark_tracer_installs_on_the_package():
         auction, seed = cwemarket.generate("gap3")
         tracer.run_op(
             "op", lambda: program.simple.run_simple(auction, seed, Fraction(1, 20))
+        )
+        # only the simple solver's barred sets enumerate; seed 25 reaches them
+        barred, barred_seed = seed_instance(25)
+        tracer.run_op(
+            "barred",
+            lambda: program.simple.run_simple(barred, barred_seed, barred.granularity() / 2),
         )
     finally:
         tracer.uninstall()
@@ -220,3 +228,22 @@ def test_every_public_definition_has_a_caller():
         and not node.name.startswith("_") and node.name not in named
     ]
     assert not uncalled, f"public definitions only the tests call: {uncalled}"
+
+
+def test_every_valuation_class_sets_its_demand_fold():
+    """Every concrete valuation class answers demand through a
+    `DemandFold`, so `market` and the price push need no class branch."""
+    from cwemarket.valuations import DemandFold, Valuation
+
+    classes, stack = [], [Valuation]
+    while stack:
+        found = [c for c in stack.pop().__subclasses__() if c.__module__.startswith("cwemarket")]
+        classes += found
+        stack += found
+    assert {cls.kind for cls in classes} == {
+        "explicit", "additive", "unit_demand", "single_minded", "xos"
+    }
+    unfolded = [
+        cls.__name__ for cls in classes if not issubclass(getattr(cls, "_fold", object), DemandFold)
+    ]
+    assert not unfolded, f"valuation classes without a demand fold: {unfolded}"

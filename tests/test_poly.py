@@ -29,7 +29,7 @@ from cwemarket import poly
 from cwemarket.errors import SolverDeadlockError, SolverInvariantError
 from cwemarket.market import allocation_welfare, lattice_violation, tie_key
 from cwemarket.trace import Assign, FallbackRecord, PriceRaise, Reject, Unassign
-from cwemarket.valuations import Valuation
+from cwemarket.valuations import Valuation, subsets_of
 
 from .helpers import (
     check_push_matches_oracle,
@@ -346,40 +346,39 @@ def test_logn_revenue_push_work_is_pinned_by_count():
     assert unit_demand_violation(auction, outcome) is None
 
 
-def test_all_explicit_push_skips_the_warm_start_set_up():
-    """Explicit tables have no fold, so a push whose holders are all
-    explicit builds no tie key of its own and no fold, and each run
-    equals the run with the cold push."""
+def test_every_push_builds_one_key_and_one_fold_per_holder():
+    """Explicit tables fold as the structured classes do, so every push,
+    an all-explicit one included, builds one tie key and one fold per
+    holder, and each run equals the run with the cold push."""
     built = {"keys": 0, "folds": 0}
-    fold = Valuation.demand_fold
+    fold, push = Valuation.demand_fold, PolySolver.raise_prices
+    holders = []
 
     def counted_fold(valuation, key):
-        made = fold(valuation, key)
-        built["folds"] += made is not None
-        return made
+        built["folds"] += 1
+        return fold(valuation, key)
 
     def counted_key(*args):
         built["keys"] += 1
         return tie_key(*args)
 
-    def solved(auction, seed):
-        with patch.object(Valuation, "demand_fold", counted_fold), patch.object(
-            poly, "tie_key", counted_key
-        ):
-            return _solved(auction, seed)
+    def counted_push(solver):
+        before = dict(built)
+        push(solver)
+        assert built["keys"] == before["keys"] + 1
+        assert built["folds"] == before["folds"] + len(solver.rank)
+        holders.append(len(solver.rank))
 
-    pushes = 0
     for s in range(16):
         auction, seed = seed_instance(s)
-        with recorded_pushes() as reports:
-            run = solved(auction, seed)
-        pushes += len(reports)
+        with patch.object(Valuation, "demand_fold", counted_fold), patch.object(
+            poly, "tie_key", counted_key
+        ), patch.object(PolySolver, "raise_prices", counted_push):
+            run = _solved(auction, seed)
         with patch.object(PolySolver, "raise_prices", cold_raise_prices):
             assert _solved(auction, seed) == run
-    assert pushes > 0
-    assert built == {"keys": 0, "folds": 0}
-    solved(*generate("logn_revenue", n=3))  # unit-demand holders do build them
-    assert built["keys"] > 0 and built["folds"] > 0
+    assert max(holders) > 1
+    assert built == {"keys": len(holders), "folds": sum(holders)}
 
 
 # worth 4 for {"x"}, over the universe {"x", "y"}
@@ -431,6 +430,9 @@ def test_warm_push_matches_the_cold_push_on_paper_instances():
 # worth 10 for "z" and 2 for any one of "w", "y" and "x"; the XOS
 # clauses list "w", "y" and "x" in the order opposite to their ids
 TIED_HOLDER = {
+    "explicit": lambda u: ExplicitValuation(
+        u, {s: F(10 * ("z" in s) + 2 * bool(s & {"w", "y", "x"})) for s in subsets_of(u)}
+    ),
     "unit_demand": lambda u: UnitDemandValuation(u, {"x": F(2), "y": F(2), "z": F(10), "w": F(2)}),
     "xos": lambda u: XosValuation(u, [{i: F(2), "z": F(10)} for i in "wyx"]),
 }

@@ -27,6 +27,7 @@ from cwemarket import poly, simple
 from cwemarket.market import demand, top_price
 from cwemarket.simple import check_epsilon
 from cwemarket.trace import Assign, PoolAdd, PriceRaise, Reject, Unassign
+from cwemarket.valuations import Valuation
 
 from . import helpers
 from .helpers import seed_instance, seed_welfare, stepwise_contest
@@ -160,10 +161,11 @@ def test_three_agent_merge_run_frozen():
 def test_demand_queries_count_every_demand_call(monkeypatch):
     # every call a solver makes to the demand layer, the enumeration of
     # a barred tie-broken set included, is one counted query; seeds 25
-    # and 29 reach that enumeration.  The simple solver's contest reads
-    # each side's top price once and counts the logical queries, one
-    # per side and price level, so its calls are counted on the
-    # stepwise reference, whose count the contest must report too.
+    # and 29 reach that enumeration.  The push asks each holder's fold,
+    # so each answer of a fold it builds counts.  The simple solver's
+    # contest reads each side's top price once and counts the logical
+    # queries, one per side and price level, so its calls are counted
+    # on the stepwise reference, whose count the contest must report too.
     calls = {}
 
     def counted(module, name):
@@ -175,15 +177,29 @@ def test_demand_queries_count_every_demand_call(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def counted_fold(valuation, key):
+        fold = demand_fold(valuation, key)
+        answer = fold.answer
+
+        def counted_answer():
+            calls["fold answers"] = calls.get("fold answers", 0) + 1
+            return answer()
+
+        fold.answer = counted_answer
+        return fold
+
+    demand_fold = Valuation.demand_fold
+    monkeypatch.setattr(Valuation, "demand_fold", counted_fold)
     counted(poly, "demand")
     counted(helpers, "demand")
     counted(simple, "demand_correspondence")
-    barred = 0
+    barred = folds = 0
     for s in range(20, 40):
         auction, seed = seed_instance(s)
         calls.clear()
         _, trace = run_poly(auction, seed)
         assert trace.demand_queries == sum(calls.values()), (s, calls)
+        folds += calls.get("fold answers", 0)
         epsilon = auction.granularity() / 2
         calls.clear()
         with patch.object(SimpleSolver, "_contest", stepwise_contest):
@@ -192,6 +208,7 @@ def test_demand_queries_count_every_demand_call(monkeypatch):
         barred += calls.get("demand_correspondence", 0)
         assert run_simple(auction, seed, epsilon)[1].demand_queries == trace.demand_queries
     assert barred > 0
+    assert folds > 0
 
 
 def _simple_run(auction, seed, epsilon):
